@@ -18,6 +18,7 @@ from scipy import sparse
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
+from .video_graph import gather_matrix
 
 
 def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
@@ -79,36 +80,35 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
 
 
 def build_alignment(anchors: np.ndarray, length: int, tau: int) -> sparse.csr_matrix:
-    """Stacked (J * tau, length) weight matrix over all anchors."""
-    all_rows, all_cols, all_vals = [], [], []
-    for j, (t_s, t_e) in enumerate(anchors):
-        rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
-        all_rows.append(rows + j * tau)
-        all_cols.append(cols)
-        all_vals.append(vals)
-    if not all_rows:
-        return sparse.csr_matrix((0, length))
+    """Stacked (J * tau, length) weight matrix: ``_anchor_weight_rows`` of all anchors at once."""
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+    t_s, t_e = anchors[:, 0], anchors[:, 1]
+    bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        _anchor_sampling(int(t_s[j]), int(t_e[j]), tau, length)    # raises its ContractError
+    d = t_e - t_s
+    runs = np.maximum(1, d // tau)
+    totals = tau * runs
+    # one entry per sample position; k counts positions within the sample's anchor
+    owner = np.repeat(np.arange(len(anchors)), totals)
+    k = np.arange(totals.sum()) - np.repeat(np.cumsum(totals) - totals, totals)
+    s = runs[owner]
+    idx = t_s[owner] + k * (d / totals)[owner]      # in [t_s, t_e): no clamping needed
+    lo = np.floor(idx).astype(np.int64)
+    frac = idx - lo
+    rows = owner * tau + k // s
+    keep_hi = frac > 0
     return sparse.coo_matrix(
-        (np.concatenate(all_vals), (np.concatenate(all_rows), np.concatenate(all_cols))),
+        (np.concatenate([(1.0 - frac) / s, frac[keep_hi] / s[keep_hi]]),
+         (np.concatenate([rows, rows[keep_hi]]), np.concatenate([lo, lo[keep_hi] + 1]))),
         shape=(len(anchors) * tau, length)).tocsr()
-
-
-def neighbor_mean_matrix(edges: np.ndarray, length: int) -> np.ndarray:
-    """(L, L) matrix M with ``(X @ M)[:, j]`` = mean feature of j's neighbors."""
-    counts = np.zeros(length, dtype=np.int64)
-    mat = np.zeros((length, length))
-    for src, dst in np.asarray(edges, dtype=np.int64).reshape(-1, 2):
-        mat[src, dst] += 1.0
-        counts[dst] += 1
-    if np.any(counts == 0):
-        missing = int(np.argmin(counts))
-        raise ContractError(f"semantic_smooth: node {missing} has no neighbors")
-    return mat / counts
 
 
 def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:
     """Replace each node's feature by the mean of its dynamic neighbors."""
-    return ad.matmul(features, Tensor(neighbor_mean_matrix(edges, features.shape[1])))
+    mean = gather_matrix(edges, features.shape[1], mean=True)
+    return ad.transpose(ad.resample_columns(features, mean))
 
 
 class SubgraphAligner:

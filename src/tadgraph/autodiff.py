@@ -136,6 +136,12 @@ class Tensor:
         return reshape(self, shape)
 
 
+def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
+    """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 

@@ -7,9 +7,10 @@ split-transform-merge layout: a pointwise map down to a bottleneck width,
 a grouped aggregation with ``cardinality`` paths, and a pointwise map back
 up. The block output is ``relu(temporal + semantic + input)``.
 
-The temporal stream's grouped aggregation is realized as a zero-padded
-kernel-3 grouped 1-D convolution; ``temporal_stream_equivalence`` checks
-at runtime that this equals the explicit adjacency-matrix form.
+The temporal stream's grouped aggregation is a zero-padded kernel-3 grouped
+1-D convolution and the semantic stream sums neighbors straight from the
+layer's edge list; the dense adjacency-matrix forms (``edge_aggregate``,
+``temporal_stream_equivalence``) are reference oracles for the tests.
 """
 
 from __future__ import annotations
@@ -19,14 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform_param
 from .errors import ConfigError, ShapeError
-from .video_graph import VideoGraph, semantic_adjacency, temporal_adjacency
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+from .video_graph import VideoGraph, gather_matrix, temporal_adjacency
+from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
 
 
 def edge_aggregate(x: Tensor, adjacency: np.ndarray, w0: Tensor, w1: Tensor,
@@ -61,13 +58,13 @@ class BlockParams:
             raise ConfigError(f"cardinality {cardinality} does not divide bottleneck width {cb}")
         cg = cb // cardinality
         return cls(
-            t_in=_uniform(rng, (cb, width), width),
-            t_conv=_uniform(rng, (3, cg, cb), 3 * cg),
-            t_out=_uniform(rng, (width, cb), cb),
-            s_in=_uniform(rng, (cb, width), width),
-            s_self=_uniform(rng, (1, cg, cb), cg),
-            s_neigh=_uniform(rng, (1, cg, cb), cg),
-            s_out=_uniform(rng, (width, cb), cb),
+            t_in=uniform_param(rng, (cb, width), width),
+            t_conv=uniform_param(rng, (3, cg, cb), 3 * cg),
+            t_out=uniform_param(rng, (width, cb), cb),
+            s_in=uniform_param(rng, (cb, width), width),
+            s_self=uniform_param(rng, (1, cg, cb), cg),
+            s_neigh=uniform_param(rng, (1, cg, cb), cg),
+            s_out=uniform_param(rng, (width, cb), cb),
             cardinality=cardinality,
         )
 
@@ -88,9 +85,9 @@ def gcnext_forward(x: Tensor, graph: VideoGraph, params: BlockParams) -> Tensor:
 
     if graph.k > 0:
         zs = ad.matmul(params.s_in, x)
-        a_s = Tensor(semantic_adjacency(edges, graph.length))
+        neighbor_sum = ad.transpose(ad.resample_columns(zs, gather_matrix(edges, graph.length)))
         agg = (ad.grouped_conv1d(zs, params.s_self, groups=params.cardinality)
-               + ad.grouped_conv1d(ad.matmul(zs, a_s), params.s_neigh, groups=params.cardinality))
+               + ad.grouped_conv1d(neighbor_sum, params.s_neigh, groups=params.cardinality))
         out = out + ad.matmul(params.s_out, agg)
 
     return ad.relu(out + x)
@@ -125,7 +122,7 @@ class BackboneParams:
     @classmethod
     def create(cls, c_raw: int, width: int, num_blocks: int, cardinality: int,
                bottleneck_ratio: int, rng: np.random.Generator) -> "BackboneParams":
-        proj = _uniform(rng, (width, c_raw), c_raw)
+        proj = uniform_param(rng, (width, c_raw), c_raw)
         blocks = [BlockParams.create(width, cardinality, bottleneck_ratio, rng)
                   for _ in range(num_blocks)]
         return cls(proj=proj, blocks=blocks)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import SynthConfig, load_dataset, prepare_windows, synth_dataset
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
 from .inference import read_raw_scores, score_windows, write_raw_scores
 from .model import Detector, ModelConfig
@@ -139,13 +139,16 @@ class _Opts:
 
 def _model_config(opts: _Opts, c_raw: int, window_length: int) -> ModelConfig:
     """Architecture from flags/config over an optional checkpoint sidecar."""
-    sidecar = {}
+    base = ModelConfig()
     checkpoint = opts.get("checkpoint")
     if checkpoint:
         sidecar_path = Path(checkpoint).parent / "config.json"
         if sidecar_path.exists():
-            sidecar = json.loads(sidecar_path.read_text()).get("model", {})
-    base = ModelConfig.from_json_dict(sidecar) if sidecar else ModelConfig()
+            try:
+                stored = json.loads(sidecar_path.read_text()).get("model", {})
+                base = ModelConfig.from_json_dict(stored)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
     kwargs = {key: opts.get(key, getattr(base, key)) for key in _ARCH_KEYS}
     return ModelConfig(c_raw=c_raw, window_length=window_length,
                        head_hidden=tuple(base.head_hidden), **kwargs)

@@ -93,22 +93,25 @@ def read_feature_file(path) -> np.ndarray:
 def load_annotations(path) -> AnnotationSet:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-        database = payload["database"]
-    except (json.JSONDecodeError, KeyError) as exc:
+        videos = json.loads(path.read_text())["database"].items()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not an annotation database") from exc
     out = AnnotationSet()
-    for video_id, entry in database.items():
-        duration = float(entry["duration"])
-        out.durations[video_id] = duration
-        segments = []
-        for ann in entry.get("annotations", []):
-            start, end = (float(v) for v in ann["segment"])
+    for video_id, entry in videos:
+        try:
+            duration = float(entry["duration"])
+            segments = []
+            for ann in entry.get("annotations", []):
+                start, end = (float(v) for v in ann["segment"])
+                segments.append((start, end, str(ann["label"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed entry for video '{video_id}': {exc!r}") from exc
+        for start, end, _ in segments:
             if not (0.0 <= start < end <= duration + 1e-9):
                 raise DataError(
                     f"{path}: segment [{start}, {end}] outside video '{video_id}' "
                     f"of duration {duration}")
-            segments.append((start, end, str(ann["label"])))
+        out.durations[video_id] = duration
         out.by_video[video_id] = segments
     return out
 
@@ -124,15 +127,20 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
         raise FormatError(f"{manifest_path}: manifest must be a JSON list")
     sequences = []
     for entry in entries:
-        feature_path = manifest_path.parent / entry["feature_file"]
+        try:
+            feature_path = manifest_path.parent / entry["feature_file"]
+            video_id = str(entry["video_id"])
+            duration_seconds = float(entry["duration_seconds"])
+            sampling_rate = float(entry["sampling_rate"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{manifest_path}: malformed manifest entry: {exc!r}") from exc
         if not feature_path.exists():
             raise FormatError(f"{manifest_path}: missing feature file {feature_path}")
-        features = read_feature_file(feature_path)
         sequences.append(FeatureSequence(
-            video_id=str(entry["video_id"]),
-            features=features,
-            duration_seconds=float(entry["duration_seconds"]),
-            sampling_rate=float(entry["sampling_rate"]),
+            video_id=video_id,
+            features=read_feature_file(feature_path),
+            duration_seconds=duration_seconds,
+            sampling_rate=sampling_rate,
         ))
     annotations = load_annotations(annotations_path) if annotations_path else AnnotationSet()
     for seq in sequences:

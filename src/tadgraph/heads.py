@@ -16,17 +16,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, uniform_param
 from .errors import ConfigError, ContractError
 
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
 DEFAULT_LAMBDA2 = 1e-4
-
-
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 @dataclass
@@ -44,11 +39,11 @@ class LocalizationParams:
     def create(cls, in_width: int, hidden: Sequence[int], rng: np.random.Generator):
         h1, h2 = hidden
         return cls(
-            w1=_uniform(rng, (in_width, h1), in_width),
+            w1=uniform_param(rng, (in_width, h1), in_width),
             b1=Tensor(np.zeros(h1), requires_grad=True),
-            w2=_uniform(rng, (h1, h2), h1),
+            w2=uniform_param(rng, (h1, h2), h1),
             b2=Tensor(np.zeros(h2), requires_grad=True),
-            w3=_uniform(rng, (h2, 2), h2),
+            w3=uniform_param(rng, (h2, 2), h2),
             b3=Tensor(np.zeros(2), requires_grad=True),
         )
 
@@ -65,7 +60,7 @@ class NodeParams:
 
     @classmethod
     def create(cls, width: int, rng: np.random.Generator):
-        return cls(w=_uniform(rng, (width, 2), width),
+        return cls(w=uniform_param(rng, (width, 2), width),
                    b=Tensor(np.zeros(2), requires_grad=True))
 
     def named(self, prefix: str = "node") -> dict[str, Tensor]:

@@ -30,15 +30,6 @@ class ModelConfig:
     max_duration: int = 64
     head_hidden: tuple[int, int] = (512, 128)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_raw": self.c_raw, "width": self.width, "blocks": self.blocks,
-            "cardinality": self.cardinality, "bottleneck_ratio": self.bottleneck_ratio,
-            "k_neighbors": self.k_neighbors, "tau1": self.tau1, "tau2": self.tau2,
-            "window_length": self.window_length, "max_duration": self.max_duration,
-            "head_hidden": list(self.head_hidden),
-        }
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
         kwargs = dict(data)

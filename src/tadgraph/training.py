@@ -11,7 +11,7 @@ epoch phases.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -192,16 +192,5 @@ def train(model: Detector, windows: list[Window], config: TrainConfig,
                 fh.write(json.dumps(record) + "\n")
     if out_dir is not None:
         model.save(out_dir / "checkpoint.tgck")
-        (out_dir / "config.json").write_text(json.dumps({
-            "model": config.model.to_json_dict(),
-            "batch_size": config.batch_size,
-            "epochs_phase1": config.epochs_phase1,
-            "epochs_phase2": config.epochs_phase2,
-            "lr_phase1": config.lr_phase1,
-            "lr_phase2": config.lr_phase2,
-            "lambda1": config.lambda1,
-            "lambda2": config.lambda2,
-            "anchors_per_window": config.anchors_per_window,
-            "seed": config.seed,
-        }, indent=1))
+        (out_dir / "config.json").write_text(json.dumps(asdict(config), indent=1))
     return history

@@ -1,10 +1,11 @@
 """Video graph construction: fixed temporal edges and dynamic semantic k-NN edges.
 
-Conventions (column aggregation): nodes are snippet indices 0..L-1, and
-``A[i, j] = 1`` means node j aggregates the feature of node i, so
-``X @ A`` gathers neighbor features per column. Under this convention the
-forward temporal adjacency satisfies ``(X @ A_fwd)[:, j] = x_{j+1}`` and
-``A_fwd == A_bwd.T``.
+Nodes are snippet indices 0..L-1; an edge ``(i, j)`` means node j aggregates
+the feature of node i. The forward path builds no L x L matrix: it runs the
+temporal chain as a convolution and each layer's (k*L, 2) semantic edge list
+through the sparse ``gather_matrix``. The dense adjacencies are test oracles:
+``A[i, j] = 1`` for edge ``(i, j)``, so ``X @ A`` gathers neighbor features per
+column, ``(X @ A_fwd)[:, j] = x_{j+1}`` and ``A_fwd == A_bwd.T``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, ContractError, DataError
 
@@ -20,12 +22,8 @@ def temporal_adjacency(length: int) -> tuple[np.ndarray, np.ndarray]:
     """Forward/backward adjacency of the snippet chain, no self-loops."""
     if length < 1:
         raise ContractError("temporal_adjacency: graph needs at least one node")
-    a_fwd = np.zeros((length, length))
-    a_bwd = np.zeros((length, length))
-    for j in range(length - 1):
-        a_fwd[j + 1, j] = 1.0      # column j points at node j+1
-        a_bwd[j, j + 1] = 1.0      # column j+1 points at node j
-    return a_fwd, a_bwd
+    a_fwd = np.eye(length, k=-1)       # column j points at node j+1
+    return a_fwd, a_fwd.T.copy()
 
 
 def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
@@ -45,16 +43,15 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((0, 2), dtype=np.int64)
 
-    diff = features[:, :, None] - features[:, None, :]
-    d2 = np.einsum("cij,cij->ij", diff, diff)
+    # Summed channel by channel, a distance depends on its two columns alone, so
+    # duplicate or zero columns tie exactly (a Gram-matrix form would not).
+    d2 = np.zeros((length, length))
+    for row in features:
+        d2 += np.subtract.outer(row, row) ** 2
     np.fill_diagonal(d2, np.inf)
 
-    edges = np.empty((k * length, 2), dtype=np.int64)
-    for node in range(length):
-        neighbors = np.argsort(d2[:, node], kind="stable")[:k]
-        edges[node * k:(node + 1) * k, 0] = neighbors
-        edges[node * k:(node + 1) * k, 1] = node
-    return edges
+    neighbors = np.argsort(d2, axis=0, kind="stable")[:k]      # (k, L), nearest first
+    return np.stack([neighbors.T.reshape(-1), np.repeat(np.arange(length), k)], axis=1)
 
 
 def semantic_adjacency(edges: np.ndarray, length: int) -> np.ndarray:
@@ -67,20 +64,31 @@ def semantic_adjacency(edges: np.ndarray, length: int) -> np.ndarray:
     return adj
 
 
+def gather_matrix(edges: np.ndarray, length: int, mean: bool = False) -> sparse.csr_matrix:
+    """Sparse (L, L) W whose ``W[j, i]`` counts the edges ``(i, j)``.
+
+    ``mean`` divides row j by node j's in-degree. ``resample_columns(x, W)``
+    then holds, in row j, the sum (mean) of node j's neighbor columns.
+    """
+    src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    degree = np.bincount(dst, minlength=length)
+    if mean and np.any(degree == 0):
+        raise ContractError(f"gather_matrix: node {int(np.argmin(degree))} has no neighbors")
+    weights = 1.0 / degree[dst] if mean else np.ones(len(src))
+    return sparse.csr_matrix((weights, (dst, src)), shape=(length, length))
+
+
 @dataclass
 class VideoGraph:
-    """Temporal adjacencies plus the semantic edge list of each layer."""
+    """Snippet count (the temporal chain) plus each block's semantic edge list."""
 
     length: int
     k: int
-    a_fwd: np.ndarray
-    a_bwd: np.ndarray
     semantic_layers: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def build(cls, length: int, k: int) -> "VideoGraph":
-        a_fwd, a_bwd = temporal_adjacency(length)
-        return cls(length=length, k=k, a_fwd=a_fwd, a_bwd=a_bwd)
+        return cls(length=length, k=k)
 
     def add_semantic_layer(self, features: np.ndarray) -> np.ndarray:
         edges = knn_semantic_edges(features, self.k)

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tadgraph.data import SynthConfig, load_dataset, prepare_windows, synth_dataset
 from tadgraph.model import ModelConfig
+
+# Property tests draw the same examples on every run, so a tier-1 result is
+# reproducible, and set no per-example deadline, which a busy machine trips.
+settings.register_profile("tadgraph", derandomize=True, database=None, deadline=None)
+settings.load_profile("tadgraph")
 
 
 def small_model_config(**overrides) -> ModelConfig:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
-from tadgraph.align import (SubgraphAligner, enumerate_anchors, interp_rescale,
-                            semantic_smooth, sgalign_forward)
+from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, build_alignment,
+                            enumerate_anchors, interp_rescale, semantic_smooth,
+                            sgalign_forward)
 from tadgraph.autodiff import Tensor
 from tadgraph.errors import ContractError
 from tadgraph.video_graph import knn_semantic_edges
@@ -82,6 +85,28 @@ class TestInterpRescale:
         grad_mass = np.abs(x.grad).sum(axis=0)
         assert np.all(grad_mass[2:7] > 0)          # sampled positions
         assert np.all(grad_mass[:2] == 0) and np.all(grad_mass[8:] == 0)
+
+
+class TestBuildAlignment:
+    @settings(max_examples=150)
+    @given(st.integers(3, 40), st.data())
+    def test_equals_stacked_anchor_rows(self, length, data):
+        # tau above the shortest durations exercises the oversampling branch (d < tau)
+        anchors = enumerate_anchors(length, data.draw(st.integers(2, length)))
+        tau = data.draw(st.integers(1, 8))
+        plan = build_alignment(anchors, length, tau)
+        expected = np.zeros((len(anchors) * tau, length))
+        for j, (t_s, t_e) in enumerate(anchors):
+            rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
+            np.add.at(expected, (rows + j * tau, cols), vals)
+        np.testing.assert_array_equal(plan.toarray(), expected)
+        assert plan.nnz == np.count_nonzero(expected)
+
+    @pytest.mark.parametrize("anchors", [[[1, 2], [3, 3]], [[1, 2], [2, 7]], [[-1, 2]]],
+                             ids=["zero-duration", "past-end", "negative-start"])
+    def test_bad_anchor_rejected(self, anchors):
+        with pytest.raises(ContractError):
+            build_alignment(np.array(anchors), 5, 2)
 
 
 class TestSemanticSmooth:

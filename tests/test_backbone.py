@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from helpers import expand_grouped_taps, relu_margin, zero_block
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
 from tadgraph.autodiff import Tensor
@@ -10,7 +12,7 @@ from tadgraph.backbone import (BackboneParams, BlockParams, backbone_forward,
                                edge_aggregate, gcnext_forward,
                                temporal_stream_equivalence)
 from tadgraph.errors import ConfigError
-from tadgraph.video_graph import VideoGraph
+from tadgraph.video_graph import VideoGraph, semantic_adjacency
 
 
 class TestEdgeAggregate:
@@ -80,6 +82,27 @@ class TestGCNextForward:
     def test_cardinality_must_divide_bottleneck(self):
         with pytest.raises(ConfigError):
             BlockParams.create(8, 3, 2, np.random.default_rng(0))
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([(8, 1), (8, 2), (16, 4)]), st.integers(2, 24), st.data())
+    def test_matches_dense_adjacency_form(self, widths, length, data):
+        width, cardinality = widths
+        k = data.draw(st.integers(0, min(4, length - 1)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.normal(size=(width, length))
+        params = BlockParams.create(width, cardinality, 2, rng)
+        graph = VideoGraph.build(length, k)
+        out = gcnext_forward(Tensor(x), graph, params).data
+
+        def conv(z, taps):
+            return ad.grouped_conv1d(Tensor(z), taps, groups=cardinality).data
+
+        dense = params.t_out.data @ conv(params.t_in.data @ x, params.t_conv)
+        if k > 0:
+            zs = params.s_in.data @ x
+            a_s = semantic_adjacency(graph.semantic_layers[-1], length)
+            dense += params.s_out.data @ (conv(zs, params.s_self) + conv(zs @ a_s, params.s_neigh))
+        np.testing.assert_allclose(out, np.maximum(dense + x, 0.0), rtol=0, atol=1e-12)
 
     def test_semantic_stream_disabled_when_k_zero(self):
         rng = np.random.default_rng(11)
@@ -160,6 +183,7 @@ class TestBackbone:
 
             if relu_margin(f()) < 1e-3:
                 continue        # too close to a relu kink: unfit sample for fd
+            assert "resample_columns" in {node.op for node in ad.graph_nodes(f())}
             assert ad.grad_check(f, tensors) < 1e-3
             break
         else:

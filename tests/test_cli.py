@@ -149,6 +149,22 @@ class TestExitCodes:
                          "--out", str(tmp_path / "g.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("sidecar", ['{"model": {', "[]", '{"model": {"depth": 3}}'],
+                             ids=["corrupt-json", "not-an-object", "unknown-field"])
+    def test_bad_checkpoint_sidecar_is_data_error(self, tmp_path, capsys, sidecar):
+        write_feature_file(tmp_path / "v.fseq", np.zeros((10, 4), dtype=np.float32))
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            [{"video_id": "v", "feature_file": "v.fseq",
+              "duration_seconds": 10.0, "sampling_rate": 1.0}]))
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "config.json").write_text(sidecar)
+        code = dispatch(["export-graph", "--manifest", str(tmp_path / "manifest.json"),
+                         "--rescale-length", "10",
+                         "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
+                         "--out", str(tmp_path / "g.json")])
+        assert code == 2
+        assert "config.json" in capsys.readouterr().err
+
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, small_synth):
     config_path = tmp_path / "run.json"

@@ -74,6 +74,32 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_annotations(tmp_path / "ann.json")
 
+    @pytest.mark.parametrize("key", ["feature_file", "video_id", "duration_seconds",
+                                     "sampling_rate"])
+    def test_manifest_entry_missing_key_is_format_error(self, tmp_path, key):
+        write_feature_file(tmp_path / "v.fseq", np.zeros((10, 2), dtype=np.float32))
+        entry = {"video_id": "v", "feature_file": "v.fseq",
+                 "duration_seconds": 10, "sampling_rate": 1}
+        del entry[key]
+        (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+        with pytest.raises(FormatError, match=key):
+            load_dataset(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("text", ["{", "[]", '{"database": []}'])
+    def test_non_database_annotations_are_format_error(self, tmp_path, text):
+        (tmp_path / "ann.json").write_text(text)
+        with pytest.raises(FormatError, match="not an annotation database"):
+            load_annotations(tmp_path / "ann.json")
+
+    @pytest.mark.parametrize("key", ["duration", "segment", "label"])
+    def test_annotation_entry_missing_key_is_format_error(self, tmp_path, key):
+        video = {"duration": 10, "subset": "training",
+                 "annotations": [{"segment": [2, 5], "label": "a"}]}
+        del (video if key == "duration" else video["annotations"][0])[key]
+        (tmp_path / "ann.json").write_text(json.dumps({"database": {"v": video}}))
+        with pytest.raises(FormatError, match=key):
+            load_annotations(tmp_path / "ann.json")
+
 
 class TestRescale:
     def test_same_length_identity(self):

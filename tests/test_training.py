@@ -1,15 +1,49 @@
 """Optimization loop: initialization, reproducibility, convergence."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from conftest import small_model_config
 
 from tadgraph import autodiff as ad
+from tadgraph import backbone, video_graph
+from tadgraph.data import Window
 from tadgraph.errors import NumericError
+from tadgraph.model import ModelConfig
 from tadgraph.training import (Adam, TrainConfig, build_examples, init_params,
                                train, train_epoch, window_loss)
+
+# config.json as written for the default TrainConfig by the earlier
+# hand-listed serializer; checkpoints written then must still load.
+DEFAULT_CONFIG_JSON = """{
+ "model": {
+  "c_raw": 32,
+  "width": 32,
+  "blocks": 3,
+  "cardinality": 8,
+  "bottleneck_ratio": 2,
+  "k_neighbors": 4,
+  "tau1": 32,
+  "tau2": 4,
+  "window_length": 100,
+  "max_duration": 64,
+  "head_hidden": [
+   512,
+   128
+  ]
+ },
+ "batch_size": 16,
+ "epochs_phase1": 5,
+ "epochs_phase2": 5,
+ "lr_phase1": 0.004,
+ "lr_phase2": 0.0004,
+ "lambda1": 10.0,
+ "lambda2": 0.0001,
+ "anchors_per_window": 256,
+ "seed": 0
+}"""
 
 
 def _config(**overrides) -> TrainConfig:
@@ -141,3 +175,36 @@ class TestTrainLoop:
             _, final2, graph2 = clone.forward_features(window.features)
             actual = clone.forward_scores(final2, graph2.semantic_layers[-1]).data
         np.testing.assert_array_equal(actual, expected)
+
+
+class TestConfigJson:
+    def test_default_config_file_unchanged(self, tmp_path):
+        config = TrainConfig()
+        features = np.random.default_rng(0).normal(size=(32, 100))
+        window = Window(video_id="v", features=features, offset=0, valid_length=100,
+                        scale=1.0, segments=[(20.0, 40.0, "a")])
+        train(init_params(config), [window], config, out_dir=tmp_path, log=None)
+        assert (tmp_path / "config.json").read_text() == DEFAULT_CONFIG_JSON
+
+    @pytest.mark.parametrize("config", [ModelConfig(), small_model_config()])
+    def test_model_config_round_trip(self, config):
+        assert ModelConfig.from_json_dict(asdict(config)) == config
+        assert ModelConfig.from_json_dict(json.loads(json.dumps(asdict(config)))) == config
+
+
+def test_production_path_builds_no_dense_adjacency(small_synth, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense adjacency built on the forward/backward path")
+
+    for module in (video_graph, backbone):
+        for name in ("temporal_adjacency", "semantic_adjacency"):
+            monkeypatch.setattr(module, name, forbidden)
+    config = _config()
+    model = init_params(config)
+    examples = build_examples(model, small_synth["windows"][:2])
+    with ad.no_grad():
+        block1, final, graph = model.forward_features(examples[0].window.features)
+        model.forward_scores(final, graph.semantic_layers[-1])
+        model.forward_nodes(block1)
+    train_epoch(model, examples, Adam(model.params()), config, lr=1e-3,
+                rng=np.random.default_rng(0))

@@ -1,11 +1,56 @@
 """Temporal and semantic graph construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tadgraph.errors import ConfigError, ContractError, DataError
-from tadgraph.video_graph import (VideoGraph, knn_semantic_edges,
+from tadgraph.video_graph import (VideoGraph, gather_matrix, knn_semantic_edges,
                                   semantic_adjacency, temporal_adjacency)
+
+
+def _knn_reference(features, k):
+    """Per node, the other columns sorted by (squared distance, index).
+
+    Distances accumulate channel by channel in float64, so duplicate and
+    zero columns tie exactly and the smaller index wins.
+    """
+    channels, length = features.shape
+    edges = []
+    for node in range(length):
+        scored = []
+        for other in range(length):
+            if other == node:
+                continue
+            d2 = 0.0
+            for c in range(channels):
+                diff = features[c, other] - features[c, node]
+                d2 += diff * diff
+            scored.append((d2, other))
+        edges += [[other, node] for _, other in sorted(scored)[:k]]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def _features_with_ties(draw):
+    """Features whose columns repeat, are zeroed or sit on a 0.1 grid.
+
+    On the grid, distinct pairs often tie exactly in the direct distance
+    but not in a Gram-matrix form (|a|^2 + |b|^2 - 2 a.b).
+    """
+    channels = draw(st.integers(1, 4))
+    length = draw(st.integers(2, 12))
+    values = st.integers(-20, 20).map(lambda v: v / 10)
+    if draw(st.booleans()):
+        values |= st.floats(-4.0, 4.0, allow_subnormal=False)
+    base = draw(arrays(np.float64, (channels, length), elements=values))
+    features = base[:, draw(arrays(np.int64, length, elements=st.integers(0, length - 1)))]
+    features[:, draw(arrays(np.bool_, length))] = 0.0
+    return features, draw(st.integers(1, length - 1))
 
 
 class TestTemporalAdjacency:
@@ -101,6 +146,33 @@ class TestKnnSemanticEdges:
         remapped = np.stack([inverse[edges[:, 0]], inverse[edges[:, 1]]], axis=1)
         assert (sorted(map(tuple, permuted_edges.tolist()))
                 == sorted(map(tuple, remapped.tolist())))
+
+    @settings(max_examples=300)
+    @given(_features_with_ties())
+    @example((np.array([[0.3, 0.1, 0.5, 0.0, 0.7]]), 2))
+    def test_matches_brute_force_reference(self, case):
+        features, k = case
+        np.testing.assert_array_equal(knn_semantic_edges(features, k),
+                                      _knn_reference(features, k))
+
+    def test_peak_memory_stays_near_one_distance_buffer(self):
+        # one (800, 800) float64 buffer is 5.1 MB; a per-channel (C, L, L)
+        # difference tensor would be 164 MB
+        features = np.random.default_rng(0).normal(size=(32, 800))
+        tracemalloc.start()
+        try:
+            knn_semantic_edges(features, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+
+class TestGatherMatrix:
+    def test_mean_divides_by_in_degree(self):
+        edges = np.array([[1, 0], [2, 0], [0, 1], [0, 2], [0, 2]])
+        mean = gather_matrix(edges, 3, mean=True).toarray()
+        np.testing.assert_array_equal(mean, [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
 
 
 class TestSemanticAdjacency:
