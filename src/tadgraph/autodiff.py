@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 _grad_enabled = True
 
@@ -414,15 +414,13 @@ def resample_columns(x: Tensor, weights) -> Tensor:
 # grouped 1-D convolution over the temporal axis
 # ---------------------------------------------------------------------------
 
-def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1, padding: int | None = None) -> Tensor:
+def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     """Per-group cross-correlation of an (C_in, L) signal with (k, C_in/g, C_out) taps.
 
     Zero padding of ``(k - 1) // 2`` on both ends preserves L. Output
     channel block j of group i sees only input channel block i, matching
     the usual grouped-convolution wiring.
     """
-    from .errors import ConfigError
-
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeError(f"grouped_conv1d: expected (C,L) and (k,C_in/g,C_out), got {x.shape}, {w.shape}")
     c_in, length = x.shape
@@ -433,21 +431,20 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1, padding: int | None = 
         raise ConfigError(f"grouped_conv1d: channels ({c_in} in, {c_out} out) not divisible by {groups} groups")
     if c_in // groups != c_in_g:
         raise ShapeError(f"grouped_conv1d: weight expects {c_in_g} channels/group, input provides {c_in // groups}")
-    pad = (k - 1) // 2 if padding is None else padding
+    pad = (k - 1) // 2
     c_out_g = c_out // groups
 
     xp = np.zeros((c_in, length + 2 * pad))
     xp[:, pad:pad + length] = x.data
-    out_len = length + 2 * pad - k + 1
-    out = np.zeros((c_out, out_len))
+    out = np.zeros((c_out, length))
     for gi in range(groups):
         rows_in = slice(gi * c_in_g, (gi + 1) * c_in_g)
         rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
         for t in range(k):
-            out[rows_out] += w.data[t, :, rows_out].T @ xp[rows_in, t:t + out_len]
+            out[rows_out] += w.data[t, :, rows_out].T @ xp[rows_in, t:t + length]
 
     def bwd(g, x=x, w=w, xp=xp, pad=pad, k=k, groups=groups,
-            c_in_g=c_in_g, c_out_g=c_out_g, length=length, out_len=out_len):
+            c_in_g=c_in_g, c_out_g=c_out_g, length=length):
         gxp = np.zeros_like(xp) if x.requires_grad else None
         gw = np.zeros_like(w.data) if w.requires_grad else None
         for gi in range(groups):
@@ -455,9 +452,9 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1, padding: int | None = 
             rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
             for t in range(k):
                 if gxp is not None:
-                    gxp[rows_in, t:t + out_len] += w.data[t, :, rows_out] @ g[rows_out]
+                    gxp[rows_in, t:t + length] += w.data[t, :, rows_out] @ g[rows_out]
                 if gw is not None:
-                    gw[t, :, rows_out] += xp[rows_in, t:t + out_len] @ g[rows_out].T
+                    gw[t, :, rows_out] += xp[rows_in, t:t + length] @ g[rows_out].T
         if gxp is not None:
             x._accumulate(gxp[:, pad:pad + length])
         if gw is not None:

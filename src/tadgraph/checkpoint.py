@@ -7,6 +7,7 @@ row-major float64 little-endian payload.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -38,12 +39,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
     params: dict[str, np.ndarray] = {}
     try:
+        version, count = struct.unpack_from("<II", raw, 4)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        offset = 12
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", raw, offset)
             offset += 2
@@ -53,7 +54,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
-            nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if ndim else 8
+            nbytes = 8 * math.prod(shape)
             payload = raw[offset:offset + nbytes]
             if len(payload) != nbytes:
                 raise FormatError(f"{path}: truncated payload for parameter '{name}'")
@@ -61,4 +62,6 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += nbytes
     except struct.error as exc:
         raise FormatError(f"{path}: truncated checkpoint header") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: parameter name is not UTF-8") from exc
     return params

@@ -1,7 +1,9 @@
 """Command-line pipeline: synth, train, infer, eval, export-graph.
 
-Options may come from flags or from a JSON config file (``--config``);
-explicit flags win. Exit codes: 0 success, 1 usage, 2 data/format error,
+Each option resolves as: explicit flag > ``--config`` JSON file > the
+checkpoint's sidecar ``config.json`` (architecture options of ``infer`` and
+``export-graph`` only) > the default of the dataclass or function the
+option feeds. Exit codes: 0 success, 1 usage, 2 data/format error,
 3 numeric failure.
 """
 
@@ -10,30 +12,50 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import SynthConfig, load_dataset, prepare_windows, synth_dataset
+from . import autodiff as ad
+from .data import SynthConfig, load_annotations, load_dataset, prepare_windows, synth_dataset
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
 from .inference import read_raw_scores, score_windows, write_raw_scores
-from .model import Detector, ModelConfig
+from .model import ModelConfig
 from .postprocess import finalize_detections, read_detections, write_detections
 from .training import TrainConfig, init_params, train
 
 _ARCH_KEYS = ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
               "max_duration")
+_NMS_KEYS = ("alpha", "nms_method", "nms_threshold", "nms_sigma", "top_m")
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """Subcommand parser that hands each option's type to the parsed namespace,
+    so values read from a ``--config`` file are cast like flag values."""
+
+    def __init__(self, **kwargs):
+        self.option_types = {}
+        super().__init__(**kwargs)
+        self.set_defaults(option_types=self.option_types)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.option_types[action.dest] = action.type
+        return action
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tadgraph",
                                      description="Sub-graph temporal action detection pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON file of option defaults; flags win")
-        p.add_argument("--seed", type=int)
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON object of options; a flag beats the file, "
+                       "the file beats a checkpoint's config.json and the built-in defaults")
+        return p
 
     def add_data(p, annotations_required):
         p.add_argument("--manifest", required=True)
@@ -58,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nms-sigma", type=float, dest="nms_sigma")
         p.add_argument("--top-m", type=int, dest="top_m")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    add_common(p)
+    p = command("synth", help="generate a synthetic dataset")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--num-videos", type=int, dest="num_videos")
     p.add_argument("--length", type=int)
@@ -67,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-classes", type=int, dest="num_classes")
     p.add_argument("--noise", type=float)
 
-    p = sub.add_parser("train", help="train a detector")
-    add_common(p)
+    p = command("train", help="train a detector")
+    p.add_argument("--seed", type=int)
     add_data(p, annotations_required=True)
     add_arch(p)
     p.add_argument("--out", required=True, help="output directory")
@@ -81,8 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors-per-window", type=int, dest="anchors_per_window")
     p.add_argument("--quiet", action="store_true")
 
-    p = sub.add_parser("infer", help="score a dataset with a checkpoint")
-    add_common(p)
+    p = command("infer", help="score a dataset with a checkpoint")
     add_data(p, annotations_required=False)
     add_arch(p)
     add_nms(p)
@@ -90,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="detection JSON path")
     p.add_argument("--save-raw", dest="save_raw", help="also write raw anchor scores here")
 
-    p = sub.add_parser("eval", help="evaluate detections against annotations")
-    add_common(p)
+    p = command("eval", help="evaluate detections against annotations")
     add_nms(p)
     p.add_argument("--detections")
     p.add_argument("--annotations", required=True)
@@ -102,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep the fusion exponent over 0.1..0.9 (needs --raw-scores)")
     p.add_argument("--raw-scores", dest="raw_scores")
 
-    p = sub.add_parser("export-graph", help="write per-layer semantic edges of one video")
-    add_common(p)
+    p = command("export-graph", help="write per-layer semantic edges of one video")
+    p.add_argument("--seed", type=int)
     add_data(p, annotations_required=False)
     add_arch(p)
     p.add_argument("--checkpoint")
@@ -113,34 +133,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Opts:
-    """Resolved options: explicit flag > config file > built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self._values = dict(vars(args))
-        config_path = self._values.get("config")
-        self._file = {}
-        if config_path:
-            try:
-                self._file = json.loads(Path(config_path).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise DataError(f"{config_path}: cannot read config file") from exc
-            if not isinstance(self._file, dict):
-                raise DataError(f"{config_path}: config file must hold a JSON object")
-
-    def get(self, key, default=None):
-        value = self._values.get(key)
-        if value is None or value is False:
-            value = self._file.get(key, value)
-        if value is None:
-            return default
-        return value
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Fill each option still None or False from the ``--config`` file."""
+    try:
+        values = json.loads(Path(args.config).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{args.config}: cannot read config file") from exc
+    if not isinstance(values, dict):
+        raise DataError(f"{args.config}: config file must hold a JSON object")
+    unset = [key for key, value in vars(args).items() if value is None or value is False]
+    for key in unset:
+        if key not in values:
+            continue
+        cast = args.option_types[key]
+        try:
+            setattr(args, key, values[key] if cast is None else cast(values[key]))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{args.config}: bad value for '{key}': {exc}") from exc
 
 
-def _model_config(opts: _Opts, c_raw: int, window_length: int) -> ModelConfig:
-    """Architecture from flags/config over an optional checkpoint sidecar."""
+def _given(args: argparse.Namespace, *keys: str) -> dict:
+    """The named options that a flag or the config file set."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _model_config(args: argparse.Namespace, c_raw: int, window_length: int) -> ModelConfig:
+    """Architecture: flag or config file > checkpoint sidecar > ModelConfig default."""
     base = ModelConfig()
-    checkpoint = opts.get("checkpoint")
+    checkpoint = getattr(args, "checkpoint", None)
     if checkpoint:
         sidecar_path = Path(checkpoint).parent / "config.json"
         if sidecar_path.exists():
@@ -149,16 +169,13 @@ def _model_config(opts: _Opts, c_raw: int, window_length: int) -> ModelConfig:
                 base = ModelConfig.from_json_dict(stored)
             except (AttributeError, TypeError, ValueError) as exc:
                 raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
-    kwargs = {key: opts.get(key, getattr(base, key)) for key in _ARCH_KEYS}
-    return ModelConfig(c_raw=c_raw, window_length=window_length,
-                       head_hidden=tuple(base.head_hidden), **kwargs)
+    return replace(base, c_raw=c_raw, window_length=window_length,
+                   **_given(args, *_ARCH_KEYS))
 
 
-def _window_settings(opts: _Opts) -> tuple[int, int, int]:
-    rescale = int(opts.get("rescale_length", 100))
-    window = int(opts.get("window_size", 0))
-    stride = int(opts.get("stride", window // 2 if window else 0))
-    return rescale, window, stride
+def _nms_options(args: argparse.Namespace) -> dict:
+    """``finalize_detections`` keywords; the ``nms_`` flags drop their prefix."""
+    return {key.removeprefix("nms_"): value for key, value in _given(args, *_NMS_KEYS).items()}
 
 
 def _parse_thresholds(spec: str | None):
@@ -174,135 +191,109 @@ def _parse_thresholds(spec: str | None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(opts: _Opts) -> int:
-    config = SynthConfig(
-        num_videos=int(opts.get("num_videos", 200)),
-        length=int(opts.get("length", 100)),
-        c_raw=int(opts.get("c_raw", 32)),
-        num_classes=int(opts.get("num_classes", 3)),
-        noise=float(opts.get("noise", 0.5)),
-        seed=int(opts.get("seed", 0)),
-    )
-    manifest, annotations = synth_dataset(config, opts.get("out"))
+def _cmd_synth(args: argparse.Namespace) -> int:
+    config = SynthConfig(**_given(args, "num_videos", "length", "c_raw", "num_classes",
+                                  "noise", "seed"))
+    manifest, annotations = synth_dataset(config, args.out)
     print(f"wrote {manifest} and {annotations}")
     return 0
 
 
-def _load_windows(opts: _Opts, training: bool):
-    sequences, annotations = load_dataset(opts.get("manifest"), opts.get("annotations"))
+def _load_windows(args: argparse.Namespace, training: bool):
+    """The dataset's model windows; every window has the same (C_raw, L) shape."""
+    sequences, annotations = load_dataset(args.manifest, args.annotations)
     if not sequences:
-        raise DataError(f"{opts.get('manifest')}: dataset is empty")
-    rescale, window, stride = _window_settings(opts)
-    windows = prepare_windows(sequences, annotations, rescale_length=rescale,
-                              window_length=window, stride=stride, training=training)
-    window_length = window if window > 0 else rescale
-    return sequences, annotations, windows, window_length
+        raise DataError(f"{args.manifest}: dataset is empty")
+    windowing = _given(args, "rescale_length", "stride")
+    if args.window_size is not None:
+        windowing["window_length"] = args.window_size
+        windowing.setdefault("stride", args.window_size // 2)
+    return prepare_windows(sequences, annotations, training=training, **windowing)
 
 
-def _cmd_train(opts: _Opts) -> int:
-    sequences, _, windows, window_length = _load_windows(opts, training=True)
+def _cmd_train(args: argparse.Namespace) -> int:
+    windows = _load_windows(args, training=True)
     if not windows:
         raise DataError("no training windows contain an action")
-    c_raw = sequences[0].c_raw
-    model_cfg = _model_config(opts, c_raw, window_length)
-    total_epochs = int(opts.get("epochs", 10))
-    lr1 = float(opts.get("lr", 4e-3))
-    config = TrainConfig(
-        model=model_cfg,
-        batch_size=int(opts.get("batch_size", 16)),
-        epochs_phase1=total_epochs // 2,
-        epochs_phase2=total_epochs - total_epochs // 2,
-        lr_phase1=lr1,
-        lr_phase2=float(opts.get("lr2", lr1 / 10.0)),
-        lambda1=float(opts.get("lambda1", 10.0)),
-        lambda2=float(opts.get("lambda2", 1e-4)),
-        anchors_per_window=int(opts.get("anchors_per_window", 256)),
-        seed=int(opts.get("seed", 0)),
-    )
+    schedule = {}
+    if args.epochs is not None:
+        schedule.update(epochs_phase1=args.epochs // 2,
+                        epochs_phase2=args.epochs - args.epochs // 2)
+    if args.lr is not None:
+        schedule.update(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
+    if args.lr2 is not None:
+        schedule["lr_phase2"] = args.lr2
+    config = TrainConfig(model=_model_config(args, *windows[0].features.shape), **schedule,
+                         **_given(args, "batch_size", "lambda1", "lambda2",
+                                  "anchors_per_window", "seed"))
     model = init_params(config)
-    log = None if opts.get("quiet") else print
-    train(model, windows, config, out_dir=opts.get("out"), log=log)
-    print(f"checkpoint written to {Path(opts.get('out')) / 'checkpoint.tgck'}")
+    train(model, windows, config, out_dir=args.out, log=None if args.quiet else print)
+    print(f"checkpoint written to {Path(args.out) / 'checkpoint.tgck'}")
     return 0
 
 
-def _cmd_infer(opts: _Opts) -> int:
-    sequences, _, windows, window_length = _load_windows(opts, training=False)
-    model_cfg = _model_config(opts, sequences[0].c_raw, window_length)
-    model = Detector(model_cfg, np.random.default_rng(int(opts.get("seed", 0))))
-    model.load(opts.get("checkpoint"))
+def _cmd_infer(args: argparse.Namespace) -> int:
+    windows = _load_windows(args, training=False)
+    model = init_params(TrainConfig(model=_model_config(args, *windows[0].features.shape)))
+    model.load(args.checkpoint)
     window_scores = score_windows(model, windows)
-    if opts.get("save_raw"):
-        write_raw_scores(opts.get("save_raw"), window_scores)
-    detections = finalize_detections(
-        window_scores,
-        alpha=float(opts.get("alpha", 0.5)),
-        method=opts.get("nms_method", "linear"),
-        threshold=float(opts.get("nms_threshold", 0.84)),
-        sigma=float(opts.get("nms_sigma", 0.4)),
-        top_m=int(opts.get("top_m", 100)),
-    )
-    write_detections(opts.get("out"), detections)
+    if args.save_raw:
+        write_raw_scores(args.save_raw, window_scores)
+    detections = finalize_detections(window_scores, **_nms_options(args))
+    write_detections(args.out, detections)
     total = sum(len(d) for d in detections.values())
-    print(f"wrote {total} detections for {len(detections)} videos to {opts.get('out')}")
+    print(f"wrote {total} detections for {len(detections)} videos to {args.out}")
     return 0
 
 
-def _cmd_eval(opts: _Opts) -> int:
-    from .data import load_annotations
+def _cmd_eval(args: argparse.Namespace) -> int:
+    annotations = load_annotations(args.annotations)
+    thresholds = _parse_thresholds(args.thresholds)
 
-    annotations = load_annotations(opts.get("annotations"))
-    thresholds = _parse_thresholds(opts.get("thresholds"))
-    agnostic = bool(opts.get("class_agnostic"))
-
-    if opts.get("grid_alpha"):
-        if not opts.get("raw_scores"):
+    if args.grid_alpha:
+        if not args.raw_scores:
             raise ConfigError("--grid-alpha needs --raw-scores from `infer --save-raw`")
-        raw = read_raw_scores(opts.get("raw_scores"))
+        raw = read_raw_scores(args.raw_scores)
+        nms = _nms_options(args)
         best = None
         for alpha in np.round(np.arange(0.1, 0.95, 0.1), 2):
-            detections = finalize_detections(
-                raw, alpha=float(alpha),
-                method=opts.get("nms_method", "linear"),
-                threshold=float(opts.get("nms_threshold", 0.84)),
-                sigma=float(opts.get("nms_sigma", 0.4)),
-                top_m=int(opts.get("top_m", 100)))
-            report = map_suite(detections, annotations.by_video, thresholds, agnostic)
+            nms["alpha"] = float(alpha)
+            detections = finalize_detections(raw, **nms)
+            report = map_suite(detections, annotations.by_video, thresholds, args.class_agnostic)
             print(f"alpha={alpha:.1f}  average mAP={report.average_map:.4f}")
             if best is None or report.average_map > best[1].average_map:
                 best = (float(alpha), report)
         alpha, report = best
         print(f"best alpha={alpha:.1f}")
     else:
-        if not opts.get("detections"):
+        if not args.detections:
             raise ConfigError("eval needs --detections (or --grid-alpha with --raw-scores)")
-        detections = read_detections(opts.get("detections"))
-        report = map_suite(detections, annotations.by_video, thresholds, agnostic)
+        detections = read_detections(args.detections)
+        report = map_suite(detections, annotations.by_video, thresholds, args.class_agnostic)
 
     print(report.to_table())
-    if opts.get("out"):
-        write_report(opts.get("out"), report)
+    if args.out:
+        write_report(args.out, report)
     return 0
 
 
-def _cmd_export_graph(opts: _Opts) -> int:
-    sequences, _, windows, window_length = _load_windows(opts, training=False)
-    video_id = opts.get("video_id", sequences[0].video_id)
+def _cmd_export_graph(args: argparse.Namespace) -> int:
+    windows = _load_windows(args, training=False)
+    video_id = args.video_id or windows[0].video_id
     matching = [w for w in windows if w.video_id == video_id]
     if not matching:
         raise DataError(f"video '{video_id}' not found in the manifest")
-    model_cfg = _model_config(opts, sequences[0].c_raw, window_length)
-    model = Detector(model_cfg, np.random.default_rng(int(opts.get("seed", 0))))
-    if opts.get("checkpoint"):
-        model.load(opts.get("checkpoint"))
-    from . import autodiff as ad
+    model = init_params(TrainConfig(model=_model_config(args, *windows[0].features.shape),
+                                    **_given(args, "seed")))
+    if args.checkpoint:
+        model.load(args.checkpoint)
 
     with ad.no_grad():
         _, _, graph = model.forward_features(matching[0].features)
-    Path(opts.get("out")).write_text(json.dumps(graph.to_json_dict(), indent=1))
-    if opts.get("dot"):
-        Path(opts.get("dot")).write_text(graph.to_dot())
-    print(f"wrote {len(graph.semantic_layers)} semantic layers to {opts.get('out')}")
+    Path(args.out).write_text(json.dumps(graph.to_json_dict(), indent=1))
+    if args.dot:
+        Path(args.dot).write_text(graph.to_dot())
+    print(f"wrote {len(graph.semantic_layers)} semantic layers to {args.out}")
     return 0
 
 
@@ -322,7 +313,9 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return _COMMANDS[args.command](_Opts(args))
+        if args.config:
+            _apply_config_file(args)
+        return _COMMANDS[args.command](args)
     except (ConfigError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -104,7 +104,7 @@ def load_annotations(path) -> AnnotationSet:
             for ann in entry.get("annotations", []):
                 start, end = (float(v) for v in ann["segment"])
                 segments.append((start, end, str(ann["label"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed entry for video '{video_id}': {exc!r}") from exc
         for start, end, _ in segments:
             if not (0.0 <= start < end <= duration + 1e-9):
@@ -121,7 +121,7 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{manifest_path}: invalid manifest JSON") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{manifest_path}: manifest must be a JSON list")
@@ -132,9 +132,9 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
             video_id = str(entry["video_id"])
             duration_seconds = float(entry["duration_seconds"])
             sampling_rate = float(entry["sampling_rate"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{manifest_path}: malformed manifest entry: {exc!r}") from exc
-        if not feature_path.exists():
+        if not feature_path.is_file():
             raise FormatError(f"{manifest_path}: missing feature file {feature_path}")
         sequences.append(FeatureSequence(
             video_id=video_id,

@@ -87,10 +87,12 @@ def node_branch_forward(block1_features: Tensor, params: NodeParams) -> Tensor:
 # label assignment
 # ---------------------------------------------------------------------------
 
-def _segment_iou_arrays(anchors: np.ndarray, segment) -> np.ndarray:
+def interval_iou(segments: np.ndarray, segment) -> np.ndarray:
+    """IoU of each (start, end) row of ``segments`` with one segment; 0 where
+    the union is empty."""
     s, e = float(segment[0]), float(segment[1])
-    inter = np.maximum(0.0, np.minimum(anchors[:, 1], e) - np.maximum(anchors[:, 0], s))
-    union = np.maximum(anchors[:, 1], e) - np.minimum(anchors[:, 0], s)
+    inter = np.maximum(0.0, np.minimum(segments[:, 1], e) - np.maximum(segments[:, 0], s))
+    union = np.maximum(segments[:, 1], e) - np.minimum(segments[:, 0], s)
     return np.where(union > 0, inter / union, 0.0)
 
 
@@ -99,7 +101,7 @@ def assign_anchor_labels(anchors: np.ndarray, ground_truths: Iterable) -> np.nda
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 2)
     labels = np.zeros(len(anchors))
     for segment in ground_truths:
-        labels = np.maximum(labels, _segment_iou_arrays(anchors, segment))
+        labels = np.maximum(labels, interval_iou(anchors, segment))
     return labels
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import DataError
+from .errors import FormatError
 from .model import Detector
 from .postprocess import WindowScores
 
@@ -59,15 +59,14 @@ def read_raw_scores(path) -> list[WindowScores]:
         payload = json.loads(path.read_text())
         if payload.get("version") != RAW_VERSION:
             raise KeyError("version")
-        windows = payload["windows"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"{path}: not a raw score file") from exc
-    return [WindowScores(
-        video_id=str(w["video_id"]),
-        anchors=np.asarray(w["anchors"], dtype=np.int64),
-        p_cls=np.asarray(w["p_cls"], dtype=np.float64),
-        p_reg=np.asarray(w["p_reg"], dtype=np.float64),
-        offset=int(w["offset"]),
-        scale=float(w["scale"]),
-        valid_length=int(w["valid_length"]),
-    ) for w in windows]
+        return [WindowScores(
+            video_id=str(w["video_id"]),
+            anchors=np.asarray(w["anchors"], dtype=np.int64),
+            p_cls=np.asarray(w["p_cls"], dtype=np.float64),
+            p_reg=np.asarray(w["p_reg"], dtype=np.float64),
+            offset=int(w["offset"]),
+            scale=float(w["scale"]),
+            valid_length=int(w["valid_length"]),
+        ) for w in payload["windows"]]
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a raw score file: {exc!r}") from exc

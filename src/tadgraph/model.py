@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ class ModelConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
         kwargs = dict(data)
-        kwargs["head_hidden"] = tuple(kwargs.get("head_hidden", (512, 128)))
+        if "head_hidden" in kwargs:
+            kwargs["head_hidden"] = tuple(kwargs["head_hidden"])
         return cls(**kwargs)
 
 

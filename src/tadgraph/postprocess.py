@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, FormatError
+from .heads import interval_iou
 
 OUTPUT_VERSION = "tadgraph-detections-1"
 
@@ -31,13 +32,6 @@ def fuse_scores(p_cls: np.ndarray, p_reg: np.ndarray, alpha: float = 0.5) -> np.
     p_cls = np.asarray(p_cls, dtype=np.float64)
     p_reg = np.asarray(p_reg, dtype=np.float64)
     return p_cls ** alpha * p_reg ** (1.0 - alpha)
-
-
-def _iou_against(segments: np.ndarray, segment: np.ndarray) -> np.ndarray:
-    inter = np.maximum(0.0, np.minimum(segments[:, 1], segment[1])
-                       - np.maximum(segments[:, 0], segment[0]))
-    union = np.maximum(segments[:, 1], segment[1]) - np.minimum(segments[:, 0], segment[0])
-    return np.where(union > 0, inter / union, 0.0)
 
 
 def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
@@ -69,7 +63,7 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
         rest = np.where(alive)[0]
         if rest.size == 0:
             break
-        ious = _iou_against(segments[rest], segments[best])
+        ious = interval_iou(segments[rest], segments[best])
         if method == "linear":
             decay = np.where(ious > threshold, 1.0 - ious, 1.0)
         else:
@@ -96,12 +90,11 @@ class WindowScores:
 
 def finalize_detections(window_scores: list[WindowScores], alpha: float = 0.5,
                         method: str = "linear", threshold: float = 0.84,
-                        sigma: float = 0.4, top_m: int = 100,
-                        label: str = "action") -> dict[str, list[Detection]]:
+                        sigma: float = 0.4, top_m: int = 100) -> dict[str, list[Detection]]:
     """Map anchors to seconds, merge windows per video, suppress, keep top-M.
 
-    Anchors that overlap only zero padding are dropped. The class label is
-    a passthrough (classification happens outside this model).
+    Anchors that overlap only zero padding are dropped. Every detection is
+    labelled "action" (classification happens outside this model).
     """
     per_video: dict[str, list[np.ndarray]] = {}
     for ws in window_scores:
@@ -121,7 +114,7 @@ def finalize_detections(window_scores: list[WindowScores], alpha: float = 0.5,
                                  threshold=threshold, sigma=sigma, top_m=top_m)
         results[video_id] = [
             Detection(start=float(rows[i, 0]), end=float(rows[i, 1]),
-                      label=label, score=float(s))
+                      label="action", score=float(s))
             for i, s in zip(kept, decayed)]
     return results
 
@@ -141,13 +134,10 @@ def write_detections(path, detections: dict[str, list[Detection]]) -> None:
 def read_detections(path) -> dict[str, list[Detection]]:
     path = Path(path)
     try:
-        payload = json.loads(path.read_text())
-        results = payload["results"]
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"{path}: not a detection file") from exc
-    out = {}
-    for video_id, items in results.items():
-        out[video_id] = [Detection(start=float(i["segment"][0]), end=float(i["segment"][1]),
-                                   label=str(i.get("label", "action")),
-                                   score=float(i["score"])) for i in items]
-    return out
+        results = json.loads(path.read_text())["results"]
+        return {video_id: [Detection(start=float(i["segment"][0]), end=float(i["segment"][1]),
+                                     label=str(i.get("label", "action")),
+                                     score=float(i["score"])) for i in items]
+                for video_id, items in results.items()}
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not a detection file: {exc!r}") from exc

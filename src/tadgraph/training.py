@@ -47,28 +47,31 @@ class TrainConfig:
         return self.lr_phase1 if epoch < self.epochs_phase1 else self.lr_phase2
 
 
-class Adam:
-    """Adaptive moment estimation (beta1=0.9, beta2=0.999, eps=1e-8)."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params: list[ad.Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adaptive moment estimation with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+
+    def __init__(self, params: list[ad.Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def init_params(config: TrainConfig) -> Detector:

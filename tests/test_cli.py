@@ -3,12 +3,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import small_model_config
+from tadgraph import cli
 from tadgraph.cli import dispatch
-from tadgraph.data import load_annotations, write_feature_file
+from tadgraph.data import SynthConfig, load_annotations, write_feature_file
+from tadgraph.model import Detector, ModelConfig
+from tadgraph.training import TrainConfig
 
 
 def _detections_from_annotations(annotations_path, out_path):
@@ -187,3 +192,131 @@ def test_console_script_help_runs():
                             capture_output=True, text=True)
     assert result.returncode in (0, 1)
     assert "synth" in result.stdout + result.stderr
+
+
+class _Built(Exception):
+    """Raised by a stand-in for ``init_params`` to hand back the config it got."""
+
+
+def _data_args(small_synth):
+    return ["--manifest", str(small_synth["manifest"]),
+            "--annotations", str(small_synth["annotations"])]
+
+
+class TestOptionResolution:
+    """Flags and config-file keys go straight into the config they feed."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        calls = {}
+
+        def fake_synth(config, out_dir):
+            calls["synth"] = config
+            return out_dir, out_dir
+
+        def fake_train(model, windows, config, out_dir=None, log=print):
+            calls["train"] = config
+            return []
+
+        def fake_finalize(window_scores, **kwargs):
+            calls["finalize"] = kwargs
+            return {}
+
+        monkeypatch.setattr(cli, "synth_dataset", fake_synth)
+        monkeypatch.setattr(cli, "train", fake_train)
+        monkeypatch.setattr(cli, "finalize_detections", fake_finalize)
+        return calls
+
+    def test_no_tuning_flags_build_the_defaults(self, captured, small_synth, pipeline, tmp_path):
+        assert dispatch(["synth", "--out", str(tmp_path / "d")]) == 0
+        assert captured["synth"] == SynthConfig()
+        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r")]) == 0
+        assert captured["train"] == TrainConfig(model=ModelConfig(c_raw=6, window_length=100))
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 0
+        assert captured["finalize"] == {}
+
+    def test_nms_flags_reach_finalize_detections(self, captured, pipeline, tmp_path):
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--out", str(tmp_path / "d.json"),
+                         "--alpha", "0.3", "--nms-method", "gaussian",
+                         "--nms-threshold", "0.7", "--nms-sigma", "0.2", "--top-m", "5"]) == 0
+        assert captured["finalize"] == {"alpha": 0.3, "method": "gaussian", "threshold": 0.7,
+                                        "sigma": 0.2, "top_m": 5}
+
+    def test_explicit_zero_seed_beats_config_file(self, captured, small_synth, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"seed": 3, "batch_size": 4}))
+        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
+                         "--config", str(config_path), "--seed", "0"]) == 0
+        assert captured["train"].seed == 0
+        assert captured["train"].batch_size == 4
+
+    def test_config_file_values_are_cast_like_flags(self, captured, small_synth, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"epochs": "4", "lr": "0.01"}))
+        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
+                         "--config", str(config_path)]) == 0
+        from_file = captured["train"]
+        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
+                         "--epochs", "4", "--lr", "0.01"]) == 0
+        assert from_file == captured["train"]
+        assert (from_file.epochs_phase1, from_file.epochs_phase2) == (2, 2)
+        assert from_file.lr_phase2 == 0.01 / 10.0
+
+    @pytest.mark.parametrize("flag, in_file, in_sidecar, expected", [
+        (None, None, None, ModelConfig().width),
+        (None, None, 24, 24),
+        (None, 20, 24, 20),
+        (12, 20, 24, 12),
+    ], ids=["default", "sidecar", "file", "flag"])
+    def test_architecture_precedence(self, monkeypatch, small_synth, tmp_path,
+                                     flag, in_file, in_sidecar, expected):
+        def stop(config):
+            raise _Built(config)
+
+        monkeypatch.setattr(cli, "init_params", stop)
+        (tmp_path / "run").mkdir()
+        if in_sidecar is not None:
+            (tmp_path / "run" / "config.json").write_text(
+                json.dumps({"model": {"width": in_sidecar, "blocks": 2}}))
+        args = ["infer", "--manifest", str(small_synth["manifest"]),
+                "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
+                "--out", str(tmp_path / "d.json")]
+        if in_file is not None:
+            (tmp_path / "opts.json").write_text(json.dumps({"width": in_file}))
+            args += ["--config", str(tmp_path / "opts.json")]
+        if flag is not None:
+            args += ["--width", str(flag)]
+        with pytest.raises(_Built) as built:
+            dispatch(args)
+        model = built.value.args[0].model
+        assert model.width == expected
+        assert model.blocks == (ModelConfig().blocks if in_sidecar is None else 2)
+        assert (model.c_raw, model.window_length) == (6, 100)
+
+    def test_sidecar_fields_without_a_flag_are_kept(self, small_synth, tmp_path):
+        config = small_model_config(bottleneck_ratio=4)
+        run = tmp_path / "run"
+        run.mkdir()
+        Detector(config, np.random.default_rng(0)).save(run / "checkpoint.tgck")
+        (run / "config.json").write_text(json.dumps(asdict(TrainConfig(model=config))))
+        assert dispatch(["infer", "--manifest", str(small_synth["manifest"]),
+                         "--checkpoint", str(run / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 0
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1]", b'{"epochs": "four"}'],
+                             ids=["not-utf8", "not-an-object", "bad-value"])
+    def test_bad_config_file_is_data_error(self, small_synth, tmp_path, content):
+        (tmp_path / "opts.json").write_bytes(content)
+        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
+                         "--config", str(tmp_path / "opts.json")]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "--annotations", "a.json"],
+        ["infer", "--manifest", "m.json", "--checkpoint", "c.tgck", "--out", "d.json"],
+    ], ids=["eval", "infer"])
+    def test_seed_is_not_an_option_where_nothing_reads_it(self, args):
+        assert dispatch([*args, "--seed", "1"]) == 1
