@@ -116,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", help="report JSON path")
-    p.add_argument("--thresholds", help="comma list or start:step:stop, e.g. 0.5:0.05:0.95")
+    p.add_argument("--thresholds", type=str,
+                   help="comma list or start:step:stop, e.g. 0.5:0.05:0.95")
     p.add_argument("--class-agnostic", action="store_true", dest="class_agnostic")
     p.add_argument("--grid-alpha", action="store_true", dest="grid_alpha",
                    help="sweep the fusion exponent over 0.1..0.9 (needs --raw-scores)")
@@ -179,12 +180,25 @@ def _nms_options(args: argparse.Namespace) -> dict:
 
 
 def _parse_thresholds(spec: str | None):
+    """tIoU thresholds from a comma list or ``start:step:stop``; each in (0, 1]."""
     if not spec:
         return DEFAULT_THRESHOLDS
+    try:
+        if ":" in spec:
+            start, step, stop = (float(v) for v in spec.split(":"))
+        else:
+            values = tuple(float(v) for v in spec.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--thresholds '{spec}': not a comma list or start:step:stop") from exc
     if ":" in spec:
-        start, step, stop = (float(v) for v in spec.split(":"))
-        return tuple(np.round(np.arange(start, stop + step / 2, step), 6))
-    return tuple(float(v) for v in spec.split(","))
+        # values are rounded to 6 decimals, so a finer step only repeats them
+        if not (step >= 1e-6 and 0.0 < start <= 1.0 and 0.0 < stop <= 1.0):
+            raise ConfigError(f"--thresholds '{spec}': a range needs start and stop "
+                              "in (0, 1] and a step of at least 1e-6")
+        values = tuple(np.round(np.arange(start, stop + step / 2, step), 6))
+    if not values or not all(0.0 < t <= 1.0 for t in values):
+        raise ConfigError(f"--thresholds '{spec}': need one or more values in (0, 1]")
+    return values
 
 
 # ---------------------------------------------------------------------------

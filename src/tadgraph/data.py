@@ -266,6 +266,19 @@ class SynthConfig:
     seed: int = 0
 
 
+def _pack_actions(video_id: str, length: int,
+                  actions: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """Lay (start, end, class) actions out from snippet 1, two snippets apart,
+    keeping each duration and class."""
+    packed, start = [], 1
+    for s, e, cls in sorted(actions):
+        packed.append((start, start + e - s, cls))
+        start += e - s + 2
+    if packed[-1][1] > length - 2:
+        raise DataError(f"the actions drawn for '{video_id}' do not fit its {length} snippets")
+    return packed
+
+
 def synth_dataset(config: SynthConfig, out_dir) -> tuple[Path, Path]:
     """Write a manifest + feature files + annotations with planted actions.
 
@@ -300,7 +313,9 @@ def synth_dataset(config: SynthConfig, out_dir) -> tuple[Path, Path]:
                     placed.append((start, end, int(rng.integers(0, config.num_classes))))
                     break
             else:
-                raise DataError(f"could not place non-overlapping action in '{video_id}'")
+                # random placement fragmented the free space; pack what was drawn
+                placed = _pack_actions(video_id, config.length, placed + [
+                    (0, duration, int(rng.integers(0, config.num_classes)))])
         annotations = []
         for start, end, cls in sorted(placed):
             feats[start:end + 1] += signatures[cls]

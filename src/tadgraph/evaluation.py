@@ -49,7 +49,7 @@ def average_precision(items: ClassItems, threshold: float) -> float:
     num_gt = len(items.gt_segment)
     if num_gt == 0 or not items.pred_score:
         return 0.0
-    order = sorted(range(len(items.pred_score)), key=lambda i: -items.pred_score[i])
+    order = np.argsort(-np.asarray(items.pred_score), kind="stable")
     gt_by_video: dict[str, list[int]] = {}
     for gi, video in enumerate(items.gt_video):
         gt_by_video.setdefault(video, []).append(gi)
@@ -72,10 +72,8 @@ def average_precision(items: ClassItems, threshold: float) -> float:
     precision = cum_tp / (np.arange(len(order)) + 1.0)
     recall = cum_tp / num_gt
     # monotone envelope, exact area under the PR curve
-    mprec = np.concatenate([[0.0], precision, [0.0]])
+    mprec = np.maximum.accumulate(np.concatenate([[0.0], precision, [0.0]])[::-1])[::-1]
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
     steps = np.where(mrec[1:] != mrec[:-1])[0] + 1
     return float(np.sum((mrec[steps] - mrec[steps - 1]) * mprec[steps]))
 

@@ -59,7 +59,7 @@ def read_raw_scores(path) -> list[WindowScores]:
         payload = json.loads(path.read_text())
         if payload.get("version") != RAW_VERSION:
             raise KeyError("version")
-        return [WindowScores(
+        windows = [WindowScores(
             video_id=str(w["video_id"]),
             anchors=np.asarray(w["anchors"], dtype=np.int64),
             p_cls=np.asarray(w["p_cls"], dtype=np.float64),
@@ -70,3 +70,13 @@ def read_raw_scores(path) -> list[WindowScores]:
         ) for w in payload["windows"]]
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a raw score file: {exc!r}") from exc
+    for ws in windows:
+        rows = ws.anchors.shape[:1]
+        if ws.anchors.shape != rows + (2,) or ws.p_cls.shape != rows or ws.p_reg.shape != rows:
+            raise FormatError(f"{path}: window of '{ws.video_id}' needs (J, 2) anchors and "
+                              "J values in each of p_cls and p_reg")
+        if not (np.isfinite(ws.p_cls).all() and np.isfinite(ws.p_reg).all()
+                and np.isfinite(ws.scale)):
+            raise FormatError(f"{path}: window of '{ws.video_id}' has a non-finite score "
+                              "or scale")
+    return windows

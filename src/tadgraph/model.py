@@ -32,10 +32,25 @@ class ModelConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":
+        """Read a sidecar's ``model`` object: ``head_hidden`` holds two
+        integers and every other field is an integer."""
         kwargs = dict(data)
+        for key, value in kwargs.items():
+            if key == "head_hidden":
+                valid = (isinstance(value, (list, tuple)) and len(value) == 2
+                         and all(map(_is_int, value)))
+            else:
+                valid = _is_int(value)
+            if not valid:
+                raise FormatError(f"model field '{key}' has value {value!r}, expected "
+                                  + ("two integers" if key == "head_hidden" else "an integer"))
         if "head_hidden" in kwargs:
             kwargs["head_hidden"] = tuple(kwargs["head_hidden"])
         return cls(**kwargs)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Detector:

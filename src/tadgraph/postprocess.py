@@ -42,37 +42,30 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
     Linear decay multiplies by ``1 - IoU`` when IoU with the already
     selected detection exceeds ``threshold``; Gaussian decay multiplies by
     ``exp(-IoU^2 / sigma)``. Because each selection takes the current
-    maximum and scores only ever shrink, the first ``top_m`` selections
-    are exactly the top-M detections by final decayed score, so the loop
-    stops there. Output is ordered by decayed score, ties by earlier start.
+    maximum (the lower index on ties) and scores only ever shrink, the
+    first ``top_m`` selections are exactly the top-M detections by final
+    decayed score, so the loop stops there. Scores must be finite. Output
+    is ordered by decayed score, ties by earlier start.
     """
     segments = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
-    scores = np.asarray(scores, dtype=np.float64).copy()
+    scores = np.asarray(scores, dtype=np.float64)
     if method not in ("linear", "gaussian"):
         raise DataError(f"soft_nms: unknown method '{method}'")
-    n = len(scores)
+    alive = np.ones(len(scores), dtype=bool)
     keep: list[int] = []
-    kept_scores: list[float] = []
-    alive = np.ones(n, dtype=bool)
-    while len(keep) < min(top_m, n) and alive.any():
-        candidates = np.where(alive)[0]
-        best = candidates[np.argmax(scores[candidates])]
-        keep.append(int(best))
-        kept_scores.append(float(scores[best]))
+    for _ in range(min(top_m, len(scores))):
+        best = int(np.argmax(np.where(alive, scores, -np.inf)))
+        keep.append(best)
         alive[best] = False
-        rest = np.where(alive)[0]
-        if rest.size == 0:
-            break
-        ious = interval_iou(segments[rest], segments[best])
+        ious = interval_iou(segments, segments[best])
         if method == "linear":
             decay = np.where(ious > threshold, 1.0 - ious, 1.0)
         else:
             decay = np.exp(-(ious ** 2) / sigma)
-        scores[rest] *= decay
-    order = sorted(range(len(keep)),
-                   key=lambda i: (-kept_scores[i], segments[keep[i], 0]))
-    return (np.asarray([keep[i] for i in order], dtype=np.int64),
-            np.asarray([kept_scores[i] for i in order]))
+        scores = np.where(alive, scores * decay, scores)
+    keep = np.asarray(keep, dtype=np.int64)
+    order = np.lexsort((segments[keep, 0], -scores[keep]))
+    return keep[order], scores[keep[order]]
 
 
 @dataclass
@@ -89,12 +82,12 @@ class WindowScores:
 
 
 def finalize_detections(window_scores: list[WindowScores], alpha: float = 0.5,
-                        method: str = "linear", threshold: float = 0.84,
-                        sigma: float = 0.4, top_m: int = 100) -> dict[str, list[Detection]]:
+                        **nms) -> dict[str, list[Detection]]:
     """Map anchors to seconds, merge windows per video, suppress, keep top-M.
 
-    Anchors that overlap only zero padding are dropped. Every detection is
-    labelled "action" (classification happens outside this model).
+    ``nms`` holds ``soft_nms`` keywords. Anchors that overlap only zero
+    padding are dropped. Every detection is labelled "action"
+    (classification happens outside this model).
     """
     per_video: dict[str, list[np.ndarray]] = {}
     for ws in window_scores:
@@ -110,8 +103,7 @@ def finalize_detections(window_scores: list[WindowScores], alpha: float = 0.5,
     results: dict[str, list[Detection]] = {}
     for video_id in sorted(per_video):
         rows = np.concatenate(per_video[video_id], axis=0)
-        kept, decayed = soft_nms(rows[:, :2], rows[:, 2], method=method,
-                                 threshold=threshold, sigma=sigma, top_m=top_m)
+        kept, decayed = soft_nms(rows[:, :2], rows[:, 2], **nms)
         results[video_id] = [
             Detection(start=float(rows[i, 0]), end=float(rows[i, 1]),
                       label="action", score=float(s))
@@ -135,9 +127,16 @@ def read_detections(path) -> dict[str, list[Detection]]:
     path = Path(path)
     try:
         results = json.loads(path.read_text())["results"]
-        return {video_id: [Detection(start=float(i["segment"][0]), end=float(i["segment"][1]),
-                                     label=str(i.get("label", "action")),
-                                     score=float(i["score"])) for i in items]
-                for video_id, items in results.items()}
+        detections = {video_id: [Detection(start=float(i["segment"][0]),
+                                           end=float(i["segment"][1]),
+                                           label=str(i.get("label", "action")),
+                                           score=float(i["score"])) for i in items]
+                      for video_id, items in results.items()}
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a detection file: {exc!r}") from exc
+    for video_id, items in detections.items():
+        for d in items:
+            if not (np.isfinite([d.start, d.end, d.score]).all() and d.start < d.end):
+                raise FormatError(f"{path}: detection {d} of '{video_id}' needs finite "
+                                  "numbers and start < end")
+    return detections

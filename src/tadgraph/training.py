@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .heads import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, assign_anchor_labels,
                     assign_node_labels, node_loss, subgraph_loss, total_loss)
 from .model import Detector, ModelConfig
@@ -141,28 +141,24 @@ def sample_anchor_subset(labels: np.ndarray, count: int,
 def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
                 config: TrainConfig, lr: float, rng: np.random.Generator) -> dict:
     """One pass over the shuffled examples; returns mean loss components."""
+    if config.batch_size < 1:
+        raise ConfigError(f"batch size must be at least 1, got {config.batch_size}")
     order = rng.permutation(len(examples))
     params = model.params()
     totals = np.zeros(3)
-    pending = 0
-    for pos, ei in enumerate(order):
-        example = examples[int(ei)]
-        subset = sample_anchor_subset(example.anchor_labels,
-                                      config.anchors_per_window, rng)
-        loss, loss_g, loss_n = window_loss(model, example, config, subset)
-        values = (loss.item(), loss_g.item(), loss_n.item())
-        if not all(np.isfinite(values)):
-            raise NumericError(
-                f"non-finite loss {values[0]} on window {pos} (video {example.window.video_id})")
-        totals += values
-        batch_here = min(config.batch_size, len(order) - (pos - pending))
-        ad.mul(loss, 1.0 / batch_here).backward()
-        pending += 1
-        if pending == batch_here:
-            optimizer.step(lr)
-            ad.zero_grad(params)
-            pending = 0
-    if pending:
+    for first in range(0, len(order), config.batch_size):
+        batch = order[first:first + config.batch_size]
+        for pos, ei in enumerate(batch, start=first):
+            example = examples[int(ei)]
+            subset = sample_anchor_subset(example.anchor_labels,
+                                          config.anchors_per_window, rng)
+            loss, loss_g, loss_n = window_loss(model, example, config, subset)
+            values = (loss.item(), loss_g.item(), loss_n.item())
+            if not all(np.isfinite(values)):
+                raise NumericError(f"non-finite loss {values[0]} on window {pos} "
+                                   f"(video {example.window.video_id})")
+            totals += values
+            ad.mul(loss, 1.0 / len(batch)).backward()
         optimizer.step(lr)
         ad.zero_grad(params)
     n = max(1, len(order))

@@ -12,6 +12,7 @@ from conftest import small_model_config
 from tadgraph import cli
 from tadgraph.cli import dispatch
 from tadgraph.data import SynthConfig, load_annotations, write_feature_file
+from tadgraph.inference import RAW_VERSION
 from tadgraph.model import Detector, ModelConfig
 from tadgraph.training import TrainConfig
 
@@ -320,3 +321,65 @@ class TestOptionResolution:
     ], ids=["eval", "infer"])
     def test_seed_is_not_an_option_where_nothing_reads_it(self, args):
         assert dispatch([*args, "--seed", "1"]) == 1
+
+
+def test_synth_places_every_action_in_short_videos(tmp_path):
+    assert dispatch(["synth", "--out", str(tmp_path), "--num-videos", "2", "--length", "30"]) == 0
+
+
+@pytest.mark.parametrize("field", ["width", "head_hidden"])
+@pytest.mark.parametrize("value", ["abc", True, [1], None], ids=["string", "bool", "list", "null"])
+def test_sidecar_field_of_wrong_type_is_data_error(small_synth, tmp_path, capsys, field, value):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "config.json").write_text(json.dumps({"model": {field: value}}))
+    assert dispatch(["infer", "--manifest", str(small_synth["manifest"]),
+                     "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
+                     "--out", str(tmp_path / "d.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+
+
+class TestMalformedEvalInputs:
+    """Inputs of ``eval`` that once ended in a traceback or a meaningless mAP."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        annotations = tmp_path / "ann.json"
+        annotations.write_text(json.dumps({"database": {"v": {
+            "duration": 10.0, "annotations": [{"segment": [1.0, 4.0], "label": "a"}]}}}))
+        detections = tmp_path / "det.json"
+        _detections_from_annotations(annotations, detections)
+        return {"annotations": annotations, "detections": detections}
+
+    @pytest.mark.parametrize("spec", ["abc", "0.5:0:0.9", "0.9:0.05:0.5", "1.5"])
+    def test_bad_thresholds_are_usage_errors(self, files, capsys, spec):
+        assert dispatch(["eval", "--detections", str(files["detections"]),
+                         "--annotations", str(files["annotations"]),
+                         "--thresholds", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and spec in err
+
+    def test_thresholds_list_in_config_file_is_usage_error(self, files, tmp_path, capsys):
+        (tmp_path / "opts.json").write_text(json.dumps({"thresholds": [0.5]}))
+        assert dispatch(["eval", "--detections", str(files["detections"]),
+                         "--annotations", str(files["annotations"]),
+                         "--config", str(tmp_path / "opts.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("segment, score", [([3.0, 2.0], 0.5), ([1.0, 4.0], float("nan"))],
+                             ids=["end-before-start", "nan-score"])
+    def test_bad_detections_are_data_errors(self, files, capsys, segment, score):
+        files["detections"].write_text(json.dumps(
+            {"results": {"v": [{"segment": segment, "score": score, "label": "a"}]}}))
+        assert dispatch(["eval", "--detections", str(files["detections"]),
+                         "--annotations", str(files["annotations"]), "--class-agnostic"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_raw_scores_shorter_than_anchors_are_data_errors(self, files, tmp_path, capsys):
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
+            {"video_id": "v", "anchors": [[0, 2], [1, 3]], "p_cls": [0.5], "p_reg": [0.5],
+             "offset": 0, "scale": 1.0, "valid_length": 10}]}))
+        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+                         "--annotations", str(files["annotations"])]) == 2
+        assert capsys.readouterr().err.startswith("error:")

@@ -1,5 +1,6 @@
 """Feature files, manifests, rescaling, windowing, synthetic data."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -210,3 +211,37 @@ class TestSynthDataset:
             anchors = np.asarray(segs)
             labels = assign_anchor_labels(anchors, segs)
             np.testing.assert_allclose(labels, 1.0)
+
+    # SHA-256 over every written file (relative path, then bytes), recorded
+    # when every action of these configs was placed by the rejection sampler
+    @pytest.mark.parametrize("config, digest", [
+        (SynthConfig(num_videos=40, length=50, c_raw=6, num_classes=2, duration_min=5,
+                     duration_max=14, noise=0.5, seed=11),
+         "87717bc47919430694fc59b21031b51f3a414f310ae68ff2d0f36266d297e33f"),
+        (SynthConfig(num_videos=8, length=50, c_raw=6, noise=0.4, seed=5),
+         "93faef9c9b75fe3b5c566e5c1e8a811a5ed70064a39d72942a54046ec9a2ae21"),
+        (SynthConfig(num_videos=2, length=300, seed=3),
+         "7a5d092b80c2881c0d7c88014d8d38c37127838cd02dcc7330ecb7e6bffab374"),
+    ], ids=["conftest", "cli-pipeline", "long"])
+    def test_written_bytes_are_pinned(self, tmp_path, config, digest):
+        synth_dataset(config, tmp_path)
+        h = hashlib.sha256()
+        for path in sorted(tmp_path.rglob("*.*")):
+            h.update(path.relative_to(tmp_path).as_posix().encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("length", [26, 30, 34])
+    def test_short_videos_place_every_action(self, tmp_path, length):
+        config = SynthConfig(num_videos=20, length=length, c_raw=2)
+        _, annotations = synth_dataset(config, tmp_path)
+        for entry in json.loads(annotations.read_text())["database"].values():
+            segments = [a["segment"] for a in entry["annotations"]]
+            assert config.actions_min <= len(segments) <= config.actions_max
+            assert all(1 <= s and e <= length - 2 for s, e in segments)
+            assert all(e + 2 <= s for (_, e), (s, _) in zip(segments, segments[1:]))
+
+    def test_actions_that_cannot_fit_are_data_error(self, tmp_path):
+        config = SynthConfig(num_videos=1, length=20, c_raw=2, actions_min=3)
+        with pytest.raises(DataError, match="do not fit"):
+            synth_dataset(config, tmp_path)

@@ -156,6 +156,12 @@ class TestAveragePrecision:
         ap = average_precision(_items(preds, gts), 0.5)
         assert ap == pytest.approx(5.0 / 6.0, abs=1e-12)
 
+    def test_tied_scores_rank_in_input_order(self):
+        gts = [("v", (0.0, 10.0))]
+        hit, miss = ("v", (0.0, 10.0), 0.5), ("v", (40.0, 50.0), 0.5)
+        assert average_precision(_items([hit, miss], gts), 0.5) == 1.0
+        assert average_precision(_items([miss, hit], gts), 0.5) == 0.5
+
     def test_invariant_to_monotone_score_rescaling(self):
         gts = [("v", (0.0, 10.0)), ("v", (15.0, 25.0))]
         preds = [("v", (0.0, 9.0), 0.8), ("v", (16.0, 25.0), 0.5),

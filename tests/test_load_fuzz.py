@@ -4,7 +4,10 @@ another exception.
 Each loader gets raw bytes plus JSON or binary shaped like its format with
 arbitrary values. The explicit examples are inputs that once escaped as
 ``struct.error``, ``UnicodeDecodeError``, ``KeyError``, ``AttributeError``,
-``OverflowError`` or ``IsADirectoryError``.
+``OverflowError`` or ``IsADirectoryError``, or that were once accepted
+although later stages cannot use them: a detection ending before it starts,
+a NaN score, a raw-score window with fewer scores than anchors or a NaN
+scale.
 """
 
 import json
@@ -44,12 +47,13 @@ def _files(structured):
     return st.binary(max_size=48) | _as_bytes(structured)
 
 
-def _accepts_or_rejects(loader, path, payload: bytes) -> None:
+def _accepts_or_rejects(loader, path, payload: bytes):
+    """What ``loader`` read from ``payload``, or None when it rejected it."""
     path.write_bytes(payload)
     try:
-        loader(path)
+        return loader(path)
     except DataError:
-        pass
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -130,8 +134,13 @@ _detection = _record({"segment": st.lists(st.floats(), max_size=3), "score": st.
     | json_values))
 @example(json.dumps({"results": {"v": [{"score": 0.5}]}}).encode())
 @example(json.dumps({"results": []}).encode())
+@example(json.dumps({"results": {"v": [{"segment": [3, 2], "score": 0.5}]}}).encode())
+@example(json.dumps({"results": {"v": [{"segment": [0, 2], "score": float("nan")}]}}).encode())
 def test_read_detections(workdir, payload):
-    _accepts_or_rejects(read_detections, workdir / "detections.json", payload)
+    detections = _accepts_or_rejects(read_detections, workdir / "detections.json", payload)
+    for items in (detections or {}).values():
+        for d in items:
+            assert np.isfinite([d.start, d.end, d.score]).all() and d.start < d.end
 
 
 _window = _record({
@@ -151,5 +160,15 @@ _window = _record({
 @example(json.dumps({"version": RAW_VERSION, "windows": [
     {"video_id": "v", "p_cls": [0.5], "p_reg": [0.5], "offset": 0, "scale": 1.0,
      "valid_length": 4}]}).encode())
+@example(json.dumps({"version": RAW_VERSION, "windows": [
+    {"video_id": "v", "anchors": [[0, 2], [1, 3]], "p_cls": [0.5], "p_reg": [0.5, 0.5],
+     "offset": 0, "scale": 1.0, "valid_length": 4}]}).encode())
+@example(json.dumps({"version": RAW_VERSION, "windows": [
+    {"video_id": "v", "anchors": [[0, 2]], "p_cls": [0.5], "p_reg": [0.5],
+     "offset": 0, "scale": float("nan"), "valid_length": 4}]}).encode())
 def test_read_raw_scores(workdir, payload):
-    _accepts_or_rejects(read_raw_scores, workdir / "raw.json", payload)
+    for ws in _accepts_or_rejects(read_raw_scores, workdir / "raw.json", payload) or []:
+        assert ws.anchors.shape == (len(ws.anchors), 2)
+        assert ws.p_cls.shape == ws.p_reg.shape == (len(ws.anchors),)
+        assert np.isfinite(ws.p_cls).all() and np.isfinite(ws.p_reg).all()
+        assert np.isfinite(ws.scale)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tadgraph.postprocess import (Detection, WindowScores, finalize_detections,
                                   fuse_scores, read_detections, soft_nms,
@@ -104,6 +105,27 @@ class TestSoftNMS:
                     segments, scores, method, 0.5, 0.4, 7)
                 assert kept.tolist() == ref_kept
                 np.testing.assert_allclose(decayed, ref_scores, atol=1e-12)
+
+    @given(st.data())
+    def test_masked_pass_matches_oracle_with_ties(self, data):
+        # soft_nms breaks score ties by the lower index, the oracle by the
+        # earlier start; the two rules agree only on rows in start order, so
+        # the rows are sorted (on unsorted rows they can keep different ones)
+        pool = data.draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)),
+                                  min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
+        segments = np.array(sorted((s, s + d) for s, d in (pool[i] for i in picks)),
+                            dtype=float).reshape(-1, 2)
+        n = len(segments)
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.7, 0.9]),
+                                             min_size=n, max_size=n)))
+        method = data.draw(st.sampled_from(["linear", "gaussian"]))
+        top_m = data.draw(st.sampled_from([1, n, n + 5]))
+        kept, decayed = soft_nms(segments, scores, method=method, threshold=0.3,
+                                 sigma=0.4, top_m=top_m)
+        ref_kept, ref_scores = _soft_nms_oracle(segments, scores, method, 0.3, 0.4, top_m)
+        assert kept.tolist() == ref_kept
+        np.testing.assert_allclose(decayed, ref_scores, rtol=0, atol=1e-12)
 
     def test_output_sorted_ties_by_earlier_start(self):
         segments = np.array([[10.0, 20.0], [0.0, 5.0]])

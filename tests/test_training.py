@@ -10,7 +10,7 @@ from conftest import small_model_config
 from tadgraph import autodiff as ad
 from tadgraph import backbone, video_graph
 from tadgraph.data import Window
-from tadgraph.errors import NumericError
+from tadgraph.errors import ConfigError, NumericError
 from tadgraph.model import ModelConfig
 from tadgraph.training import (Adam, TrainConfig, build_examples, init_params,
                                train, train_epoch, window_loss)
@@ -102,6 +102,15 @@ class TestTrainEpoch:
         windows = [small_synth["windows"][0]]
         examples = build_examples(model, windows)
         with pytest.raises(NumericError, match=windows[0].video_id):
+            train_epoch(model, examples, Adam(model.params()), config, 4e-3,
+                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_config_error(self, small_synth, batch_size):
+        config = _config(batch_size=batch_size)
+        model = init_params(config)
+        examples = build_examples(model, small_synth["windows"][:2])
+        with pytest.raises(ConfigError, match="batch size"):
             train_epoch(model, examples, Adam(model.params()), config, 4e-3,
                         np.random.default_rng(0))
 
