@@ -4,10 +4,12 @@ An anchor is an integer snippet pair ``(t_s, t_e)`` with
 ``0 < t_s < t_e < L`` and duration below a maximum D. Each anchor's
 feature is produced by sampling the snippet sequence on a regular grid
 inside the anchor, linearly interpolating, and averaging consecutive runs
-of samples down to a fixed resolution. Because the whole procedure is
-linear in the features it is precomputed once per (anchor set, resolution)
-as a sparse row-weight matrix; applying it is a single sparse product and
-its adjoint routes gradients back to every sampled snippet.
+of samples down to a fixed resolution: tau1 vectors of the features and
+tau2 vectors of their neighbour-smoothed copy (SGAlign). Because the whole
+procedure is linear in the features, it is precomputed once per anchor set
+as one stacked sparse plan, whose columns read the features and the
+smoothed copy placed side by side. Applying it is a single sparse product,
+and its adjoint routes gradients back to every sampled snippet.
 """
 
 from __future__ import annotations
@@ -26,10 +28,9 @@ def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
 
     Lexicographic (t_s, t_e) order; may be empty for degenerate inputs.
     """
-    anchors = [(ts, te)
-               for ts in range(1, length - 1)
-               for te in range(ts + 1, min(length, ts + max_duration))]
-    return np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+    t_s, t_e = np.ogrid[:length, :length]
+    return np.ascontiguousarray(np.argwhere((0 < t_s) & (t_s < t_e) & (t_e - t_s < max_duration)),
+                                dtype=np.int64)
 
 
 def _anchor_sampling(t_s: int, t_e: int, tau: int, length: int):
@@ -79,30 +80,56 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
     return ad.resample_columns(x, weights).reshape(tau * x.shape[0])
 
 
-def build_alignment(anchors: np.ndarray, length: int, tau: int) -> sparse.csr_matrix:
-    """Stacked (J * tau, length) weight matrix: ``_anchor_weight_rows`` of all anchors at once."""
+def build_alignment(anchors: np.ndarray, length: int, tau1: int,
+                    tau2: int = 0) -> sparse.csr_matrix:
+    """The stacked alignment plan of all anchors, assembled directly in CSR form.
+
+    Anchor j owns rows ``j * (tau1 + tau2)`` onwards: first the tau1 rows of
+    ``_anchor_weight_rows`` at tau1, over columns [0, length), then the tau2
+    rows at tau2, shifted to columns [length, 2 * length). So the plan has
+    shape (J * (tau1 + tau2), length) when tau2 is 0 and
+    (J * (tau1 + tau2), 2 * length) otherwise.
+    """
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
     t_s, t_e = anchors[:, 0], anchors[:, 1]
     bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
     if np.any(bad):
         j = int(np.argmax(bad))
-        _anchor_sampling(int(t_s[j]), int(t_e[j]), tau, length)    # raises its ContractError
-    d = t_e - t_s
-    runs = np.maximum(1, d // tau)
-    totals = tau * runs
-    # one entry per sample position; k counts positions within the sample's anchor
-    owner = np.repeat(np.arange(len(anchors)), totals)
-    k = np.arange(totals.sum()) - np.repeat(np.cumsum(totals) - totals, totals)
-    s = runs[owner]
-    idx = t_s[owner] + k * (d / totals)[owner]      # in [t_s, t_e): no clamping needed
-    lo = np.floor(idx).astype(np.int64)
+        _anchor_sampling(int(t_s[j]), int(t_e[j]), tau1, length)    # raises its ContractError
+    taus = np.array((tau1, tau2) if tau2 > 0 else (tau1,))
+    # one segment per (anchor, tau), in row order
+    seg_tau = np.tile(taus, len(anchors))
+    seg_d = np.repeat(t_e - t_s, len(taus))
+    runs = np.maximum(1, seg_d // seg_tau)
+    totals = seg_tau * runs
+    itype = np.int32 if 2 * totals.sum() < np.iinfo(np.int32).max else np.int64
+    # one entry per sample position; k counts positions within the sample's segment
+    k = (np.arange(totals.sum(), dtype=itype)
+         - np.repeat((np.cumsum(totals) - totals).astype(itype), totals))
+    idx = np.repeat(np.repeat(t_s, len(taus)), totals) + k * np.repeat(seg_d / totals, totals)
+    lo = np.floor(idx)
     frac = idx - lo
-    rows = owner * tau + k // s
-    keep_hi = frac > 0
-    return sparse.coo_matrix(
-        (np.concatenate([(1.0 - frac) / s, frac[keep_hi] / s[keep_hi]]),
-         (np.concatenate([rows, rows[keep_hi]]), np.concatenate([lo, lo[keep_hi] + 1]))),
-        shape=(len(anchors) * tau, length)).tocsr()
+    lo = lo.astype(itype)
+    # A row averages s samples 1 to 2 snippets apart (or one sample when d < tau),
+    # so its weights fill one column range: from its first sample's low neighbour
+    # to its last sample's high one, if that has weight. Each column takes at
+    # most one low and one high weight, and two floats add to the same sum in
+    # either order, so the entries match a sort-and-sum assembly bit for bit.
+    per_row = np.repeat(runs, seg_tau)
+    last = np.cumsum(per_row) - 1
+    first = lo[last - per_row + 1]
+    width = lo[last] - first + 1 + (frac[last] > 0)
+    indptr = np.concatenate([[0], np.cumsum(width)])
+    nnz = int(indptr[-1])
+    pos = lo + np.repeat((indptr[:-1] - first).astype(itype), per_row)
+    s = np.repeat(runs, totals)
+    data = np.zeros(nnz + 1)            # the spare slot takes the last row's zero high weight
+    data[pos] = (1.0 - frac) / s
+    data[pos + 1] += frac / s           # a zero high weight adds 0.0 to the next row's first
+    first += np.repeat(np.tile(np.arange(len(taus)) * length, len(anchors)), seg_tau).astype(itype)
+    indices = np.arange(nnz, dtype=itype) - np.repeat((indptr[:-1] - first).astype(itype), width)
+    return sparse.csr_matrix((data[:nnz], indices, indptr),
+                             shape=(len(per_row), len(taus) * length))
 
 
 def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:
@@ -114,9 +141,13 @@ def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:
 class SubgraphAligner:
     """Cached alignment operator for a fixed anchor set.
 
-    Precomputes the temporal and semantic sparse weight stacks; applying
-    them per window is then two sparse products. ``tau2 = 0`` disables the
-    semantic concatenation (ablation).
+    ``plan`` is the stacked plan of ``build_alignment``: per anchor, tau1
+    temporal rows over the features, then tau2 semantic rows over their
+    neighbour-smoothed copy. Applying it is one sparse product over the two
+    placed side by side, and the (J * (tau1 + tau2), C) product reshapes
+    without a copy into the (J, (tau1 + tau2) * C) anchor features. A subset
+    takes its anchors' rows of the same plan. ``tau2 = 0`` leaves out the
+    semantic rows and columns (ablation).
     """
 
     def __init__(self, anchors: np.ndarray, length: int, tau1: int, tau2: int):
@@ -124,37 +155,29 @@ class SubgraphAligner:
         self.length = length
         self.tau1 = tau1
         self.tau2 = tau2
-        self.plan1 = build_alignment(self.anchors, length, tau1)
-        self.plan2 = build_alignment(self.anchors, length, tau2) if tau2 > 0 else None
+        self.plan = build_alignment(self.anchors, length, tau1, tau2)
 
     def feature_width(self, channels: int) -> int:
         return (self.tau1 + self.tau2) * channels
-
-    def _apply(self, plan: sparse.csr_matrix, tau: int, features: Tensor,
-               subset: np.ndarray | None) -> Tensor:
-        if subset is not None:
-            rows = (subset[:, None] * tau + np.arange(tau)).reshape(-1)
-            plan = plan[rows]
-            count = len(subset)
-        else:
-            count = len(self.anchors)
-        out = ad.resample_columns(features, plan)          # (count * tau, C)
-        return out.reshape(count, tau * features.shape[0])
 
     def __call__(self, features: Tensor, edges: np.ndarray,
                  subset: np.ndarray | None = None) -> Tensor:
         """Per-anchor rows: temporal part, then the neighbor-smoothed part."""
         if features.shape[1] != self.length:
             raise ContractError(f"aligner built for L={self.length}, features have {features.shape[1]}")
-        temporal = self._apply(self.plan1, self.tau1, features, subset)
-        if self.plan2 is None:
-            return temporal
-        if len(np.asarray(edges).reshape(-1, 2)) == 0:
-            smoothed = features        # semantic context disabled: fall back to raw
-        else:
-            smoothed = semantic_smooth(features, edges)
-        semantic = self._apply(self.plan2, self.tau2, smoothed, subset)
-        return ad.concat([temporal, semantic], axis=1)
+        plan = self.plan
+        if subset is not None:
+            per_anchor = self.tau1 + self.tau2
+            plan = plan[(subset[:, None] * per_anchor + np.arange(per_anchor)).reshape(-1)]
+        channels = features.shape[0]
+        if self.tau2 > 0:
+            if len(np.asarray(edges).reshape(-1, 2)) == 0:
+                smoothed = features        # semantic context disabled: fall back to raw
+            else:
+                smoothed = semantic_smooth(features, edges)
+            features = ad.concat([features, smoothed], axis=1)
+        out = ad.resample_columns(features, plan)          # (count * (tau1 + tau2), C)
+        return out.reshape(-1, self.feature_width(channels))
 
 
 def sgalign_forward(features: Tensor, edges: np.ndarray, anchors: np.ndarray,

@@ -42,15 +42,19 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
     Linear decay multiplies by ``1 - IoU`` when IoU with the already
     selected detection exceeds ``threshold``; Gaussian decay multiplies by
     ``exp(-IoU^2 / sigma)``. Because each selection takes the current
-    maximum (the lower index on ties) and scores only ever shrink, the
-    first ``top_m`` selections are exactly the top-M detections by final
-    decayed score, so the loop stops there. Scores must be finite. Output
-    is ordered by decayed score, ties by earlier start.
+    maximum (the earlier start on ties, then the lower index) and scores
+    only ever shrink, the first ``top_m`` selections are exactly the top-M
+    detections by final decayed score, so the loop stops there. Scores
+    must be finite. Output is ordered by decayed score, ties by earlier
+    start.
     """
-    segments = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
-    scores = np.asarray(scores, dtype=np.float64)
     if method not in ("linear", "gaussian"):
         raise DataError(f"soft_nms: unknown method '{method}'")
+    segments = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
+    # in start order, argmax's first maximum is the earliest start
+    by_start = np.argsort(segments[:, 0], kind="stable")
+    segments = segments[by_start]
+    scores = np.asarray(scores, dtype=np.float64)[by_start]
     alive = np.ones(len(scores), dtype=bool)
     keep: list[int] = []
     for _ in range(min(top_m, len(scores))):
@@ -64,8 +68,8 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
             decay = np.exp(-(ious ** 2) / sigma)
         scores = np.where(alive, scores * decay, scores)
     keep = np.asarray(keep, dtype=np.int64)
-    order = np.lexsort((segments[keep, 0], -scores[keep]))
-    return keep[order], scores[keep[order]]
+    keep = keep[np.lexsort((segments[keep, 0], -scores[keep]))]
+    return by_start[keep], scores[keep]
 
 
 @dataclass

@@ -102,6 +102,25 @@ class TestBuildAlignment:
         np.testing.assert_array_equal(plan.toarray(), expected)
         assert plan.nnz == np.count_nonzero(expected)
 
+    @settings(max_examples=100)
+    @given(st.integers(3, 30), st.data())
+    def test_two_taus_stack_per_anchor(self, length, data):
+        # per anchor: tau1 rows over columns [0, L), then tau2 rows over [L, 2L)
+        anchors = enumerate_anchors(length, data.draw(st.integers(2, length)))
+        tau1, tau2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        plan = build_alignment(anchors, length, tau1, tau2)
+        expected = np.zeros((len(anchors) * (tau1 + tau2), 2 * length))
+        for j, (t_s, t_e) in enumerate(anchors):
+            for tau, row0, col0 in ((tau1, 0, 0), (tau2, tau1, length)):
+                rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
+                np.add.at(expected, (rows + j * (tau1 + tau2) + row0, cols + col0), vals)
+        np.testing.assert_array_equal(plan.toarray(), expected)
+        assert plan.nnz == np.count_nonzero(expected)
+
+    def test_no_anchors_empty_plan(self):
+        plan = build_alignment(np.zeros((0, 2)), 5, 3, 2)
+        assert plan.shape == (0, 10) and plan.nnz == 0
+
     @pytest.mark.parametrize("anchors", [[[1, 2], [3, 3]], [[1, 2], [2, 7]], [[-1, 2]]],
                              ids=["zero-duration", "past-end", "negative-start"])
     def test_bad_anchor_rejected(self, anchors):
@@ -192,6 +211,27 @@ class TestSGAlign:
         subset = np.array([0, 7, 31, len(anchors) - 1])
         picked = aligner(x, edges, subset).data
         np.testing.assert_allclose(picked, full[subset], atol=1e-13)
+
+    @pytest.mark.parametrize("tau2", [0, 3])
+    @pytest.mark.parametrize("edge_kind", ["knn", "empty"])
+    @pytest.mark.parametrize("subset", [None, [0, 5, 6, 40, -1]], ids=["all", "subset"])
+    def test_rows_equal_per_anchor_oracle(self, tau2, edge_kind, subset):
+        # each row: interp_rescale of the features at tau1, then of their
+        # neighbour-smoothed copy (the raw features without edges) at tau2
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(3, 24)))
+        edges = knn_semantic_edges(x.data, 3) if edge_kind == "knn" else np.zeros((0, 2))
+        anchors = enumerate_anchors(24, 9)
+        aligner = SubgraphAligner(anchors, 24, 5, tau2)
+        picked = np.arange(len(anchors)) if subset is None else np.arange(len(anchors))[subset]
+        out = aligner(x, edges, None if subset is None else picked).data
+        smoothed = semantic_smooth(x, edges) if edge_kind == "knn" else x
+        assert out.shape == (len(picked), (5 + tau2) * 3)
+        for row, j in zip(out, picked):
+            parts = [interp_rescale(x, anchors[j], 5).data]
+            if tau2:
+                parts.append(interp_rescale(smoothed, anchors[j], tau2).data)
+            np.testing.assert_array_equal(row, np.concatenate(parts))
 
     def test_alignment_gradients_flow_to_features(self):
         rng = np.random.default_rng(11)

@@ -213,6 +213,12 @@ def test_every_op_backward_passes_grad_check(seed):
         assert err < 1e-3, f"op {name} failed grad check with rel err {err}"
 
 
+def test_slice_gradient_counts_repeated_index():
+    a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    ad.tsum(a[[0, 0, 1]]).backward()
+    np.testing.assert_array_equal(a.grad, [[2.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+
+
 def test_grad_check_on_linear_function_near_zero_error():
     theta = Tensor(np.arange(1.0, 5.0), requires_grad=True)
     assert ad.grad_check(lambda: ad.tsum(theta), theta) < 1e-8

@@ -5,6 +5,7 @@ import pytest
 from helpers import relu_margin
 
 from tadgraph import autodiff as ad
+from tadgraph import heads
 from tadgraph.autodiff import Tensor
 from tadgraph.errors import ConfigError, ContractError
 from tadgraph.heads import (LocalizationParams, NodeParams, assign_anchor_labels,
@@ -52,6 +53,46 @@ class TestLocalizationForward:
             if relu_margin(f()) < 1e-3:
                 continue
             tensors = [params.w1, params.b1, params.w2, params.b2, params.w3, params.b3]
+            assert ad.grad_check(f, tensors) < 1e-3
+            break
+        else:
+            pytest.fail("no kink-free sample found")
+
+
+class TestLocalizationBlocks:
+    """The head runs over row blocks; three-row blocks make every case cross one."""
+
+    @staticmethod
+    def _unblocked(x, params):
+        h = np.maximum(x @ params.w1.data + params.b1.data, 0.0)
+        h = np.maximum(h @ params.w2.data + params.b2.data, 0.0)
+        return 1.0 / (1.0 + np.exp(-(h @ params.w3.data + params.b3.data)))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 7])
+    def test_blocks_match_unblocked_reference(self, rows, monkeypatch):
+        monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)
+        params = _loc_params(seed=rows)
+        x = np.random.default_rng(rows).normal(size=(rows, 6))
+        out = localization_forward(Tensor(x), params).data
+        assert out.shape == (rows, 2)
+        np.testing.assert_allclose(out, self._unblocked(x, params), rtol=0, atol=1e-12)
+
+    def test_grad_check_across_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            params = _loc_params(seed=seed)
+            feats = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+            targets = rng.uniform(size=5)
+
+            def f():
+                out = localization_forward(feats, params)
+                return subgraph_loss(out[:, 0], out[:, 1], targets)
+
+            if relu_margin(f()) < 1e-3:
+                continue
+            assert {n.op for n in ad.graph_nodes(f())} >= {"slice", "concat"}
+            tensors = [feats, params.w1, params.b1, params.w2, params.b2, params.w3, params.b3]
             assert ad.grad_check(f, tensors) < 1e-3
             break
         else:

@@ -108,13 +108,11 @@ class TestSoftNMS:
 
     @given(st.data())
     def test_masked_pass_matches_oracle_with_ties(self, data):
-        # soft_nms breaks score ties by the lower index, the oracle by the
-        # earlier start; the two rules agree only on rows in start order, so
-        # the rows are sorted (on unsorted rows they can keep different ones)
+        # rows in any order: both break score ties by the earlier start
         pool = data.draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 8)),
                                   min_size=1, max_size=4))
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=10))
-        segments = np.array(sorted((s, s + d) for s, d in (pool[i] for i in picks)),
+        segments = np.array([(s, s + d) for s, d in (pool[i] for i in picks)],
                             dtype=float).reshape(-1, 2)
         n = len(segments)
         scores = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.7, 0.9]),
@@ -126,6 +124,19 @@ class TestSoftNMS:
         ref_kept, ref_scores = _soft_nms_oracle(segments, scores, method, 0.3, 0.4, top_m)
         assert kept.tolist() == ref_kept
         np.testing.assert_allclose(decayed, ref_scores, rtol=0, atol=1e-12)
+
+    def test_tie_at_top_m_cut_keeps_earlier_start(self):
+        kept, scores = soft_nms(np.array([[10.0, 20.0], [0.0, 5.0]]), np.array([0.5, 0.5]),
+                                top_m=1)
+        assert kept.tolist() == [1] and scores.tolist() == [0.5]
+
+    def test_tie_between_overlaps_selects_earlier_start(self):
+        segments = np.array([[10.0, 20.0], [9.0, 20.0]])
+        kept, scores = soft_nms(segments, np.array([0.5, 0.5]), threshold=0.3)
+        ref_kept, ref_scores = _soft_nms_oracle(segments, [0.5, 0.5], "linear", 0.3, 0.4, 100)
+        assert kept.tolist() == ref_kept == [1, 0]
+        np.testing.assert_allclose(scores, ref_scores, rtol=0, atol=1e-15)
+        assert scores[0] == 0.5 and scores[1] < 0.5       # row 0 decayed, not row 1
 
     def test_output_sorted_ties_by_earlier_start(self):
         segments = np.array([[10.0, 20.0], [0.0, 5.0]])
