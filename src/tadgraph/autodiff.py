@@ -3,8 +3,8 @@
 Values are float64 numpy arrays. Every operation that participates in
 gradient computation records its parents and a closure that propagates the
 incoming adjoint; ``backward`` replays those closures in reverse
-topological order, visiting each node exactly once. Gradients accumulate
-into ``Tensor.grad`` until explicitly reset with ``zero_grad``.
+topological order, visiting each node once and then freeing its gradient;
+only leaves keep ``Tensor.grad``, which accumulates until ``zero_grad``.
 
 Broadcasting is deliberately restricted to scalar-with-tensor; shaped
 operands must match exactly. Row-vector bias addition has its own op
@@ -34,10 +34,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -78,8 +74,8 @@ class Tensor:
     def backward(self) -> None:
         """Propagate d(self)/d(leaf) into every reachable ``grad``.
 
-        ``self`` must be a scalar (one element). Repeated calls without a
-        ``zero_grad`` in between accumulate.
+        ``self`` must be a scalar (one element). Intermediate ``grad``s are freed
+        as their nodes run; repeated calls accumulate into leaves until ``zero_grad``.
         """
         if self.data.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -88,6 +84,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -147,6 +144,8 @@ def _wrap(x) -> Tensor:
 
 
 def _make(data, op: str, parents: Sequence[Tensor], backward: Callable) -> Tensor:
+    """Record a node only when a parent requires grad, so the adjoint of a
+    one-operand op need not check its operand."""
     record = _grad_enabled and any(p.requires_grad for p in parents)
     if record:
         return Tensor(data, requires_grad=True, op=op, parents=tuple(parents), backward=backward)
@@ -197,8 +196,7 @@ def add(a, b) -> Tensor:
         out_data = t.data + s
 
         def bwd(g, t=t):
-            if t.requires_grad:
-                t._accumulate(g)
+            t._accumulate(g)
 
         return _make(out_data, "add", (t,), bwd)
     _check_matched(a, b, "add")
@@ -217,15 +215,12 @@ def mul(a, b) -> Tensor:
     if not isinstance(b, Tensor) or not isinstance(a, Tensor):
         t, s = (a, b) if isinstance(a, Tensor) else (b, a)
         s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 0:
-            s_arr = s
-            if s_arr.shape != t.shape:
-                raise ShapeError(f"mul: shapes {t.shape} and {s_arr.shape} do not match")
+        if s.ndim != 0 and s.shape != t.shape:
+            raise ShapeError(f"mul: shapes {t.shape} and {s.shape} do not match")
         out_data = t.data * s
 
         def bwd(g, t=t, s=s):
-            if t.requires_grad:
-                t._accumulate(g * s)
+            t._accumulate(g * s)
 
         return _make(out_data, "mul", (t,), bwd)
     _check_matched(a, b, "mul")
@@ -241,8 +236,7 @@ def mul(a, b) -> Tensor:
 
 def square(x: Tensor) -> Tensor:
     def bwd(g, x=x):
-        if x.requires_grad:
-            x._accumulate(g * (2.0 * x.data))
+        x._accumulate(g * (2.0 * x.data))
 
     return _make(x.data * x.data, "square", (x,), bwd)
 
@@ -251,8 +245,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def bwd(g, x=x, mask=mask):
-        if x.requires_grad:
-            x._accumulate(g * mask)
+        x._accumulate(g * mask)
 
     return _make(np.where(mask, x.data, 0.0), "relu", (x,), bwd)
 
@@ -261,16 +254,14 @@ def sigmoid(x: Tensor) -> Tensor:
     s = expit(x.data)
 
     def bwd(g, x=x, s=s):
-        if x.requires_grad:
-            x._accumulate(g * s * (1.0 - s))
+        x._accumulate(g * s * (1.0 - s))
 
     return _make(s, "sigmoid", (x,), bwd)
 
 
 def log(x: Tensor) -> Tensor:
     def bwd(g, x=x):
-        if x.requires_grad:
-            x._accumulate(g / x.data)
+        x._accumulate(g / x.data)
 
     return _make(np.log(x.data), "log", (x,), bwd)
 
@@ -280,16 +271,14 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     mask = (x.data > lo) & (x.data < hi)
 
     def bwd(g, x=x, mask=mask):
-        if x.requires_grad:
-            x._accumulate(g * mask)
+        x._accumulate(g * mask)
 
     return _make(np.clip(x.data, lo, hi), "clip", (x,), bwd)
 
 
 def tsum(x: Tensor) -> Tensor:
     def bwd(g, x=x):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, g.reshape(())))
+        x._accumulate(np.full_like(x.data, g.reshape(())))
 
     return _make(x.data.sum(), "sum", (x,), bwd)
 
@@ -300,8 +289,6 @@ def tmean(x: Tensor, axis=None) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
 
     def bwd(g, x=x, axis=axis, n=n):
-        if not x.requires_grad:
-            return
         if axis is None:
             x._accumulate(np.full_like(x.data, g.reshape(()) / n))
         else:
@@ -344,16 +331,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 def transpose(x: Tensor) -> Tensor:
     def bwd(g, x=x):
-        if x.requires_grad:
-            x._accumulate(g.T)
+        x._accumulate(g.T)
 
     return _make(x.data.T, "transpose", (x,), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     def bwd(g, x=x):
-        if x.requires_grad:
-            x._accumulate(g.reshape(x.data.shape))
+        x._accumulate(g.reshape(x.data.shape))
 
     return _make(x.data.reshape(shape), "reshape", (x,), bwd)
 
@@ -383,10 +368,9 @@ def tslice(x: Tensor, key) -> Tensor:
     array selects twice receives the gradient twice."""
 
     def bwd(g, x=x, key=key):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, key, g)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, key, g)
 
     return _make(x.data[key], "slice", (x,), bwd)
 
@@ -404,8 +388,7 @@ def resample_columns(x: Tensor, weights) -> Tensor:
     out_data = weights @ x.data.T
 
     def bwd(g, x=x, weights=weights):
-        if x.requires_grad:
-            x._accumulate((weights.T @ g).T)
+        x._accumulate((weights.T @ g).T)
 
     return _make(np.asarray(out_data), "resample_columns", (x,), bwd)
 

@@ -260,6 +260,16 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_labels(detections, annotations, args: argparse.Namespace) -> None:
+    """Refuse a per-class evaluation that can only score 0, such as one of
+    ``infer`` output, whose labels are all "action"."""
+    predicted = {d.label for dets in detections.values() for d in dets}
+    annotated = set(annotations.labels())
+    if not args.class_agnostic and predicted and annotated and predicted.isdisjoint(annotated):
+        raise ConfigError(f"no predicted label ({', '.join(sorted(predicted))}) occurs in "
+                          f"{args.annotations}; pass --class-agnostic to score segments alone")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     annotations = load_annotations(args.annotations)
     thresholds = _parse_thresholds(args.thresholds)
@@ -273,6 +283,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         for alpha in np.round(np.arange(0.1, 0.95, 0.1), 2):
             nms["alpha"] = float(alpha)
             detections = finalize_detections(raw, **nms)
+            _check_labels(detections, annotations, args)
             report = map_suite(detections, annotations.by_video, thresholds, args.class_agnostic)
             print(f"alpha={alpha:.1f}  average mAP={report.average_map:.4f}")
             if best is None or report.average_map > best[1].average_map:
@@ -283,6 +294,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not args.detections:
             raise ConfigError("eval needs --detections (or --grid-alpha with --raw-scores)")
         detections = read_detections(args.detections)
+        _check_labels(detections, annotations, args)
         report = map_suite(detections, annotations.by_video, thresholds, args.class_agnostic)
 
     print(report.to_table())

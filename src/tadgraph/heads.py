@@ -183,13 +183,7 @@ def node_loss(node_probs: Tensor, labels: np.ndarray) -> Tensor:
 
 def total_loss(loss_g: Tensor, loss_n: Tensor, params: Iterable[Tensor],
                lambda2: float = DEFAULT_LAMBDA2) -> Tensor:
-    """Multi-task objective: loss_g + loss_n + lambda2 * sum of squared weights."""
-    total = loss_g + loss_n
-    if lambda2 != 0.0:
-        reg = None
-        for p in params:
-            term = ad.tsum(ad.square(p))
-            reg = term if reg is None else reg + term
-        if reg is not None:
-            total = total + lambda2 * reg
-    return total
+    """Multi-task objective: loss_g + loss_n + lambda2 * sum of squared weights.
+    The weight term is a graph constant; ``training.Adam.step`` adds its gradient."""
+    weight_term = sum(float((p.data * p.data).sum()) for p in params)
+    return loss_g + loss_n + lambda2 * weight_term

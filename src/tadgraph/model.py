@@ -84,7 +84,11 @@ class Detector:
 
     def load(self, path) -> None:
         stored = load_checkpoint(path)
-        for name, tensor in self.named_params().items():
+        params = self.named_params()
+        for name in stored:
+            if name not in params:
+                raise FormatError(f"checkpoint parameter '{name}' is not in the model")
+        for name, tensor in params.items():
             if name not in stored:
                 raise FormatError(f"checkpoint missing parameter '{name}'")
             if stored[name].shape != tensor.data.shape:

@@ -4,8 +4,8 @@ One training example is a window. Per window the backbone runs, the node
 branch reads the first block's features, the localization head scores a
 random anchor subset through sub-graph alignment, and the combined loss is
 backpropagated; gradients accumulate across the windows of a batch before
-a single optimizer step. The learning rate drops once between the two
-epoch phases.
+a single optimizer step, which adds the loss's weight-term gradient. The
+learning rate drops once between the two epoch phases.
 """
 
 from __future__ import annotations
@@ -53,7 +53,9 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Adaptive moment estimation with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+    """Adaptive moment estimation with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``;
+    ``step`` adds ``total_loss``'s weight-term gradient 2 * lambda2 * p before the
+    moments (coupled L2, not AdamW's decoupled decay)."""
 
     def __init__(self, params: list[ad.Tensor]):
         self.params = params
@@ -61,12 +63,12 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float, lambda2: float) -> None:
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = (0.0 if p.grad is None else p.grad) + 2.0 * lambda2 * p.data
             m *= ADAM_BETA1
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
@@ -159,7 +161,7 @@ def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
                                    f"(video {example.window.video_id})")
             totals += values
             ad.mul(loss, 1.0 / len(batch)).backward()
-        optimizer.step(lr)
+        optimizer.step(lr, config.lambda2)
         ad.zero_grad(params)
     n = max(1, len(order))
     return {"loss_total": totals[0] / n, "loss_g": totals[1] / n, "loss_n": totals[2] / n}

@@ -84,6 +84,18 @@ def test_backward_accumulates_until_reset():
     assert theta.grad is None
 
 
+def test_second_backward_on_one_graph_counts_once():
+    # the first call must not leave intermediate gradients to be propagated again
+    w = Tensor(np.array([2.0]), requires_grad=True)
+    h = ad.mul(w, 3.0)
+    loss = ad.tsum(ad.square(h))
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [36.0])
+    assert h.grad is None
+    loss.backward()
+    np.testing.assert_array_equal(w.grad, [72.0])
+
+
 def test_forward_deterministic():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 5))

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from conftest import small_model_config
 
 from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.errors import FormatError
+from tadgraph.model import Detector
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -37,3 +39,14 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(FormatError, match="truncated"):
         load_checkpoint(path)
+
+
+def test_model_rejects_parameter_it_does_not_have(tmp_path):
+    path = tmp_path / "model.tgck"
+    Detector(small_model_config(blocks=3), np.random.default_rng(0)).save(path)
+    model = Detector(small_model_config(blocks=2), np.random.default_rng(1))
+    before = {name: t.data.copy() for name, t in model.named_params().items()}
+    with pytest.raises(FormatError, match="'block2.t_in' is not in the model"):
+        model.load(path)
+    for name, tensor in model.named_params().items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)

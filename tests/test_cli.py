@@ -79,6 +79,26 @@ class TestPipeline:
                          "--out", str(tmp_path / "grid.json")])
         assert code == 0
 
+    def test_eval_default_flags_refuse_infer_labels(self, pipeline, capsys):
+        # infer labels every detection "action", which no annotation uses
+        assert dispatch(["eval", "--detections", str(pipeline["detections"]),
+                         "--annotations", str(pipeline["data"] / "annotations.json")]) == 1
+        assert "--class-agnostic" in capsys.readouterr().err
+
+    def test_grid_alpha_default_flags_refuse_infer_labels(self, pipeline, capsys):
+        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+                         "--annotations", str(pipeline["data"] / "annotations.json"),
+                         "--thresholds", "0.5"]) == 1
+        assert "--class-agnostic" in capsys.readouterr().err
+
+    def test_infer_with_fewer_blocks_than_checkpoint_is_data_error(self, pipeline, tmp_path,
+                                                                    capsys):
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--blocks", "2",
+                         "--out", str(tmp_path / "d.json")]) == 2
+        assert "'block2." in capsys.readouterr().err
+
     def test_infer_reads_arch_from_sidecar(self, pipeline, tmp_path):
         # no architecture flags: sidecar config.json must reconstruct the model
         out = tmp_path / "d2.json"

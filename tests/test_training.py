@@ -8,11 +8,12 @@ import pytest
 from conftest import small_model_config
 
 from tadgraph import autodiff as ad
-from tadgraph import backbone, video_graph
+from tadgraph import backbone, training, video_graph
+from tadgraph.autodiff import Tensor
 from tadgraph.data import Window
 from tadgraph.errors import ConfigError, NumericError
 from tadgraph.model import ModelConfig
-from tadgraph.training import (Adam, TrainConfig, build_examples, init_params,
+from tadgraph.training import (ADAM_BETA1, Adam, TrainConfig, build_examples, init_params,
                                train, train_epoch, window_loss)
 
 # config.json as written for the default TrainConfig by the earlier
@@ -130,6 +131,44 @@ class TestTrainEpoch:
         train_epoch(model, examples, optimizer, config, lr=1e-6,
                     rng=np.random.default_rng(0))
         assert batch_loss() <= before + 1e-6
+
+
+class TestWeightDecay:
+    LAMBDA2 = 1e-4
+
+    def _epoch(self, small_synth, config) -> dict:
+        model = init_params(config)
+        examples = build_examples(model, small_synth["windows"][:6])
+        train_epoch(model, examples, Adam(model.params()), config, lr=4e-3,
+                    rng=np.random.default_rng(0))
+        return {n: t.data for n, t in model.named_params().items()}
+
+    def test_adam_decay_matches_in_graph_term(self, small_synth, monkeypatch):
+        # the former path: the L2 term built into every window's graph
+        new = self._epoch(small_synth, _config(lambda2=self.LAMBDA2))
+
+        def in_graph_total_loss(loss_g, loss_n, params, lambda2):
+            reg = None
+            for p in params:
+                term = ad.tsum(ad.square(p))
+                reg = term if reg is None else reg + term
+            return loss_g + loss_n + self.LAMBDA2 * reg
+
+        monkeypatch.setattr(training, "total_loss", in_graph_total_loss)
+        old = self._epoch(small_synth, _config(lambda2=0.0))
+        for name in old:
+            np.testing.assert_allclose(new[name], old[name], rtol=0, atol=1e-10, err_msg=name)
+
+    def test_first_moment_includes_decay_gradient(self):
+        rng = np.random.default_rng(4)
+        params = [Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2)]
+        params[0].grad = rng.normal(size=(3, 2))     # params[1] received no gradient
+        expected = [(1.0 - ADAM_BETA1) * (params[0].grad + 2.0 * self.LAMBDA2 * params[0].data),
+                    (1.0 - ADAM_BETA1) * (2.0 * self.LAMBDA2 * params[1].data)]
+        optimizer = Adam(params)
+        optimizer.step(1e-3, self.LAMBDA2)
+        for m, want in zip(optimizer.m, expected):
+            np.testing.assert_allclose(m, want, rtol=1e-15)
 
 
 class TestTrainLoop:
