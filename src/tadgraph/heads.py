@@ -22,8 +22,9 @@ from .errors import ConfigError, ContractError
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
 DEFAULT_LAMBDA2 = 1e-4
-# rows per pass of the localization head; at (512, 128) hidden units a block's
-# activations take 10 MB, where all 14049 anchors of L=256 take 72 MB
+# rows per pass of the localization head; at the default 1152-wide aligned
+# features and (512, 128) hidden units a block's aligned rows take 19 MB and
+# its activations 10 MB, where all 14049 anchors of L=256 take 129 and 72 MB
 LOC_BLOCK_ROWS = 2048
 
 
@@ -70,18 +71,20 @@ class NodeParams:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
-def localization_forward(subgraph_features: Tensor, params: LocalizationParams) -> Tensor:
+def localization_forward(subgraph_features, params: LocalizationParams) -> Tensor:
     """(J, F) aligned features -> (J, 2) sigmoid scores (cls, reg columns).
 
-    The layers run over blocks of ``LOC_BLOCK_ROWS`` rows, so the hidden
-    activations never exist for all J anchors at once.
+    The input is a Tensor or ``align.AlignedRows``, read only through its
+    ``shape`` and row slices. The layers run over blocks of
+    ``LOC_BLOCK_ROWS`` rows, so neither the aligned rows of ``AlignedRows``
+    nor the hidden activations exist for all J anchors at once.
     """
     if subgraph_features.shape[1] != params.w1.shape[0]:
         raise ConfigError(
             f"localization head expects width {params.w1.shape[0]}, got {subgraph_features.shape[1]}")
     rows = subgraph_features.shape[0]
     if rows <= LOC_BLOCK_ROWS:
-        return _localization_rows(subgraph_features, params)
+        return _localization_rows(subgraph_features[:], params)
     return ad.concat([_localization_rows(subgraph_features[lo:lo + LOC_BLOCK_ROWS], params)
                       for lo in range(0, rows, LOC_BLOCK_ROWS)], axis=0)
 

@@ -83,6 +83,8 @@ class Detector:
         save_checkpoint(path, {name: t.data for name, t in self.named_params().items()})
 
     def load(self, path) -> None:
+        """Replace every parameter from a checkpoint; a checkpoint that does
+        not match the model raises ``FormatError`` and replaces none."""
         stored = load_checkpoint(path)
         params = self.named_params()
         for name in stored:
@@ -95,6 +97,7 @@ class Detector:
                 raise FormatError(
                     f"checkpoint parameter '{name}' has shape {stored[name].shape}, "
                     f"model expects {tensor.data.shape}")
+        for name, tensor in params.items():
             tensor.data = stored[name]
 
     # -- forward passes --------------------------------------------------------
@@ -105,7 +108,9 @@ class Detector:
 
     def forward_scores(self, final: Tensor, edges: np.ndarray,
                        subset: np.ndarray | None = None) -> Tensor:
-        """Anchor scores (rows follow the anchor set or the given subset)."""
+        """Anchor scores (rows follow the anchor set or the given subset).
+
+        The head aligns each of its row blocks as it reaches it."""
         aligned = self.aligner(final, edges, subset)
         return localization_forward(aligned, self.loc_head)
 

@@ -207,10 +207,23 @@ class TestSGAlign:
         edges = knn_semantic_edges(x.data, 2)
         anchors = enumerate_anchors(20, 8)
         aligner = SubgraphAligner(anchors, 20, 6, 2)
-        full = aligner(x, edges).data
+        full = aligner(x, edges)[:].data
         subset = np.array([0, 7, 31, len(anchors) - 1])
-        picked = aligner(x, edges, subset).data
+        picked = aligner(x, edges, subset)[:].data
         np.testing.assert_allclose(picked, full[subset], atol=1e-13)
+
+    def test_row_ranges_equal_rows_of_whole(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(3, 20)))
+        aligned = SubgraphAligner(enumerate_anchors(20, 8), 20, 6, 2)(
+            x, knn_semantic_edges(x.data, 2))
+        full = aligned[:].data
+        assert aligned.shape == full.shape == (105, 8 * 3)
+        for key in (slice(0, 1), slice(7, 30), slice(100, None), slice(-4, None),
+                    slice(30, 7), slice(0, 500)):
+            np.testing.assert_array_equal(aligned[key].data, full[key])
+        with pytest.raises(ContractError, match="step 2"):
+            aligned[::2]
 
     @pytest.mark.parametrize("tau2", [0, 3])
     @pytest.mark.parametrize("edge_kind", ["knn", "empty"])
@@ -224,7 +237,7 @@ class TestSGAlign:
         anchors = enumerate_anchors(24, 9)
         aligner = SubgraphAligner(anchors, 24, 5, tau2)
         picked = np.arange(len(anchors)) if subset is None else np.arange(len(anchors))[subset]
-        out = aligner(x, edges, None if subset is None else picked).data
+        out = aligner(x, edges, None if subset is None else picked)[:].data
         smoothed = semantic_smooth(x, edges) if edge_kind == "knn" else x
         assert out.shape == (len(picked), (5 + tau2) * 3)
         for row, j in zip(out, picked):

@@ -50,3 +50,15 @@ def test_model_rejects_parameter_it_does_not_have(tmp_path):
         model.load(path)
     for name, tensor in model.named_params().items():
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+
+
+def test_model_mismatch_replaces_no_parameter(tmp_path):
+    # loc.w2 is the first mismatch, after every backbone parameter and loc.w1
+    path = tmp_path / "model.tgck"
+    Detector(small_model_config(head_hidden=(32, 8)), np.random.default_rng(0)).save(path)
+    model = Detector(small_model_config(head_hidden=(32, 16)), np.random.default_rng(1))
+    before = {name: t.data.copy() for name, t in model.named_params().items()}
+    with pytest.raises(FormatError, match="'loc.w2' has shape"):
+        model.load(path)
+    for name, tensor in model.named_params().items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)

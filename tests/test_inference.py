@@ -3,15 +3,25 @@
 import tracemalloc
 
 import numpy as np
+import pytest
+from conftest import small_model_config
+from helpers import relu_margin
 
+from tadgraph import autodiff as ad
+from tadgraph import heads
+from tadgraph.align import sgalign_forward
+from tadgraph.autodiff import Tensor
 from tadgraph.data import Window
+from tadgraph.heads import localization_forward, subgraph_loss
 from tadgraph.inference import score_windows
 from tadgraph.model import Detector, ModelConfig
+from tadgraph.video_graph import knn_semantic_edges
 
 
 def test_long_window_peak_memory():
     # one L=256 window has 14049 anchors; their (J, 1152) aligned features
-    # take 129 MB, so only one copy of them fits under the bound
+    # would take 129 MB, but the head aligns one 2048-row block (19 MB) at a
+    # time, so the bound sits under half of one full aligned copy
     model = Detector(ModelConfig(window_length=256), np.random.default_rng(0))
     window = Window("v", np.random.default_rng(1).normal(size=(32, 256)), offset=0,
                     valid_length=256, scale=1.0)
@@ -22,4 +32,83 @@ def test_long_window_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(scores[0].p_cls) == len(model.anchors) == 14049
-    assert peak < 180e6
+    assert peak < 64e6
+
+
+class TestFusedAlignment:
+    """``forward_scores`` aligns each head block as it reaches it; the scores
+    must equal the head run over the whole aligned tensor, bit for bit."""
+
+    @staticmethod
+    def _fused_and_reference(model, features, subset=None):
+        with ad.no_grad():
+            _, final, graph = model.forward_features(features)
+            edges = graph.semantic_layers[-1]
+            fused = model.forward_scores(final, edges, subset).data
+            aligned = sgalign_forward(final, edges, model.anchors,
+                                      model.config.tau1, model.config.tau2).data
+            rows = slice(None) if subset is None else subset
+            reference = localization_forward(Tensor(aligned[rows]), model.loc_head).data
+        return fused, reference
+
+    def test_all_anchors_long_window(self):
+        model = Detector(ModelConfig(window_length=256), np.random.default_rng(2))
+        features = np.random.default_rng(3).normal(size=(32, 256))
+        fused, reference = self._fused_and_reference(model, features)
+        assert fused.shape == (14049, 2)
+        np.testing.assert_array_equal(fused, reference)
+
+    # (window_length, max_duration) giving exactly `count` anchors
+    WINDOWS = {2: (4, 2), 3: (4, 3), 6: (5, 4), 7: (6, 3)}
+
+    @pytest.mark.parametrize("count", [2, 3, 6, 7], ids=["below", "equal", "multiple", "ragged"])
+    @pytest.mark.parametrize("with_subset", [False, True], ids=["all", "subset"])
+    def test_three_row_blocks(self, count, with_subset, monkeypatch):
+        monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(count)
+        if with_subset:
+            config = small_model_config()
+        else:
+            length, max_duration = self.WINDOWS[count]
+            config = small_model_config(window_length=length, max_duration=max_duration)
+        model = Detector(config, rng)
+        subset = rng.choice(len(model.anchors), count, replace=False) if with_subset else None
+        assert with_subset or len(model.anchors) == count
+        features = rng.normal(size=(config.c_raw, config.window_length))
+        fused, reference = self._fused_and_reference(model, features, subset)
+        assert fused.shape == (count, 2)
+        np.testing.assert_array_equal(fused, reference)
+
+    def test_gradients_accumulate_across_blocks(self, monkeypatch):
+        # 27 anchors in 9 blocks of 3: every block's alignment adjoint adds
+        # into the one (C, 2L) source of features and their smoothed copy
+        config = small_model_config(width=4, cardinality=2, window_length=12, max_duration=4,
+                                    tau1=3, tau2=2, head_hidden=(5, 3))
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            model = Detector(config, rng)
+            final = Tensor(rng.normal(size=(4, 12)), requires_grad=True)
+            edges = knn_semantic_edges(final.data, config.k_neighbors)
+            targets = rng.uniform(size=len(model.anchors))
+            w1 = model.loc_head.w1
+
+            def f():
+                out = model.forward_scores(final, edges)
+                return subgraph_loss(out[:, 0], out[:, 1], targets)
+
+            grads = {}
+            for block_rows in (10 ** 6, 3):
+                monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", block_rows)
+                ad.zero_grad([final, w1])
+                f().backward()
+                grads[block_rows] = (final.grad.copy(), w1.grad.copy())
+            if relu_margin(f()) < 1e-3:
+                continue
+            assert len(model.anchors) == 27
+            assert [n.op for n in ad.graph_nodes(f())].count("resample_columns") == 9 + 1
+            for one_block, blocked in zip(grads[10 ** 6], grads[3]):
+                np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-12)
+            assert ad.grad_check(f, [final, w1]) < 1e-3
+            break
+        else:
+            pytest.fail("no kink-free sample found")
