@@ -7,8 +7,10 @@ topological order, visiting each node once and then freeing its gradient;
 only leaves keep ``Tensor.grad``, which accumulates until ``zero_grad``.
 
 Broadcasting is deliberately restricted to scalar-with-tensor; shaped
-operands must match exactly. Row-vector bias addition has its own op
-(``add_bias``) so the backward rule stays explicit.
+operands must match exactly. A dense layer ``x @ w + b`` is one op
+(``affine``) that adds the bias into the product's own array, so the
+backward rule stays explicit and the layer makes one node and one array.
+``relu`` is ``np.maximum(x, 0)``: a NaN input stays NaN.
 """
 
 from __future__ import annotations
@@ -242,12 +244,12 @@ def square(x: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+    """``max(x, 0)``; NaN propagates. The adjoint passes gradient where x > 0
+    and builds that mask only when it runs."""
+    def bwd(g, x=x):
+        x._accumulate(g * (x.data > 0))
 
-    def bwd(g, x=x, mask=mask):
-        x._accumulate(g * mask)
-
-    return _make(np.where(mask, x.data, 0.0), "relu", (x,), bwd)
+    return _make(np.maximum(x.data, 0.0), "relu", (x,), bwd)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -315,18 +317,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data @ b.data, "matmul", (a, b), bwd)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-n bias vector to every row of an (m, n) tensor."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias: {x.shape} incompatible with bias {b.shape}")
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for an (m, k) x, (k, n) w and length-n bias b, as one
+    node: the bias is added into the product's array in place."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"affine: cannot map {x.shape} through {w.shape} plus bias {b.shape}")
+    out = x.data @ w.data
+    out += b.data
 
-    def bwd(g, x=x, b=b):
+    def bwd(g, x=x, w=w, b=b):
         if x.requires_grad:
-            x._accumulate(g)
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _make(x.data + b.data, "add_bias", (x, b), bwd)
+    return _make(out, "affine", (x, w, b), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -2,7 +2,7 @@
 
 Layout: magic ``TGCK``, u32 version, u32 entry count, then per entry a
 u16 name length, the utf-8 name, a u8 rank, u32 dimensions, and the
-row-major float64 little-endian payload.
+row-major float64 little-endian payload. Loading rejects a non-finite value.
 """
 
 from __future__ import annotations
@@ -58,7 +58,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             payload = raw[offset:offset + nbytes]
             if len(payload) != nbytes:
                 raise FormatError(f"{path}: truncated payload for parameter '{name}'")
-            params[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            value = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(value).all():
+                raise FormatError(f"{path}: parameter '{name}' holds a non-finite value")
+            params[name] = value
             offset += nbytes
     except struct.error as exc:
         raise FormatError(f"{path}: truncated checkpoint header") from exc

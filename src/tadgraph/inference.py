@@ -9,18 +9,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import FormatError
+from .errors import FormatError, NumericError
 from .model import Detector
 from .postprocess import WindowScores
 
 
 def score_windows(model: Detector, windows: list[Window]) -> list[WindowScores]:
-    """Score every anchor of every window; node branch is not evaluated."""
+    """Score every anchor of every window; node branch is not evaluated.
+
+    A window with a non-finite score raises ``NumericError``."""
     out = []
     with ad.no_grad():
         for window in windows:
             _, final, graph = model.forward_features(window.features)
             scores = model.forward_scores(final, graph.semantic_layers[-1])
+            if not np.isfinite(scores.data).all():
+                raise NumericError(f"localization head gave a non-finite score in the window "
+                                   f"of video '{window.video_id}' at offset {window.offset}")
             out.append(WindowScores(
                 video_id=window.video_id,
                 anchors=model.anchors,

@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, backward rules, finite-difference audit."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,28 @@ def test_matmul_grad_matches_finite_differences():
 def test_relu_values():
     out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+
+def test_relu_keeps_nan_and_passes_no_gradient_at_or_below_zero():
+    x = Tensor([np.nan, -2.0, 0.0, -0.0, 3.0], requires_grad=True)
+    out = ad.relu(x)
+    np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 0.0, 3.0])
+    ad.tsum(ad.mul(out, np.array([0.0, 1.0, 1.0, 1.0, 1.0]))).backward()
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
+
+
+def test_affine_is_product_plus_bias_in_one_node():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    out = ad.affine(x, Tensor([[1.0], [1.0]]), Tensor([0.5]))
+    np.testing.assert_array_equal(out.data, [[3.5], [7.5]])
+    assert [n.op for n in ad.graph_nodes(out) if n.op] == ["affine"]
+
+
+@pytest.mark.parametrize("w_shape, b_shape", [((3, 2), (2,)), ((2, 2), (3,)), ((2, 2), (2, 1))],
+                         ids=["w_rows", "b_length", "b_rank"])
+def test_affine_shape_error_names_all_shapes(w_shape, b_shape):
+    with pytest.raises(ShapeError, match=r"affine: .*\(4, 2\).*" + re.escape(str(w_shape))):
+        ad.affine(Tensor(np.zeros((4, 2))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
 def test_sigmoid_at_zero():
@@ -206,7 +230,7 @@ def _op_cases(rng):
         ("mean_axis", lambda: ad.tsum(ad.square(ad.tmean(a, axis=1))), [a]),
         ("mean_all", lambda: ad.square(ad.tmean(a)), [a]),
         ("matmul", lambda: ad.tsum(ad.square(ad.matmul(m1, m2))), [m1, m2]),
-        ("add_bias", lambda: ad.tsum(ad.square(ad.add_bias(a, bias))), [a, bias]),
+        ("affine", lambda: ad.tsum(ad.square(ad.affine(m1, m2, bias))), [m1, m2, bias]),
         ("transpose", lambda: ad.tsum(ad.square(a.transpose())), [a]),
         ("reshape", lambda: ad.tsum(ad.square(a.reshape(3, 2))), [a]),
         ("concat", lambda: ad.tsum(ad.square(ad.concat([a, b], axis=1))), [a, b]),

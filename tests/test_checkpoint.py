@@ -62,3 +62,17 @@ def test_model_mismatch_replaces_no_parameter(tmp_path):
         model.load(path)
     for name, tensor in model.named_params().items():
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_model_rejects_non_finite_parameter_by_name(tmp_path, bad):
+    path = tmp_path / "model.tgck"
+    source = Detector(small_model_config(), np.random.default_rng(0))
+    source.loc_head.w1.data[3, 1] = bad
+    source.save(path)
+    model = Detector(small_model_config(), np.random.default_rng(1))
+    before = {name: t.data.copy() for name, t in model.named_params().items()}
+    with pytest.raises(FormatError, match="parameter 'loc.w1' holds a non-finite value"):
+        model.load(path)
+    for name, tensor in model.named_params().items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)

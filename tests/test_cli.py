@@ -1,6 +1,7 @@
 """Command-line pipeline behaviour and exit codes."""
 
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict
@@ -10,6 +11,7 @@ import pytest
 
 from conftest import small_model_config
 from tadgraph import cli
+from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.cli import dispatch
 from tadgraph.data import SynthConfig, load_annotations, write_feature_file
 from tadgraph.inference import RAW_VERSION
@@ -98,6 +100,33 @@ class TestPipeline:
                          "--rescale-length", "50", "--blocks", "2",
                          "--out", str(tmp_path / "d.json")]) == 2
         assert "'block2." in capsys.readouterr().err
+
+    def _infer_with_w1(self, pipeline, tmp_path, edit):
+        """``infer`` with a copy of the trained run whose loc.w1 ``edit`` rewrote."""
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        params = load_checkpoint(run / "checkpoint.tgck")
+        params["loc.w1"] = edit(params["loc.w1"])
+        save_checkpoint(run / "checkpoint.tgck", params)
+        return dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(run / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")])
+
+    def test_infer_with_nan_weight_is_data_error(self, pipeline, tmp_path, capsys):
+        def poison(w1):
+            w1[0, 0] = np.nan
+            return w1
+
+        assert self._infer_with_w1(pipeline, tmp_path, poison) == 2
+        assert "'loc.w1' holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_infer_with_overflowing_head_is_numeric_failure(self, pipeline, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = self._infer_with_w1(pipeline, tmp_path, lambda w1: np.sign(w1) * 1e307)
+        assert code == 3
+        assert "localization head" in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
 
     def test_infer_reads_arch_from_sidecar(self, pipeline, tmp_path):
         # no architecture flags: sidecar config.json must reconstruct the model

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from conftest import small_model_config
 from helpers import relu_margin
 
@@ -12,6 +13,7 @@ from tadgraph import heads
 from tadgraph.align import sgalign_forward
 from tadgraph.autodiff import Tensor
 from tadgraph.data import Window
+from tadgraph.errors import NumericError
 from tadgraph.heads import localization_forward, subgraph_loss
 from tadgraph.inference import score_windows
 from tadgraph.model import Detector, ModelConfig
@@ -33,6 +35,43 @@ def test_long_window_peak_memory():
         tracemalloc.stop()
     assert len(scores[0].p_cls) == len(model.anchors) == 14049
     assert peak < 64e6
+
+
+def test_long_window_head_equals_numpy_composition():
+    # each layer as a product, then a separate bias add, then relu as
+    # np.where over a mask: the fused bias and np.maximum give the same bits
+    # on all 14049 anchors of L=256, block by block as the head reads them
+    rng = np.random.default_rng(4)
+    model = Detector(ModelConfig(window_length=256), rng)
+    p = model.loc_head
+    for b in (p.b1, p.b2, p.b3):
+        b.data = rng.normal(scale=0.1, size=b.shape)
+    with ad.no_grad():
+        _, final, graph = model.forward_features(rng.normal(size=(32, 256)))
+        aligned = model.aligner(final, graph.semantic_layers[-1])
+        scores = localization_forward(aligned, p).data
+    blocks = []
+    for lo in range(0, aligned.shape[0], heads.LOC_BLOCK_ROWS):
+        h = aligned[lo:lo + heads.LOC_BLOCK_ROWS].data @ p.w1.data + p.b1.data
+        h = np.where(h > 0, h, 0.0)
+        h = h @ p.w2.data + p.b2.data
+        h = np.where(h > 0, h, 0.0)
+        blocks.append(expit(h @ p.w3.data + p.b3.data))
+    assert scores.shape == (14049, 2)
+    np.testing.assert_array_equal(scores, np.concatenate(blocks))
+
+
+def test_non_finite_scores_raise_numeric_error_naming_the_window():
+    # finite weights whose first layer overflows to +-inf: relu keeps +inf,
+    # and the second layer's inf - inf makes the scores NaN
+    model = Detector(ModelConfig(window_length=64, max_duration=16), np.random.default_rng(0))
+    w1 = model.loc_head.w1
+    w1.data = np.sign(w1.data) * 1e307
+    window = Window("v7", np.random.default_rng(1).normal(size=(32, 64)), offset=32,
+                    valid_length=64, scale=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=r"localization head.*'v7' at offset 32"):
+            score_windows(model, [window])
 
 
 class TestFusedAlignment:
