@@ -6,6 +6,10 @@ incoming adjoint; ``backward`` replays those closures in reverse
 topological order, visiting each node once and then freeing its gradient;
 only leaves keep ``Tensor.grad``, which accumulates until ``zero_grad``.
 
+Each adjoint hands ``_accumulate`` an array that nothing else reads or
+writes (fresh, or a view of its node's gradient, which ``backward`` frees
+next), and the receiver keeps it; ``add`` copies for its second operand.
+
 Broadcasting is deliberately restricted to scalar-with-tensor; shaped
 operands must match exactly. A dense layer ``x @ w + b`` is one op
 (``affine``) that adds the bias into the product's own array, so the
@@ -69,9 +73,13 @@ class Tensor:
     # -- gradient bookkeeping ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Keep ``g``, which nothing else may read or write, as the first gradient and
+        add later ones into it in place. A view that is not C-contiguous is copied, so
+        each adjoint reduces over the layout a fresh array has."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.asarray(g, order="C")
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Propagate d(self)/d(leaf) into every reachable ``grad``.
@@ -207,7 +215,7 @@ def add(a, b) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(g.copy() if a.requires_grad else g)
 
     return _make(a.data + b.data, "add", (a, b), bwd)
 
@@ -425,33 +433,31 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     pad = (k - 1) // 2
     c_out_g = c_out // groups
 
+    # one batched product per tap; each group's 2-D block keeps the strides of
+    # a per-group slice, so it takes the same BLAS path and summation order
     xp = np.zeros((c_in, length + 2 * pad))
     xp[:, pad:pad + length] = x.data
-    out = np.zeros((c_out, length))
-    for gi in range(groups):
-        rows_in = slice(gi * c_in_g, (gi + 1) * c_in_g)
-        rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
-        for t in range(k):
-            out[rows_out] += w.data[t, :, rows_out].T @ xp[rows_in, t:t + length]
+    xg = xp.reshape(groups, c_in_g, -1)
+    wg = w.data.reshape(k, c_in_g, groups, c_out_g).transpose(0, 2, 1, 3)
+    out = np.zeros((groups, c_out_g, length))
+    for t in range(k):
+        out += wg[t].transpose(0, 2, 1) @ xg[:, :, t:t + length]
 
-    def bwd(g, x=x, w=w, xp=xp, pad=pad, k=k, groups=groups,
-            c_in_g=c_in_g, c_out_g=c_out_g, length=length):
-        gxp = np.zeros_like(xp) if x.requires_grad else None
-        gw = np.zeros_like(w.data) if w.requires_grad else None
-        for gi in range(groups):
-            rows_in = slice(gi * c_in_g, (gi + 1) * c_in_g)
-            rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
+    def bwd(g):
+        gg = g.reshape(groups, c_out_g, length)
+        if x.requires_grad:
+            gxg = np.zeros_like(xg)
             for t in range(k):
-                if gxp is not None:
-                    gxp[rows_in, t:t + length] += w.data[t, :, rows_out] @ g[rows_out]
-                if gw is not None:
-                    gw[t, :, rows_out] += xp[rows_in, t:t + length] @ g[rows_out].T
-        if gxp is not None:
-            x._accumulate(gxp[:, pad:pad + length])
-        if gw is not None:
+                gxg[:, :, t:t + length] += wg[t] @ gg
+            x._accumulate(gxg.reshape(c_in, -1)[:, pad:pad + length])
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            gwg = gw.reshape(k, c_in_g, groups, c_out_g).transpose(0, 2, 1, 3)
+            for t in range(k):
+                gwg[t] += xg[:, :, t:t + length] @ gg.transpose(0, 2, 1)
             w._accumulate(gw)
 
-    return _make(out, "grouped_conv1d", (x, w), bwd)
+    return _make(out.reshape(c_out, length), "grouped_conv1d", (x, w), bwd)
 
 
 # ---------------------------------------------------------------------------

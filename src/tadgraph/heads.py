@@ -188,5 +188,5 @@ def total_loss(loss_g: Tensor, loss_n: Tensor, params: Iterable[Tensor],
                lambda2: float = DEFAULT_LAMBDA2) -> Tensor:
     """Multi-task objective: loss_g + loss_n + lambda2 * sum of squared weights.
     The weight term is a graph constant; ``training.Adam.step`` adds its gradient."""
-    weight_term = sum(float((p.data * p.data).sum()) for p in params)
+    weight_term = sum(float(np.vdot(p.data, p.data)) for p in params)
     return loss_g + loss_n + lambda2 * weight_term

@@ -130,12 +130,15 @@ def sample_anchor_subset(labels: np.ndarray, count: int,
     near_exact = np.where(labels >= 0.9)[0]
     if len(near_exact) > count // 2:
         near_exact = rng.choice(near_exact, size=count // 2, replace=False)
-    positive = np.setdiff1d(np.where(labels > 0.5)[0], near_exact)
+    free = np.ones(total, dtype=bool)
+    free[near_exact] = False
+    positive = np.flatnonzero((labels > 0.5) & free)
     take_pos = min(len(positive), max(0, count // 2 - len(near_exact)))
     chosen_pos = rng.choice(positive, size=take_pos, replace=False) \
         if take_pos else np.zeros(0, dtype=np.int64)
     head = np.concatenate([near_exact, chosen_pos])
-    rest = np.setdiff1d(np.arange(total), head)
+    free[chosen_pos] = False
+    rest = np.flatnonzero(free)
     chosen_rest = rng.choice(rest, size=min(len(rest), count - len(head)), replace=False)
     return np.sort(np.concatenate([head, chosen_rest]).astype(np.int64))
 

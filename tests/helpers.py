@@ -35,3 +35,69 @@ def expand_grouped_taps(w: np.ndarray, groups: int) -> np.ndarray:
         cols = slice(g * c_out_g, (g + 1) * c_out_g)
         dense[:, rows, cols] = w[:, :, cols]
     return dense
+
+
+# ---------------------------------------------------------------------------
+# reference implementations that the production code must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def zeros_then_add_accumulate(self: ad.Tensor, g: np.ndarray) -> None:
+    """``Tensor._accumulate`` with no ownership: the first gradient is a fresh
+    zero array that ``g`` is added into, so no handed-over array is kept."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def grouped_conv1d_per_group(x: ad.Tensor, w: ad.Tensor, groups: int = 1) -> ad.Tensor:
+    """``autodiff.grouped_conv1d`` as one 2-D product per group and tap."""
+    c_in, length = x.shape
+    k, c_in_g, c_out = w.shape
+    pad = (k - 1) // 2
+    c_out_g = c_out // groups
+
+    xp = np.zeros((c_in, length + 2 * pad))
+    xp[:, pad:pad + length] = x.data
+    out = np.zeros((c_out, length))
+    for gi in range(groups):
+        rows_in = slice(gi * c_in_g, (gi + 1) * c_in_g)
+        rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
+        for t in range(k):
+            out[rows_out] += w.data[t, :, rows_out].T @ xp[rows_in, t:t + length]
+
+    def bwd(g):
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        gw = np.zeros_like(w.data) if w.requires_grad else None
+        for gi in range(groups):
+            rows_in = slice(gi * c_in_g, (gi + 1) * c_in_g)
+            rows_out = slice(gi * c_out_g, (gi + 1) * c_out_g)
+            for t in range(k):
+                if gxp is not None:
+                    gxp[rows_in, t:t + length] += w.data[t, :, rows_out] @ g[rows_out]
+                if gw is not None:
+                    gw[t, :, rows_out] += xp[rows_in, t:t + length] @ g[rows_out].T
+        if gxp is not None:
+            x._accumulate(gxp[:, pad:pad + length])
+        if gw is not None:
+            w._accumulate(gw)
+
+    return ad._make(out, "grouped_conv1d", (x, w), bwd)
+
+
+def sample_anchor_subset_setdiff(labels: np.ndarray, count: int,
+                                 rng: np.random.Generator) -> np.ndarray | None:
+    """``training.sample_anchor_subset`` with the exclusions taken by ``np.setdiff1d``."""
+    total = len(labels)
+    if not 0 < count < total:
+        return None
+    near_exact = np.where(labels >= 0.9)[0]
+    if len(near_exact) > count // 2:
+        near_exact = rng.choice(near_exact, size=count // 2, replace=False)
+    positive = np.setdiff1d(np.where(labels > 0.5)[0], near_exact)
+    take_pos = min(len(positive), max(0, count // 2 - len(near_exact)))
+    chosen_pos = rng.choice(positive, size=take_pos, replace=False) \
+        if take_pos else np.zeros(0, dtype=np.int64)
+    head = np.concatenate([near_exact, chosen_pos])
+    rest = np.setdiff1d(np.arange(total), head)
+    chosen_rest = rng.choice(rest, size=min(len(rest), count - len(head)), replace=False)
+    return np.sort(np.concatenate([head, chosen_rest]).astype(np.int64))

@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from helpers import grouped_conv1d_per_group, zeros_then_add_accumulate
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
 from tadgraph.autodiff import Tensor
@@ -184,6 +187,29 @@ class TestGroupedConv1d:
                 parts.append(ad.grouped_conv1d(Tensor(xs), Tensor(ws), groups=1).data)
             np.testing.assert_allclose(full, np.concatenate(parts), atol=1e-12)
 
+    @pytest.mark.parametrize("needs", ["both", "x", "w"])
+    @pytest.mark.parametrize("length", [1, 2, 100])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_matches_per_group_loop_bit_for_bit(self, groups, k, length, needs):
+        rng = np.random.default_rng(groups * 100 + k * 10 + length)
+        x_data = rng.normal(size=(4 * groups, length))
+        w_data = rng.normal(size=(k, 4, 3 * groups))
+        upstream = rng.normal(size=(3 * groups, length))
+        results = []
+        for conv in (ad.grouped_conv1d, grouped_conv1d_per_group):
+            x = Tensor(x_data, requires_grad=needs in ("both", "x"))
+            w = Tensor(w_data, requires_grad=needs in ("both", "w"))
+            out = conv(x, w, groups=groups)
+            ad.tsum(ad.mul(out, upstream)).backward()     # the conv's adjoint receives `upstream`
+            results.append((out.data, x.grad, w.grad))
+        (out, gx, gw), (want_out, want_gx, want_gw) = results
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in ((gx, want_gx), (gw, want_gw)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_array_equal(got, want)
+
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ConfigError):
             ad.grouped_conv1d(Tensor(np.zeros((5, 4))), Tensor(np.zeros((3, 2, 4))), groups=2)
@@ -263,3 +289,98 @@ def test_grad_check_on_linear_function_near_zero_error():
 def test_grad_check_relu_away_from_kink():
     theta = Tensor(np.array([1.0, -2.0, 3.0, -4.0]), requires_grad=True)
     assert ad.grad_check(lambda: ad.tsum(ad.relu(theta)), theta) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# gradient ownership: a kept array must never be shared
+# ---------------------------------------------------------------------------
+
+# a graph is a list of (op, i, j): op reads pool entries i and j (taken modulo the
+# pool's size, so entries are read by several ops and an op may read one twice)
+# and appends an (n, m) result to the pool, which starts as the leaves x and y;
+# the loss weights the entries no op read, so a leaf's first gradient comes from
+# the graph, where a shared array would be kept twice
+GRAPH_OPS = ("add", "mul", "sub", "sigmoid", "matmul", "affine_t", "reshape",
+             "concat_rows", "concat_cols", "slice_repeat")
+
+
+def _graph_leaves(n: int, m: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    shapes = {"x": (n, m), "y": (n, m), "w": (m, m), "v": (n, n), "b": (n,)}
+    return {name: rng.uniform(-1.0, 1.0, size=shape) for name, shape in shapes.items()}
+
+
+def _graph_loss(program, leaves: dict, seed: int):
+    """Build ``program`` over ``leaves`` and return (loss builder, leaf tensors)."""
+    params = {name: Tensor(value, requires_grad=True) for name, value in leaves.items()}
+    n, m = leaves["x"].shape
+    rng = np.random.default_rng(seed + 1)
+    cols = rng.normal(size=(2 * m, m))
+    weights = rng.normal(size=(len(program) + 2, n, m))
+    rows = rng.integers(0, 2 * n, size=n)       # repeats whenever n > 1
+
+    def f():
+        pool = [params["x"], params["y"]]
+        read = set()
+        for op, i, j in program:
+            i, j = i % len(pool), j % len(pool)
+            a, b = pool[i], pool[j]
+            read.update((i, j) if op in ("add", "mul", "sub", "concat_rows", "concat_cols") else (i,))
+            if op == "add":
+                out = ad.add(a, b)
+            elif op == "mul":
+                out = ad.mul(a, b)
+            elif op == "sub":
+                out = a - b
+            elif op == "sigmoid":
+                out = ad.sigmoid(a)
+            elif op == "matmul":
+                out = ad.matmul(a, params["w"])
+            elif op == "affine_t":
+                out = ad.affine(a.transpose(), params["v"], params["b"]).transpose()
+            elif op == "reshape":
+                out = a.reshape(m, n).reshape(-1).reshape(n, m)
+            elif op == "concat_rows":
+                out = ad.concat([a, b], axis=0)[rows]
+            elif op == "concat_cols":
+                out = ad.matmul(ad.concat([a, b], axis=1), Tensor(cols))
+            else:
+                out = a[rows % n]
+            pool.append(out)
+        terms = [ad.tsum(ad.mul(t, c)) for k, (t, c) in enumerate(zip(pool, weights))
+                 if k not in read]
+        return sum(terms[1:], terms[0])
+
+    return f, params
+
+
+def _twice_backward_grads(program, leaves, seed) -> dict:
+    f, params = _graph_loss(program, leaves, seed)
+    loss = f()
+    loss.backward()
+    loss.backward()
+    return {name: p.grad for name, p in params.items()}
+
+
+@given(program=st.lists(st.tuples(st.sampled_from(GRAPH_OPS), st.integers(0, 50),
+                                  st.integers(0, 50)), min_size=1, max_size=5),
+       n=st.integers(1, 4), m=st.integers(1, 10), seed=st.integers(0, 2**16))
+@example(program=[("add", 0, 0)], n=2, m=3, seed=0)
+@example(program=[("mul", 0, 0)], n=2, m=3, seed=0)
+@example(program=[("concat_cols", 0, 0)], n=2, m=3, seed=0)
+@example(program=[("add", 0, 1), ("add", 2, 0)], n=2, m=3, seed=0)
+@example(program=[("concat_rows", 1, 1), ("add", 0, 2)], n=3, m=2, seed=0)
+@example(program=[("slice_repeat", 0, 0), ("slice_repeat", 2, 0)], n=4, m=3, seed=0)
+@example(program=[("add", 0, 1), ("affine_t", 2, 0), ("reshape", 3, 0)], n=4, m=10, seed=0)
+def test_kept_gradients_equal_zeros_then_add_and_pass_grad_check(program, n, m, seed):
+    leaves = _graph_leaves(n, m, seed)
+    got = _twice_backward_grads(program, leaves, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "_accumulate", zeros_then_add_accumulate)
+        want = _twice_backward_grads(program, leaves, seed)
+    for name in want:
+        assert (got[name] is None) == (want[name] is None), name
+        if want[name] is not None:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    f, params = _graph_loss(program, leaves, seed)
+    assert ad.grad_check(f, list(params.values())) < 1e-3

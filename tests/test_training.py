@@ -6,6 +6,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from conftest import small_model_config
+from helpers import (grouped_conv1d_per_group, sample_anchor_subset_setdiff,
+                     zeros_then_add_accumulate)
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
 from tadgraph import backbone, training, video_graph
@@ -14,7 +18,7 @@ from tadgraph.data import Window
 from tadgraph.errors import ConfigError, NumericError
 from tadgraph.model import ModelConfig
 from tadgraph.training import (ADAM_BETA1, Adam, TrainConfig, build_examples, init_params,
-                               train, train_epoch, window_loss)
+                               sample_anchor_subset, train, train_epoch, window_loss)
 
 # config.json as written for the default TrainConfig by the earlier
 # hand-listed serializer; checkpoints written then must still load.
@@ -133,6 +137,26 @@ class TestTrainEpoch:
         assert batch_loss() <= before + 1e-6
 
 
+class TestAnchorSubset:
+    @given(labels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80),
+           count=st.integers(0, 90), seed=st.integers(0, 2**16))
+    @example(labels=[0.1, 0.4, 0.5, 0.0] * 20, count=16, seed=0)      # no positives
+    @example(labels=[0.9, 0.95, 1.0] * 20, count=16, seed=0)          # all near-exact
+    @example(labels=[0.9, 0.6, 0.2, 0.95] * 10, count=10, seed=3)     # near-exact subsampled
+    @example(labels=[0.6, 0.2] * 10, count=20, seed=0)                # count == J
+    @example(labels=[0.6, 0.2] * 10, count=25, seed=0)                # count > J
+    def test_matches_setdiff_oracle_and_leaves_same_generator_state(self, labels, count, seed):
+        labels = np.asarray(labels)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_anchor_subset(labels, count, rng)
+        want = sample_anchor_subset_setdiff(labels, count, oracle_rng)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert rng.random() == oracle_rng.random()
+
+
 class TestWeightDecay:
     LAMBDA2 = 1e-4
 
@@ -197,6 +221,27 @@ class TestTrainLoop:
             runs.append({n: t.data.copy() for n, t in model.named_params().items()})
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name], err_msg=name)
+
+    def test_three_epochs_equal_a_run_under_the_reference_implementations(self, small_synth):
+        # zeros-then-add gradients, the per-group conv loop and the setdiff subset
+        config = _config(model_overrides={"cardinality": 4})
+
+        def run():
+            model = init_params(config)
+            examples = build_examples(model, small_synth["windows"])
+            optimizer, rng = Adam(model.params()), np.random.default_rng(5)
+            for epoch in range(3):
+                train_epoch(model, examples, optimizer, config, config.lr_for_epoch(epoch), rng)
+            return {n: t.data.copy() for n, t in model.named_params().items()}
+
+        got = run()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Tensor, "_accumulate", zeros_then_add_accumulate)
+            patch.setattr(ad, "grouped_conv1d", grouped_conv1d_per_group)
+            patch.setattr(training, "sample_anchor_subset", sample_anchor_subset_setdiff)
+            want = run()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_learning_rate_schedule_and_metrics_log(self, small_synth, tmp_path):
         config = _config(epochs_phase1=1, epochs_phase2=1)
