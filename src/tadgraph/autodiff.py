@@ -1,19 +1,22 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Values are float64 numpy arrays. Every operation that participates in
-gradient computation records its parents and a closure that propagates the
-incoming adjoint; ``backward`` replays those closures in reverse
-topological order, visiting each node once and then freeing its gradient;
-only leaves keep ``Tensor.grad``, which accumulates until ``zero_grad``.
+gradient computation records the parents that require grad and a closure
+that propagates the incoming adjoint, so the graph holds only tensors that
+need a gradient: inputs and constants are never nodes. ``backward`` replays
+those closures in reverse topological order, visiting each node once and
+then freeing its gradient; only leaves keep ``Tensor.grad``, which
+accumulates until ``zero_grad``.
 
 Each adjoint hands ``_accumulate`` an array that nothing else reads or
 writes (fresh, or a view of its node's gradient, which ``backward`` frees
 next), and the receiver keeps it; ``add`` copies for its second operand.
 
-Broadcasting is deliberately restricted to scalar-with-tensor; shaped
-operands must match exactly. A dense layer ``x @ w + b`` is one op
-(``affine``) that adds the bias into the product's own array, so the
-backward rule stays explicit and the layer makes one node and one array.
+``add`` and ``mul`` take a tensor, scalar or ndarray on either side through
+one path; shapes must match, but an operand that needs no gradient may be
+0-d. A dense layer ``x @ w + b`` is one op (``affine``) that adds the bias
+into the product's own array, so the backward rule stays explicit and the
+layer makes one node and one array.
 ``relu`` is ``np.maximum(x, 0)``: a NaN input stays NaN.
 """
 
@@ -104,10 +107,10 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return add(-self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -154,11 +157,13 @@ def _wrap(x) -> Tensor:
 
 
 def _make(data, op: str, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    """Record a node only when a parent requires grad, so the adjoint of a
-    one-operand op need not check its operand."""
-    record = _grad_enabled and any(p.requires_grad for p in parents)
-    if record:
-        return Tensor(data, requires_grad=True, op=op, parents=tuple(parents), backward=backward)
+    """Record a node whose parents are those that require grad; with none (or
+    under ``no_grad``) return a constant. Inputs and constants are never graph
+    nodes, so ``add`` and ``mul`` take a constant operand, which may be 0-d,
+    through their one path, and a one-operand adjoint need not check its operand."""
+    parents = tuple(p for p in parents if p.requires_grad) if _grad_enabled else ()
+    if parents:
+        return Tensor(data, requires_grad=True, op=op, parents=parents, backward=backward)
     return Tensor(data)
 
 
@@ -192,24 +197,17 @@ def zero_grad(params: Iterable[Tensor]) -> None:
 # elementwise and reduction operations
 # ---------------------------------------------------------------------------
 
-def _check_matched(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape != b.shape:
+def _operands(a, b, opname: str) -> tuple[Tensor, Tensor]:
+    """Wrap both operands; their shapes must match, except that an operand that
+    needs no gradient may be 0-d."""
+    a, b = _wrap(a), _wrap(b)
+    if a.shape != b.shape and not any(t.data.ndim == 0 and not t.requires_grad for t in (a, b)):
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not match")
+    return a, b
 
 
 def add(a, b) -> Tensor:
-    if not isinstance(b, Tensor) or not isinstance(a, Tensor):
-        t, s = (a, b) if isinstance(a, Tensor) else (b, a)
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 0 and s.shape != t.shape:
-            raise ShapeError(f"add: shapes {t.shape} and {s.shape} do not match")
-        out_data = t.data + s
-
-        def bwd(g, t=t):
-            t._accumulate(g)
-
-        return _make(out_data, "add", (t,), bwd)
-    _check_matched(a, b, "add")
+    a, b = _operands(a, b, "add")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
@@ -221,19 +219,8 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    """Elementwise product; one operand may be a python scalar or ndarray."""
-    if not isinstance(b, Tensor) or not isinstance(a, Tensor):
-        t, s = (a, b) if isinstance(a, Tensor) else (b, a)
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim != 0 and s.shape != t.shape:
-            raise ShapeError(f"mul: shapes {t.shape} and {s.shape} do not match")
-        out_data = t.data * s
-
-        def bwd(g, t=t, s=s):
-            t._accumulate(g * s)
-
-        return _make(out_data, "mul", (t,), bwd)
-    _check_matched(a, b, "mul")
+    """Elementwise product; either operand may be a python scalar or ndarray."""
+    a, b = _operands(a, b, "mul")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
@@ -364,15 +351,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ndim = tensors[0].data.ndim
     if not (-ndim <= axis < ndim):
         raise ShapeError(f"concat: axis {axis} invalid for ndim {ndim}")
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
 
-    def bwd(g, tensors=tensors, offsets=offsets, axis=axis):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+    def bwd(g, tensors=tensors, cuts=cuts, axis=axis):
+        for t, part in zip(tensors, np.split(g, cuts, axis=axis)):
             if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(int(lo), int(hi))
-                t._accumulate(g[tuple(idx)])
+                t._accumulate(part)
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis),
                  "concat", tuple(tensors), bwd)

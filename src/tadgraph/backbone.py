@@ -144,10 +144,7 @@ def backbone_forward(x_raw: Tensor, params: BackboneParams,
     """
     length = x_raw.shape[1]
     graph = VideoGraph.build(length, k_neighbors)
-    x = ad.matmul(params.proj, x_raw)
-    block1 = None
-    for block in params.blocks:
+    block1 = x = gcnext_forward(ad.matmul(params.proj, x_raw), graph, params.blocks[0])
+    for block in params.blocks[1:]:
         x = gcnext_forward(x, graph, block)
-        if block1 is None:
-            block1 = x
-    return block1 if block1 is not None else x, x, graph
+    return block1, x, graph

@@ -29,6 +29,10 @@ from .training import TrainConfig, init_params, train
 _ARCH_KEYS = ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
               "max_duration")
 _NMS_KEYS = ("alpha", "nms_method", "nms_threshold", "nms_sigma", "top_m")
+_NMS_RULES = {"alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+              "nms_threshold": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+              "nms_sigma": ("above 0", lambda v: v > 0.0),
+              "top_m": ("at least 1", lambda v: v >= 1)}
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -175,8 +179,13 @@ def _model_config(args: argparse.Namespace, c_raw: int, window_length: int) -> M
 
 
 def _nms_options(args: argparse.Namespace) -> dict:
-    """``finalize_detections`` keywords; the ``nms_`` flags drop their prefix."""
-    return {key.removeprefix("nms_"): value for key, value in _given(args, *_NMS_KEYS).items()}
+    """``finalize_detections`` keywords; the ``nms_`` flags drop their prefix.
+    A value outside its flag's range is a usage error."""
+    given = _given(args, *_NMS_KEYS)
+    for key, (rule, ok) in _NMS_RULES.items():
+        if key in given and not ok(given[key]):
+            raise ConfigError(f"--{key.replace('_', '-')} {given[key]} must be {rule}")
+    return {key.removeprefix("nms_"): value for key, value in given.items()}
 
 
 def _parse_thresholds(spec: str | None):

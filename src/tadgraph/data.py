@@ -227,6 +227,8 @@ def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet
     ``window_length`` > 0 switches to strided cropping at the native
     sampling rate.
     """
+    if rescale_length < 1:
+        raise ConfigError(f"rescale_length {rescale_length} must be at least 1")
     windows = []
     for seq in sequences:
         segs = annotations.segments(seq.video_id)

@@ -10,7 +10,7 @@ from .align import SubgraphAligner, enumerate_anchors
 from .autodiff import Tensor
 from .backbone import BackboneParams, backbone_forward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .heads import LocalizationParams, NodeParams, localization_forward, node_branch_forward
 
 
@@ -29,6 +29,21 @@ class ModelConfig:
     window_length: int = 100
     max_duration: int = 64
     head_hidden: tuple[int, int] = (512, 128)
+
+    def __post_init__(self):
+        """Refuse, naming the field, a config that cannot build a model with an anchor."""
+        lows = dict(c_raw=1, width=1, blocks=1, cardinality=1, bottleneck_ratio=1, tau1=1,
+                    tau2=0, k_neighbors=0, window_length=3, max_duration=2)
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"model field '{name}' is {getattr(self, name)}, "
+                                  f"must be at least {low}")
+        if min(self.head_hidden) < 1:
+            raise ConfigError(f"model field 'head_hidden' is {self.head_hidden}, "
+                              "its sizes must be at least 1")
+        if self.k_neighbors >= self.window_length:
+            raise ConfigError(f"model field 'k_neighbors' is {self.k_neighbors}, "
+                              f"must be below window_length {self.window_length}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModelConfig":

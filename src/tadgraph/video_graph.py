@@ -99,7 +99,7 @@ class VideoGraph:
         return {
             "L": self.length,
             "K": self.k,
-            "layers": [[[int(s), int(d)] for s, d in layer] for layer in self.semantic_layers],
+            "layers": [layer.tolist() for layer in self.semantic_layers],
         }
 
     def to_dot(self) -> str:

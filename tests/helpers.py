@@ -3,6 +3,7 @@
 import numpy as np
 
 from tadgraph import autodiff as ad
+from tadgraph.errors import ShapeError
 
 
 def relu_margin(loss: ad.Tensor) -> float:
@@ -47,6 +48,56 @@ def zeros_then_add_accumulate(self: ad.Tensor, g: np.ndarray) -> None:
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
     self.grad += g
+
+
+def add_with_constant_branch(a, b) -> ad.Tensor:
+    """``autodiff.add`` with a second path for a python-scalar or ndarray operand."""
+    if not isinstance(b, ad.Tensor) or not isinstance(a, ad.Tensor):
+        t, s = (a, b) if isinstance(a, ad.Tensor) else (b, a)
+        s = np.asarray(s, dtype=np.float64)
+        if s.ndim != 0 and s.shape != t.shape:
+            raise ShapeError(f"add: shapes {t.shape} and {s.shape} do not match")
+        out_data = t.data + s
+
+        def bwd(g, t=t):
+            t._accumulate(g)
+
+        return ad._make(out_data, "add", (t,), bwd)
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
+
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g.copy() if a.requires_grad else g)
+
+    return ad._make(a.data + b.data, "add", (a, b), bwd)
+
+
+def mul_with_constant_branch(a, b) -> ad.Tensor:
+    """``autodiff.mul`` with a second path for a python-scalar or ndarray operand."""
+    if not isinstance(b, ad.Tensor) or not isinstance(a, ad.Tensor):
+        t, s = (a, b) if isinstance(a, ad.Tensor) else (b, a)
+        s = np.asarray(s, dtype=np.float64)
+        if s.ndim != 0 and s.shape != t.shape:
+            raise ShapeError(f"mul: shapes {t.shape} and {s.shape} do not match")
+        out_data = t.data * s
+
+        def bwd(g, t=t, s=s):
+            t._accumulate(g * s)
+
+        return ad._make(out_data, "mul", (t,), bwd)
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not match")
+
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return ad._make(a.data * b.data, "mul", (a, b), bwd)
 
 
 def grouped_conv1d_per_group(x: ad.Tensor, w: ad.Tensor, groups: int = 1) -> ad.Tensor:

@@ -4,7 +4,8 @@ import re
 
 import numpy as np
 import pytest
-from helpers import grouped_conv1d_per_group, zeros_then_add_accumulate
+from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
+                     mul_with_constant_branch, zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -384,3 +385,93 @@ def test_kept_gradients_equal_zeros_then_add_and_pass_grad_check(program, n, m, 
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
     f, params = _graph_loss(program, leaves, seed)
     assert ad.grad_check(f, list(params.values())) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one elementwise path: constants and inputs are operands, never graph nodes
+# ---------------------------------------------------------------------------
+
+OPERAND_KINDS = ("grad", "nograd", "scalar", "zerod", "array")
+
+
+def _operand(kind, shape, rng):
+    """A tensor that needs a gradient, a tensor that does not, a python scalar,
+    a 0-d array or an array of ``shape``."""
+    value = np.asarray(rng.normal(size=shape))
+    if kind == "grad":
+        return Tensor(value, requires_grad=True)
+    if kind == "nograd":
+        return Tensor(value)
+    if kind == "scalar":
+        return float(rng.normal())
+    return np.asarray(rng.normal()) if kind == "zerod" else value
+
+
+def _elementwise_run(kinds, shape, seed):
+    """Outputs and leaf gradients of add, mul and subtraction in both orders on
+    operands of ``kinds``, under whichever ``ad.add`` and ``ad.mul`` are installed."""
+    rng = np.random.default_rng(seed)
+    a, b = (_operand(kind, shape, rng) for kind in kinds)
+    outs = [ad.add(a, b), ad.add(b, a), ad.mul(a, b), ad.mul(b, a)]
+    outs += [x - y for x, y in ((a, b), (b, a)) if not isinstance(x, np.ndarray)]
+    loss = ad.tsum(ad.mul(sum(outs[1:], outs[0]), rng.normal(size=shape)))
+    if loss.requires_grad:
+        loss.backward()
+    return [out.data for out in outs], [t.grad for t in (a, b) if isinstance(t, Tensor)]
+
+
+@given(kinds=st.tuples(st.sampled_from(OPERAND_KINDS), st.sampled_from(OPERAND_KINDS))
+       .filter(lambda kinds: {"grad", "nograd"} & set(kinds)),
+       shape=st.sampled_from([(), (3,), (2, 3)]), seed=st.integers(0, 2**16))
+@example(kinds=("grad", "grad"), shape=(2, 3), seed=0)
+@example(kinds=("scalar", "grad"), shape=(3,), seed=0)
+@example(kinds=("nograd", "zerod"), shape=(2, 3), seed=0)
+def test_add_and_mul_equal_the_constant_branch_versions(kinds, shape, seed):
+    got = _elementwise_run(kinds, shape, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "add", add_with_constant_branch)
+        patch.setattr(ad, "mul", mul_with_constant_branch)
+        want = _elementwise_run(kinds, shape, seed)
+    for got_part, want_part in zip(got, want):
+        assert len(got_part) == len(want_part)
+        for g, w in zip(got_part, want_part):
+            assert (g is None) == (w is None)
+            if w is not None:
+                np.testing.assert_array_equal(g, w)
+
+
+def test_subtraction_in_both_orders():
+    x = Tensor([1.0, 2.0, 4.0], requires_grad=True)
+    y = Tensor([0.5, 0.5, 0.5], requires_grad=True)
+    for other in (0.5, np.full(3, 0.5), y):
+        np.testing.assert_array_equal((x - other).data, [0.5, 1.5, 3.5])
+    np.testing.assert_array_equal((0.5 - x).data, [-0.5, -1.5, -3.5])
+    w = np.array([1.0, 2.0, 3.0])
+    (ad.tsum(ad.mul(x - y, w)) + ad.tsum(ad.mul(2.0 - y, w))).backward()
+    np.testing.assert_array_equal(x.grad, w)
+    np.testing.assert_array_equal(y.grad, -2.0 * w)
+
+
+def test_graph_holds_no_input_or_constant():
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    x = Tensor(np.arange(6.0).reshape(2, 3))
+    half = Tensor(np.float64(0.5))
+    loss = ad.tsum(ad.mul(ad.add(ad.mul(x, w), 2.0), half))
+    nodes = ad.graph_nodes(loss)
+    assert [n.op for n in nodes] == ["", "mul", "add", "mul", "sum"]
+    assert nodes[0] is w and all(n.requires_grad for n in nodes)
+    assert ad.add(x, 1.0)._parents == () and not ad.mul(x, half).requires_grad
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("a, b", [
+    (Tensor(np.float64(1.0), requires_grad=True), Tensor(np.zeros(3))),
+    (Tensor(np.float64(1.0), requires_grad=True), np.zeros(3)),
+    (Tensor(np.zeros(2), requires_grad=True), np.zeros(3)),
+    (Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)), requires_grad=True)),
+], ids=["0d-grad-with-tensor", "0d-grad-with-array", "mismatched-array",
+        "mismatched-tensors"])
+def test_shaped_operands_must_match(op, a, b):
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(ShapeError, match=op.__name__):
+            op(first, second)

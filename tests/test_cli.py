@@ -128,6 +128,41 @@ class TestPipeline:
         assert "localization head" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
 
+    def test_sidecar_with_impossible_model_is_data_error(self, pipeline, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        sidecar = json.loads((run / "config.json").read_text())
+        sidecar["model"]["blocks"] = 0
+        (run / "config.json").write_text(json.dumps(sidecar))
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(run / "checkpoint.tgck"),
+                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'blocks'" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("infer", ["--top-m", "0"]), ("infer", ["--top-m", "-3"]),
+        ("infer", ["--nms-sigma", "0", "--nms-method", "gaussian"]),
+        ("infer", ["--nms-threshold", "1.5"]), ("infer", ["--alpha", "-0.1"]),
+        ("infer", ["--alpha", "nan"]), ("eval", ["--top-m", "0"]),
+    ], ids=["top-m-0", "top-m-negative", "sigma-0", "threshold-above-1", "alpha-negative",
+            "alpha-nan", "grid-alpha-top-m-0"])
+    def test_nms_flag_out_of_range_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                  command, flags):
+        out = tmp_path / "d.json"
+        if command == "infer":
+            args = ["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                    "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                    "--rescale-length", "50", "--out", str(out)]
+        else:
+            args = ["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+                    "--annotations", str(pipeline["data"] / "annotations.json"),
+                    "--class-agnostic", "--out", str(out)]
+        assert dispatch([*args, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0] in err
+        assert not out.exists()
+
     def test_infer_reads_arch_from_sidecar(self, pipeline, tmp_path):
         # no architecture flags: sidecar config.json must reconstruct the model
         out = tmp_path / "d2.json"
@@ -235,6 +270,23 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, small_synth):
     assert code == 0
     lines = (out / "metrics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 1          # explicit --epochs 1 beats the config file's 4
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tau1", "0", "tau1"), ("--tau2", "-1", "tau2"), ("--cardinality", "0", "cardinality"),
+    ("--blocks", "0", "blocks"), ("--max-duration", "1", "max_duration"),
+    ("--width", "0", "width"), ("--rescale-length", "0", "rescale_length"),
+])
+def test_impossible_model_flag_is_usage_error(small_synth, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "run"
+    assert dispatch(["train", "--manifest", str(small_synth["manifest"]),
+                     "--annotations", str(small_synth["annotations"]), "--out", str(out),
+                     "--rescale-length", "50", "--width", "16", "--cardinality", "2",
+                     "--k-neighbors", "2", "--tau1", "8", "--tau2", "2",
+                     "--max-duration", "16", "--epochs", "1", "--quiet", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
 
 
 def test_console_script_help_runs():

@@ -6,7 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from conftest import small_model_config
-from helpers import (grouped_conv1d_per_group, sample_anchor_subset_setdiff,
+from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
+                     mul_with_constant_branch, sample_anchor_subset_setdiff,
                      zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -223,7 +224,8 @@ class TestTrainLoop:
             np.testing.assert_array_equal(runs[0][name], runs[1][name], err_msg=name)
 
     def test_three_epochs_equal_a_run_under_the_reference_implementations(self, small_synth):
-        # zeros-then-add gradients, the per-group conv loop and the setdiff subset
+        # zeros-then-add gradients, the per-group conv loop, the setdiff subset and
+        # add/mul with their constant-operand branches
         config = _config(model_overrides={"cardinality": 4})
 
         def run():
@@ -239,6 +241,8 @@ class TestTrainLoop:
             patch.setattr(Tensor, "_accumulate", zeros_then_add_accumulate)
             patch.setattr(ad, "grouped_conv1d", grouped_conv1d_per_group)
             patch.setattr(training, "sample_anchor_subset", sample_anchor_subset_setdiff)
+            patch.setattr(ad, "add", add_with_constant_branch)
+            patch.setattr(ad, "mul", mul_with_constant_branch)
             want = run()
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -283,6 +287,14 @@ class TestConfigJson:
     def test_model_config_round_trip(self, config):
         assert ModelConfig.from_json_dict(asdict(config)) == config
         assert ModelConfig.from_json_dict(json.loads(json.dumps(asdict(config)))) == config
+
+    @pytest.mark.parametrize("field, value", [
+        ("c_raw", 0), ("bottleneck_ratio", 0), ("head_hidden", (512, 0)),
+        ("window_length", 2), ("k_neighbors", -1), ("k_neighbors", 100),
+    ])
+    def test_impossible_model_config_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            ModelConfig(**{field: value})
 
 
 def test_production_path_builds_no_dense_adjacency(small_synth, monkeypatch):

@@ -205,5 +205,6 @@ def test_graph_export_layout():
     assert exported["L"] == 4 and exported["K"] == 1
     assert len(exported["layers"]) == 2
     assert all(len(layer) == 4 for layer in exported["layers"])
+    assert exported["layers"] == [layer.tolist() for layer in graph.semantic_layers]
     dot = graph.to_dot()
     assert dot.startswith("digraph") and "n0 -> n1" in dot
