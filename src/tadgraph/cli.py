@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data(p, annotations_required=True)
     add_arch(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, help="total epochs, split evenly over both phases")
+    p.add_argument("--epochs", type=int, help="total epochs; lr drops after epochs // 2")
     p.add_argument("--lr", type=float, help="phase-1 learning rate")
     p.add_argument("--lr2", type=float, help="phase-2 learning rate (default lr/10)")
     p.add_argument("--batch-size", type=int, dest="batch_size")
@@ -223,7 +223,14 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _load_windows(args: argparse.Namespace, training: bool):
-    """The dataset's model windows; every window has the same (C_raw, L) shape."""
+    """The dataset's model windows; every window has the same (C_raw, L) shape.
+    A flag of the windowing mode not chosen is a usage error."""
+    if args.window_size is None and args.stride is not None:
+        raise ConfigError("--stride needs --window-size; without it every video "
+                          "is rescaled to --rescale-length")
+    if args.window_size is not None and args.rescale_length is not None:
+        raise ConfigError("--rescale-length and --window-size choose different "
+                          "windowing modes; pass one of them")
     sequences, annotations = load_dataset(args.manifest, args.annotations)
     if not sequences:
         raise DataError(f"{args.manifest}: dataset is empty")
@@ -239,15 +246,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not windows:
         raise DataError("no training windows contain an action")
     schedule = {}
-    if args.epochs is not None:
-        schedule.update(epochs_phase1=args.epochs // 2,
-                        epochs_phase2=args.epochs - args.epochs // 2)
     if args.lr is not None:
         schedule.update(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
     if args.lr2 is not None:
         schedule["lr_phase2"] = args.lr2
     config = TrainConfig(model=_model_config(args, *windows[0].features.shape), **schedule,
-                         **_given(args, "batch_size", "lambda1", "lambda2",
+                         **_given(args, "epochs", "batch_size", "lambda1", "lambda2",
                                   "anchors_per_window", "seed"))
     model = init_params(config)
     train(model, windows, config, out_dir=args.out, log=None if args.quiet else print)

@@ -9,13 +9,14 @@ database schema so real extracted features can be dropped in unchanged.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, check_lows
 
 FEATURE_MAGIC = b"FSEQ"
 FEATURE_VERSION = 1
@@ -266,6 +267,16 @@ class SynthConfig:
     noise: float = 0.5
     seconds_per_snippet: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        """Refuse, naming the field, a setting that cannot write a loadable dataset;
+        ``length`` must fit one action of ``duration_min`` snippets and its margins."""
+        check_lows(self, "synth", dict(num_videos=1, c_raw=1, num_classes=1, actions_min=1,
+                                       actions_max=self.actions_min, duration_min=1,
+                                       length=self.duration_min + 3, noise=0.0, seed=0))
+        if not 0.0 < self.seconds_per_snippet < math.inf:
+            raise ConfigError(f"synth field 'seconds_per_snippet' is "
+                              f"{self.seconds_per_snippet}, must be finite and above 0")
 
 
 def _pack_actions(video_id: str, length: int,

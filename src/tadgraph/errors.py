@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the range check of config fields.
 
 The CLI maps these onto exit codes: data/format problems exit with 2,
 numeric failures with 3.
 """
+
+import math
 
 
 class ShapeError(ValueError):
@@ -27,3 +29,12 @@ class FormatError(DataError):
 
 class NumericError(RuntimeError):
     """A computation produced non-finite values."""
+
+
+def check_lows(config, kind: str, lows: dict) -> None:
+    """Raise ``ConfigError`` naming the first field of ``config`` whose value is
+    below its low in ``lows`` or is not finite."""
+    for name, low in lows.items():
+        value = getattr(config, name)
+        if not low <= value < math.inf:
+            raise ConfigError(f"{kind} field '{name}' is {value}, must be finite and at least {low}")

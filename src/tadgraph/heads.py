@@ -21,7 +21,6 @@ from .errors import ConfigError, ContractError
 
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
-DEFAULT_LAMBDA2 = 1e-4
 # rows per pass of the localization head; at the default 1152-wide aligned
 # features and (512, 128) hidden units a block's aligned rows take 19 MB and
 # its activations, one array per layer, 8.4 and 2.1 MB, where all 14049
@@ -184,9 +183,7 @@ def node_loss(node_probs: Tensor, labels: np.ndarray) -> Tensor:
     return start + end
 
 
-def total_loss(loss_g: Tensor, loss_n: Tensor, params: Iterable[Tensor],
-               lambda2: float = DEFAULT_LAMBDA2) -> Tensor:
-    """Multi-task objective: loss_g + loss_n + lambda2 * sum of squared weights.
-    The weight term is a graph constant; ``training.Adam.step`` adds its gradient."""
-    weight_term = sum(float(np.vdot(p.data, p.data)) for p in params)
-    return loss_g + loss_n + lambda2 * weight_term
+def total_loss(loss_g: Tensor, loss_n: Tensor, weight_term: float) -> Tensor:
+    """Multi-task objective: loss_g + loss_n + the weight-decay value, which
+    ``training`` computes and differentiates."""
+    return loss_g + loss_n + weight_term

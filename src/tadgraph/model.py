@@ -10,7 +10,7 @@ from .align import SubgraphAligner, enumerate_anchors
 from .autodiff import Tensor
 from .backbone import BackboneParams, backbone_forward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_lows
 from .heads import LocalizationParams, NodeParams, localization_forward, node_branch_forward
 
 
@@ -34,10 +34,7 @@ class ModelConfig:
         """Refuse, naming the field, a config that cannot build a model with an anchor."""
         lows = dict(c_raw=1, width=1, blocks=1, cardinality=1, bottleneck_ratio=1, tau1=1,
                     tau2=0, k_neighbors=0, window_length=3, max_duration=2)
-        for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ConfigError(f"model field '{name}' is {getattr(self, name)}, "
-                                  f"must be at least {low}")
+        check_lows(self, "model", lows)
         if min(self.head_hidden) < 1:
             raise ConfigError(f"model field 'head_hidden' is {self.head_hidden}, "
                               "its sizes must be at least 1")

@@ -4,13 +4,15 @@ One training example is a window. Per window the backbone runs, the node
 branch reads the first block's features, the localization head scores a
 random anchor subset through sub-graph alignment, and the combined loss is
 backpropagated; gradients accumulate across the windows of a batch before
-a single optimizer step, which adds the loss's weight-term gradient. The
-learning rate drops once between the two epoch phases.
+a single optimizer step. Weight decay lives here alone: each batch's L2
+value enters every window's loss as a constant, and ``Adam.step`` adds its
+gradient. The learning rate drops once, halfway through the epochs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -18,10 +20,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import ConfigError, NumericError
-from .heads import (DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, assign_anchor_labels,
-                    assign_node_labels, node_loss, subgraph_loss, total_loss)
+from .errors import ConfigError, NumericError, check_lows
+from .heads import (DEFAULT_LAMBDA1, assign_anchor_labels, assign_node_labels, node_loss,
+                    subgraph_loss, total_loss)
 from .model import Detector, ModelConfig
+
+DEFAULT_LAMBDA2 = 1e-4
 
 
 @dataclass
@@ -30,8 +34,7 @@ class TrainConfig:
 
     model: ModelConfig = field(default_factory=ModelConfig)
     batch_size: int = 16
-    epochs_phase1: int = 5
-    epochs_phase2: int = 5
+    epochs: int = 10
     lr_phase1: float = 4e-3
     lr_phase2: float = 4e-4
     lambda1: float = DEFAULT_LAMBDA1
@@ -39,12 +42,18 @@ class TrainConfig:
     anchors_per_window: int = 256
     seed: int = 0
 
-    @property
-    def epochs(self) -> int:
-        return self.epochs_phase1 + self.epochs_phase2
+    def __post_init__(self):
+        """Refuse, naming the field, a setting that cannot train."""
+        check_lows(self, "training", dict(batch_size=1, epochs=1, anchors_per_window=1, seed=0,
+                                          lambda1=0.0, lambda2=0.0))
+        for name in ("lr_phase1", "lr_phase2"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"training field '{name}' is {getattr(self, name)}, "
+                                  "must be finite and above 0")
 
     def lr_for_epoch(self, epoch: int) -> float:
-        return self.lr_phase1 if epoch < self.epochs_phase1 else self.lr_phase2
+        """``lr_phase1`` for the first ``epochs // 2`` epochs, ``lr_phase2`` after."""
+        return self.lr_phase1 if epoch < self.epochs // 2 else self.lr_phase2
 
 
 ADAM_BETA1 = 0.9
@@ -54,8 +63,8 @@ ADAM_EPS = 1e-8
 
 class Adam:
     """Adaptive moment estimation with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``;
-    ``step`` adds ``total_loss``'s weight-term gradient 2 * lambda2 * p before the
-    moments (coupled L2, not AdamW's decoupled decay)."""
+    ``step`` adds the weight term's gradient 2 * lambda2 * p before the moments
+    (coupled L2, not AdamW's decoupled decay)."""
 
     def __init__(self, params: list[ad.Tensor]):
         self.params = params
@@ -103,15 +112,16 @@ def build_examples(model: Detector, windows: list[Window]) -> list[WindowExample
 
 
 def window_loss(model: Detector, example: WindowExample, config: TrainConfig,
-                subset: np.ndarray | None):
-    """Forward one window; returns (total, loss_g, loss_n) tensors."""
+                subset: np.ndarray | None, weight_term: float):
+    """Forward one window; returns (total, loss_g, loss_n) tensors. ``weight_term``
+    is the batch's lambda2 * sum of squared parameters, a constant of the graph."""
     block1, final, graph = model.forward_features(example.window.features)
     scores = model.forward_scores(final, graph.semantic_layers[-1], subset)
     labels = example.anchor_labels if subset is None else example.anchor_labels[subset]
     loss_g = subgraph_loss(scores[:, 0], scores[:, 1], labels, config.lambda1)
     node_probs = model.forward_nodes(block1)
     loss_n = node_loss(node_probs, example.node_labels)
-    loss = total_loss(loss_g, loss_n, model.params(), config.lambda2)
+    loss = total_loss(loss_g, loss_n, weight_term)
     return loss, loss_g, loss_n
 
 
@@ -146,18 +156,17 @@ def sample_anchor_subset(labels: np.ndarray, count: int,
 def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
                 config: TrainConfig, lr: float, rng: np.random.Generator) -> dict:
     """One pass over the shuffled examples; returns mean loss components."""
-    if config.batch_size < 1:
-        raise ConfigError(f"batch size must be at least 1, got {config.batch_size}")
     order = rng.permutation(len(examples))
     params = model.params()
     totals = np.zeros(3)
     for first in range(0, len(order), config.batch_size):
         batch = order[first:first + config.batch_size]
+        weight_term = config.lambda2 * sum(float(np.vdot(p.data, p.data)) for p in params)
         for pos, ei in enumerate(batch, start=first):
             example = examples[int(ei)]
             subset = sample_anchor_subset(example.anchor_labels,
                                           config.anchors_per_window, rng)
-            loss, loss_g, loss_n = window_loss(model, example, config, subset)
+            loss, loss_g, loss_n = window_loss(model, example, config, subset, weight_term)
             values = (loss.item(), loss_g.item(), loss_n.item())
             if not all(np.isfinite(values)):
                 raise NumericError(f"non-finite loss {values[0]} on window {pos} "
@@ -172,7 +181,7 @@ def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
 
 def train(model: Detector, windows: list[Window], config: TrainConfig,
           out_dir=None, log=print) -> list[dict]:
-    """Full two-phase run; writes checkpoint + JSONL metrics when out_dir given."""
+    """Full run of ``config.epochs`` epochs; writes checkpoint + JSONL metrics when out_dir given."""
     examples = build_examples(model, windows)
     optimizer = Adam(model.params())
     rng = np.random.default_rng(config.seed + 1)

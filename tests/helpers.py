@@ -42,6 +42,14 @@ def expand_grouped_taps(w: np.ndarray, groups: int) -> np.ndarray:
 # reference implementations that the production code must reproduce bit for bit
 # ---------------------------------------------------------------------------
 
+def total_loss_over_params(loss_g: ad.Tensor, loss_n: ad.Tensor, params,
+                           lambda2: float) -> ad.Tensor:
+    """The objective as it was once computed on every window: the loss terms plus
+    ``lambda2`` times the squared parameters, summed over ``params`` in order."""
+    weight_term = sum(float(np.vdot(p.data, p.data)) for p in params)
+    return loss_g + loss_n + lambda2 * weight_term
+
+
 def zeros_then_add_accumulate(self: ad.Tensor, g: np.ndarray) -> None:
     """``Tensor._accumulate`` with no ownership: the first gradient is a fresh
     zero array that ``g`` is added into, so no handed-over array is kept."""

@@ -289,6 +289,57 @@ def test_impossible_model_flag_is_usage_error(small_synth, tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--epochs", "-2", "epochs"), ("--epochs", "0", "epochs"), ("--lr", "-1", "lr_phase1"),
+    ("--lr2", "nan", "lr_phase2"), ("--anchors-per-window", "0", "anchors_per_window"),
+    ("--lambda1", "-1", "lambda1"), ("--lambda2", "inf", "lambda2"),
+    ("--batch-size", "0", "batch_size"), ("--seed", "-1", "seed"),
+])
+def test_impossible_training_flag_is_usage_error(small_synth, tmp_path, capsys, flag, value,
+                                                 field):
+    out = tmp_path / "run"
+    assert dispatch(["train", *_data_args(small_synth), "--out", str(out),
+                     "--rescale-length", "50", "--quiet", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise", "-1", "noise"), ("--noise", "nan", "noise"),
+    ("--num-classes", "0", "num_classes"), ("--num-videos", "0", "num_videos"),
+    ("--c-raw", "0", "c_raw"), ("--seed", "-1", "seed"), ("--length", "8", "length"),
+])
+def test_impossible_synth_flag_is_usage_error(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "data"
+    assert dispatch(["synth", "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--stride", "7"], ("--stride", "--window-size")),
+    (["--rescale-length", "50", "--window-size", "20"], ("--rescale-length", "--window-size")),
+], ids=["stride-alone", "both-modes"])
+@pytest.mark.parametrize("command", ["train", "export-graph"])
+def test_flag_of_the_other_windowing_mode_is_usage_error(small_synth, tmp_path, capsys,
+                                                         command, flags, named):
+    out = tmp_path / "out"
+    assert dispatch([command, *_data_args(small_synth), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(flag in err for flag in named)
+    assert not out.exists()
+
+
+def test_strided_windows_take_window_size_and_stride(small_synth, tmp_path):
+    out = tmp_path / "graph.json"
+    assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                     "--window-size", "20", "--stride", "10", "--max-duration", "8",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["L"] == 20
+
+
 def test_console_script_help_runs():
     result = subprocess.run([sys.executable, "-m", "tadgraph.cli", "--help"],
                             capture_output=True, text=True)
@@ -365,7 +416,7 @@ class TestOptionResolution:
         assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
                          "--epochs", "4", "--lr", "0.01"]) == 0
         assert from_file == captured["train"]
-        assert (from_file.epochs_phase1, from_file.epochs_phase2) == (2, 2)
+        assert from_file.epochs == 4
         assert from_file.lr_phase2 == 0.01 / 10.0
 
     @pytest.mark.parametrize("flag, in_file, in_sidecar, expected", [

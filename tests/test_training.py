@@ -8,21 +8,22 @@ import pytest
 from conftest import small_model_config
 from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
                      mul_with_constant_branch, sample_anchor_subset_setdiff,
-                     zeros_then_add_accumulate)
+                     total_loss_over_params, zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
 from tadgraph import backbone, training, video_graph
 from tadgraph.autodiff import Tensor
-from tadgraph.data import Window
+from tadgraph.data import SynthConfig, Window, load_dataset, prepare_windows, synth_dataset
 from tadgraph.errors import ConfigError, NumericError
 from tadgraph.model import ModelConfig
 from tadgraph.training import (ADAM_BETA1, Adam, TrainConfig, build_examples, init_params,
                                sample_anchor_subset, train, train_epoch, window_loss)
 
-# config.json as written for the default TrainConfig by the earlier
-# hand-listed serializer; checkpoints written then must still load.
+# config.json as written for the default TrainConfig; its "model" object is
+# the layout that the earlier hand-listed serializer wrote, which checkpoints
+# written then must still load.
 DEFAULT_CONFIG_JSON = """{
  "model": {
   "c_raw": 32,
@@ -41,8 +42,7 @@ DEFAULT_CONFIG_JSON = """{
   ]
  },
  "batch_size": 16,
- "epochs_phase1": 5,
- "epochs_phase2": 5,
+ "epochs": 10,
  "lr_phase1": 0.004,
  "lr_phase2": 0.0004,
  "lambda1": 10.0,
@@ -52,11 +52,14 @@ DEFAULT_CONFIG_JSON = """{
 }"""
 
 
+# an anchor sample at least as large as every window's anchor set scores them all
+ALL_ANCHORS = 10**6
+
+
 def _config(**overrides) -> TrainConfig:
     model_overrides = overrides.pop("model_overrides", {})
     base = dict(model=small_model_config(**model_overrides), batch_size=8,
-                epochs_phase1=2, epochs_phase2=1, lr_phase1=4e-3, lr_phase2=4e-4,
-                anchors_per_window=64, seed=0)
+                epochs=3, lr_phase1=4e-3, lr_phase2=4e-4, anchors_per_window=64, seed=0)
     base.update(overrides)
     return TrainConfig(**base)
 
@@ -112,23 +115,21 @@ class TestTrainEpoch:
                         np.random.default_rng(0))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_is_config_error(self, small_synth, batch_size):
-        config = _config(batch_size=batch_size)
-        model = init_params(config)
-        examples = build_examples(model, small_synth["windows"][:2])
-        with pytest.raises(ConfigError, match="batch size"):
-            train_epoch(model, examples, Adam(model.params()), config, 4e-3,
-                        np.random.default_rng(0))
+    def test_batch_size_below_one_is_config_error(self, batch_size):
+        with pytest.raises(ConfigError, match="'batch_size'"):
+            _config(batch_size=batch_size)
 
     def test_small_step_does_not_increase_loss(self, small_synth):
         # first-order descent check on a fixed batch, full anchor set
-        config = _config(anchors_per_window=0, batch_size=4)
+        config = _config(anchors_per_window=ALL_ANCHORS, batch_size=4)
         model = init_params(config)
         examples = build_examples(model, small_synth["windows"][:4])
 
         def batch_loss():
+            weight_term = config.lambda2 * sum(float(np.vdot(p.data, p.data))
+                                               for p in model.params())
             with ad.no_grad():
-                return float(np.mean([window_loss(model, e, config, None)[0].item()
+                return float(np.mean([window_loss(model, e, config, None, weight_term)[0].item()
                                       for e in examples]))
 
         before = batch_loss()
@@ -161,28 +162,61 @@ class TestAnchorSubset:
 class TestWeightDecay:
     LAMBDA2 = 1e-4
 
-    def _epoch(self, small_synth, config) -> dict:
+    def _epoch(self, small_synth, config, total_loss=None) -> dict:
+        """One epoch on 6 windows; ``total_loss(model, loss_g, loss_n)``, when
+        given, replaces the production objective."""
         model = init_params(config)
         examples = build_examples(model, small_synth["windows"][:6])
-        train_epoch(model, examples, Adam(model.params()), config, lr=4e-3,
-                    rng=np.random.default_rng(0))
+        with pytest.MonkeyPatch.context() as patch:
+            if total_loss is not None:
+                patch.setattr(training, "total_loss",
+                              lambda loss_g, loss_n, weight_term: total_loss(model, loss_g, loss_n))
+            train_epoch(model, examples, Adam(model.params()), config, lr=4e-3,
+                        rng=np.random.default_rng(0))
         return {n: t.data for n, t in model.named_params().items()}
 
-    def test_adam_decay_matches_in_graph_term(self, small_synth, monkeypatch):
+    def test_adam_decay_matches_in_graph_term(self, small_synth):
         # the former path: the L2 term built into every window's graph
         new = self._epoch(small_synth, _config(lambda2=self.LAMBDA2))
 
-        def in_graph_total_loss(loss_g, loss_n, params, lambda2):
+        def in_graph_total_loss(model, loss_g, loss_n):
             reg = None
-            for p in params:
+            for p in model.params():
                 term = ad.tsum(ad.square(p))
                 reg = term if reg is None else reg + term
             return loss_g + loss_n + self.LAMBDA2 * reg
 
-        monkeypatch.setattr(training, "total_loss", in_graph_total_loss)
-        old = self._epoch(small_synth, _config(lambda2=0.0))
+        old = self._epoch(small_synth, _config(lambda2=0.0), in_graph_total_loss)
         for name in old:
             np.testing.assert_allclose(new[name], old[name], rtol=0, atol=1e-10, err_msg=name)
+
+    def test_weight_term_computed_once_per_batch(self, small_synth, monkeypatch):
+        # 6 windows in batches of 4 and 2: each window's loss gets lambda2 * sum of
+        # squared parameters as they stand at its batch's start, summed once per batch
+        config = _config(batch_size=4, lambda2=self.LAMBDA2)
+        model = init_params(config)
+        examples = build_examples(model, small_synth["windows"][:6])
+        params = model.params()
+        terms, vdots = [], []
+        real_total_loss, real_vdot = training.total_loss, np.vdot
+
+        def recording_total_loss(loss_g, loss_n, weight_term):
+            want = self.LAMBDA2 * sum(float(real_vdot(p.data, p.data)) for p in params)
+            terms.append((weight_term, want))
+            return real_total_loss(loss_g, loss_n, weight_term)
+
+        def counting_vdot(a, b):
+            vdots.append(1)
+            return real_vdot(a, b)
+
+        monkeypatch.setattr(training, "total_loss", recording_total_loss)
+        monkeypatch.setattr(training.np, "vdot", counting_vdot)
+        train_epoch(model, examples, Adam(params), config, lr=4e-3,
+                    rng=np.random.default_rng(0))
+        assert len(vdots) == 2 * len(params)
+        assert [got for got, _ in terms] == [want for _, want in terms]
+        assert len({got for got, _ in terms[:4]}) == 1
+        assert terms[4][0] == terms[5][0] != terms[0][0]
 
     def test_first_moment_includes_decay_gradient(self):
         rng = np.random.default_rng(4)
@@ -199,7 +233,7 @@ class TestWeightDecay:
 class TestTrainLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_loss_decreases_over_first_epochs(self, small_synth, seed):
-        config = _config(seed=seed, epochs_phase1=3, epochs_phase2=0)
+        config = _config(seed=seed, epochs=3, lr_phase2=4e-3)
         model = init_params(config)
         history = train(model, small_synth["windows"], config, log=None)
         losses = [h["loss_total"] for h in history]
@@ -207,14 +241,14 @@ class TestTrainLoop:
         assert losses[2] < losses[1]
 
     def test_single_window_overfit(self, small_synth):
-        config = _config(anchors_per_window=0, batch_size=1,
-                         epochs_phase1=200, epochs_phase2=0)
+        config = _config(anchors_per_window=ALL_ANCHORS, batch_size=1, epochs=200,
+                         lr_phase2=4e-3)
         model = init_params(config)
         history = train(model, small_synth["windows"][:1], config, log=None)
         assert history[-1]["loss_total"] < 0.1
 
     def test_trajectory_reproducible(self, small_synth):
-        config = _config(epochs_phase1=2, epochs_phase2=0)
+        config = _config(epochs=2, lr_phase2=4e-3)
         runs = []
         for _ in range(2):
             model = init_params(config)
@@ -247,8 +281,39 @@ class TestTrainLoop:
         for name in want:
             np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
+    @pytest.mark.parametrize("synth_seed", [5, 9])
+    def test_default_training_equals_per_window_weight_term(self, tmp_path, synth_seed):
+        # default configs at L=100, 16 videos, batch 4: parameters and epoch losses
+        # equal a run that sums the weight term on every window from the parameters
+        manifest, annotations = synth_dataset(
+            SynthConfig(num_videos=16, length=100, seed=synth_seed), tmp_path)
+        windows = prepare_windows(*load_dataset(manifest, annotations), rescale_length=100,
+                                  training=True)
+        config = TrainConfig(batch_size=4)
+
+        def run(reference: bool):
+            model = init_params(config)
+            examples = build_examples(model, windows)
+            optimizer, rng = Adam(model.params()), np.random.default_rng(config.seed + 1)
+            with pytest.MonkeyPatch.context() as patch:
+                if reference:
+                    patch.setattr(training, "total_loss", lambda loss_g, loss_n, weight_term:
+                                  total_loss_over_params(loss_g, loss_n, model.params(),
+                                                         config.lambda2))
+                losses = [list(train_epoch(model, examples, optimizer, config,
+                                           config.lr_for_epoch(epoch), rng).values())
+                          for epoch in range(3)]
+            return losses, [t.data.copy() for t in model.params()]
+
+        got_losses, got = run(reference=False)
+        want_losses, want = run(reference=True)
+        np.testing.assert_array_equal(got_losses, want_losses)
+        assert len(got) == 30
+        for name, g, w in zip(init_params(config).named_params(), got, want):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+
     def test_learning_rate_schedule_and_metrics_log(self, small_synth, tmp_path):
-        config = _config(epochs_phase1=1, epochs_phase2=1)
+        config = _config(epochs=2)
         model = init_params(config)
         train(model, small_synth["windows"][:4], config, out_dir=tmp_path, log=None)
         lines = (tmp_path / "metrics.jsonl").read_text().strip().splitlines()
@@ -259,7 +324,7 @@ class TestTrainLoop:
         assert all({"loss_total", "loss_g", "loss_n"} <= set(r) for r in records)
 
     def test_checkpoint_round_trip_reproduces_outputs(self, small_synth, tmp_path):
-        config = _config(epochs_phase1=1, epochs_phase2=0)
+        config = _config(epochs=1, lr_phase2=4e-3)
         model = init_params(config)
         train(model, small_synth["windows"][:4], config, out_dir=tmp_path, log=None)
         window = small_synth["windows"][0]
@@ -274,6 +339,20 @@ class TestTrainLoop:
         np.testing.assert_array_equal(actual, expected)
 
 
+class TestSchedule:
+    def test_default_drops_the_rate_after_five_epochs(self):
+        config = TrainConfig()
+        assert [config.lr_for_epoch(e) for e in range(10)] == \
+            [config.lr_phase1] * 5 + [config.lr_phase2] * 5
+
+    @pytest.mark.parametrize("epochs", range(1, 12))
+    def test_drop_at_half_the_epochs(self, epochs):
+        # the split that `train --epochs N` always made: N // 2 epochs, then the rest
+        config = TrainConfig(epochs=epochs)
+        want = [config.lr_phase1] * (epochs // 2) + [config.lr_phase2] * (epochs - epochs // 2)
+        assert [config.lr_for_epoch(e) for e in range(epochs)] == want
+
+
 class TestConfigJson:
     def test_default_config_file_unchanged(self, tmp_path):
         config = TrainConfig()
@@ -282,6 +361,19 @@ class TestConfigJson:
                         scale=1.0, segments=[(20.0, 40.0, "a")])
         train(init_params(config), [window], config, out_dir=tmp_path, log=None)
         assert (tmp_path / "config.json").read_text() == DEFAULT_CONFIG_JSON
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("epochs", -2), ("anchors_per_window", 0), ("seed", -1),
+        ("lr_phase1", -1.0), ("lr_phase1", 0.0), ("lr_phase2", float("nan")),
+        ("lr_phase2", float("inf")), ("lambda1", -1.0), ("lambda1", float("nan")),
+        ("lambda2", -1e-4), ("lambda2", float("inf")),
+    ])
+    def test_impossible_train_config_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            TrainConfig(**{field: value})
+
+    def test_zero_weight_terms_are_valid(self):
+        assert TrainConfig(lambda1=0.0, lambda2=0.0).lambda2 == 0.0
 
     @pytest.mark.parametrize("config", [ModelConfig(), small_model_config()])
     def test_model_config_round_trip(self, config):
