@@ -111,6 +111,12 @@ def build_examples(model: Detector, windows: list[Window]) -> list[WindowExample
     return examples
 
 
+def weight_decay_term(params: list[ad.Tensor], lambda2: float) -> float:
+    """The L2 value lambda2 * sum of squared parameters, a constant of the graph;
+    ``Adam.step`` adds its gradient."""
+    return lambda2 * sum(float(np.vdot(p.data, p.data)) for p in params)
+
+
 def window_loss(model: Detector, example: WindowExample, config: TrainConfig,
                 subset: np.ndarray | None, weight_term: float):
     """Forward one window; returns (total, loss_g, loss_n) tensors. ``weight_term``
@@ -161,7 +167,7 @@ def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
     totals = np.zeros(3)
     for first in range(0, len(order), config.batch_size):
         batch = order[first:first + config.batch_size]
-        weight_term = config.lambda2 * sum(float(np.vdot(p.data, p.data)) for p in params)
+        weight_term = weight_decay_term(params, config.lambda2)
         for pos, ei in enumerate(batch, start=first):
             example = examples[int(ei)]
             subset = sample_anchor_subset(example.anchor_labels,

@@ -12,6 +12,7 @@ from tadgraph.heads import (LocalizationParams, NodeParams, assign_anchor_labels
                             assign_node_labels, localization_forward,
                             node_branch_forward, node_loss, subgraph_loss,
                             total_loss, weighted_bce)
+from tadgraph.training import weight_decay_term
 
 LN2 = float(np.log(2.0))
 
@@ -236,6 +237,21 @@ class TestTotalLoss:
     def test_lambda2_zero(self):
         l_g, l_n = Tensor(np.float64(1.25)), Tensor(np.float64(0.5))
         assert total_loss(l_g, l_n, 0.0).item() == pytest.approx(1.75)
+
+    def test_single_parameter_regularizer(self):
+        theta = Tensor(np.array([3.0]), requires_grad=True)
+        zero = Tensor(np.float64(0.0))
+        loss = total_loss(zero, zero, weight_decay_term([theta], 1e-4))
+        assert loss.item() == pytest.approx(9e-4, abs=1e-15)
+
+    def test_doubling_parameters_quadruples_regularizer(self):
+        rng = np.random.default_rng(8)
+        theta = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        zero = Tensor(np.float64(0.0))
+        base = total_loss(zero, zero, weight_decay_term([theta], 1e-4)).item()
+        theta.data *= 2.0
+        assert total_loss(zero, zero, weight_decay_term([theta], 1e-4)).item() \
+            == pytest.approx(4 * base)
 
     def test_composition_exact(self):
         # the weight term is a constant: it adds to the value, not to the graph
