@@ -51,11 +51,7 @@ class BlockParams:
     @classmethod
     def create(cls, width: int, cardinality: int, bottleneck_ratio: int,
                rng: np.random.Generator) -> "BlockParams":
-        if width % bottleneck_ratio != 0:
-            raise ConfigError(f"width {width} not divisible by bottleneck ratio {bottleneck_ratio}")
         cb = width // bottleneck_ratio
-        if cb % cardinality != 0:
-            raise ConfigError(f"cardinality {cardinality} does not divide bottleneck width {cb}")
         cg = cb // cardinality
         return cls(
             t_in=uniform_param(rng, (cb, width), width),
@@ -67,10 +63,6 @@ class BlockParams:
             s_out=uniform_param(rng, (width, cb), cb),
             cardinality=cardinality,
         )
-
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.{name}": getattr(self, name)
-                for name in ("t_in", "t_conv", "t_out", "s_in", "s_self", "s_neigh", "s_out")}
 
 
 def gcnext_forward(x: Tensor, graph: VideoGraph, params: BlockParams) -> Tensor:
@@ -126,12 +118,6 @@ class BackboneParams:
         blocks = [BlockParams.create(width, cardinality, bottleneck_ratio, rng)
                   for _ in range(num_blocks)]
         return cls(proj=proj, blocks=blocks)
-
-    def named(self) -> dict[str, Tensor]:
-        out = {"proj": self.proj}
-        for i, block in enumerate(self.blocks):
-            out.update(block.named(f"block{i}"))
-        return out
 
 
 def backbone_forward(x_raw: Tensor, params: BackboneParams,

@@ -171,7 +171,7 @@ def _model_config(args: argparse.Namespace, c_raw: int, window_length: int) -> M
         if sidecar_path.exists():
             try:
                 stored = json.loads(sidecar_path.read_text()).get("model", {})
-                base = ModelConfig.from_json_dict(stored)
+                base = ModelConfig(**stored)
             except (AttributeError, TypeError, ValueError) as exc:
                 raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
     return replace(base, c_raw=c_raw, window_length=window_length,

@@ -9,7 +9,6 @@ database schema so real extracted features can be dropped in unchanged.
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,14 +44,12 @@ class AnnotationSet:
     """Per-video (start_seconds, end_seconds, label) segments."""
 
     by_video: dict[str, list[tuple[float, float, str]]] = field(default_factory=dict)
-    durations: dict[str, float] = field(default_factory=dict)
 
     def segments(self, video_id: str) -> list[tuple[float, float, str]]:
         return self.by_video.get(video_id, [])
 
     def labels(self) -> list[str]:
-        seen = sorted({label for segs in self.by_video.values() for _, _, label in segs})
-        return seen
+        return sorted({label for segs in self.by_video.values() for _, _, label in segs})
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +68,7 @@ def write_feature_file(path, features: np.ndarray) -> None:
 
 
 def read_feature_file(path) -> np.ndarray:
+    """The (L, C) features of a feature file, as float64; every value must be finite."""
     path = Path(path)
     raw = path.read_bytes()
     if raw[:4] != FEATURE_MAGIC:
@@ -84,6 +82,8 @@ def read_feature_file(path) -> np.ndarray:
     if len(raw) != expected:
         raise FormatError(f"{path}: payload has {len(raw) - 16} bytes, header implies {expected - 16}")
     data = np.frombuffer(raw, dtype="<f4", offset=16).reshape(length, channels)
+    if not np.isfinite(data).all():
+        raise DataError(f"{path}: features contain non-finite values")
     return data.astype(np.float64)
 
 
@@ -112,13 +112,13 @@ def load_annotations(path) -> AnnotationSet:
                 raise DataError(
                     f"{path}: segment [{start}, {end}] outside video '{video_id}' "
                     f"of duration {duration}")
-        out.durations[video_id] = duration
         out.by_video[video_id] = segments
     return out
 
 
 def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequence], AnnotationSet]:
-    """Read the manifest's feature files and, when given, the annotations."""
+    """Read the manifest's feature files and, when given, the annotations. Each
+    video needs its own id, at least one snippet and the first video's channels."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
@@ -126,7 +126,7 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
         raise FormatError(f"{manifest_path}: invalid manifest JSON") from exc
     if not isinstance(entries, list):
         raise FormatError(f"{manifest_path}: manifest must be a JSON list")
-    sequences = []
+    sequences, seen = [], set()
     for entry in entries:
         try:
             feature_path = manifest_path.parent / entry["feature_file"]
@@ -137,12 +137,18 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
             raise FormatError(f"{manifest_path}: malformed manifest entry: {exc!r}") from exc
         if not feature_path.is_file():
             raise FormatError(f"{manifest_path}: missing feature file {feature_path}")
-        sequences.append(FeatureSequence(
-            video_id=video_id,
-            features=read_feature_file(feature_path),
-            duration_seconds=duration_seconds,
-            sampling_rate=sampling_rate,
-        ))
+        if video_id in seen:
+            raise FormatError(f"{manifest_path}: video '{video_id}' is listed twice")
+        seen.add(video_id)
+        seq = FeatureSequence(video_id, read_feature_file(feature_path), duration_seconds,
+                              sampling_rate)
+        if seq.length == 0:
+            raise DataError(f"{manifest_path}: video '{video_id}' has no snippets")
+        if sequences and seq.c_raw != sequences[0].c_raw:
+            raise DataError(f"{manifest_path}: video '{video_id}' has {seq.c_raw} feature "
+                            f"channels, video '{sequences[0].video_id}' has "
+                            f"{sequences[0].c_raw}")
+        sequences.append(seq)
     annotations = load_annotations(annotations_path) if annotations_path else AnnotationSet()
     for seq in sequences:
         for start, end, _ in annotations.segments(seq.video_id):
@@ -244,6 +250,10 @@ def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet
                      for s, e, label in segs]
             if training and not local:
                 continue
+            # the features are the transposed, F-order view of the (L, C)
+            # sequence; `proj @ x` over a C-order copy differs in the last bits
+            # (another BLAS summation order), so changing this layout moves the
+            # trained parameters and the train_l100 golden
             windows.append(Window(video_id=seq.video_id, features=scaled.features.T,
                                   offset=0, valid_length=rescale_length, scale=scale,
                                   segments=local))
@@ -272,11 +282,10 @@ class SynthConfig:
         """Refuse, naming the field, a setting that cannot write a loadable dataset;
         ``length`` must fit one action of ``duration_min`` snippets and its margins."""
         check_lows(self, "synth", dict(num_videos=1, c_raw=1, num_classes=1, actions_min=1,
-                                       actions_max=self.actions_min, duration_min=1,
-                                       length=self.duration_min + 3, noise=0.0, seed=0))
-        if not 0.0 < self.seconds_per_snippet < math.inf:
-            raise ConfigError(f"synth field 'seconds_per_snippet' is "
-                              f"{self.seconds_per_snippet}, must be finite and above 0")
+                                       duration_min=1, noise=0.0, seconds_per_snippet=0.0,
+                                       seed=0), above=("seconds_per_snippet",))
+        check_lows(self, "synth", dict(actions_max=self.actions_min,
+                                       length=self.duration_min + 3))
 
 
 def _pack_actions(video_id: str, length: int,

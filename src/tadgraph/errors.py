@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the range check of config fields.
+"""Exception types shared across the package, and the kind and range check of configs.
 
 The CLI maps these onto exit codes: data/format problems exit with 2,
 numeric failures with 3.
 """
 
 import math
+import numbers
 
 
 class ShapeError(ValueError):
@@ -31,10 +32,22 @@ class NumericError(RuntimeError):
     """A computation produced non-finite values."""
 
 
-def check_lows(config, kind: str, lows: dict) -> None:
-    """Raise ``ConfigError`` naming the first field of ``config`` whose value is
-    below its low in ``lows`` or is not finite."""
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, numpy's included, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_lows(config, kind: str, lows: dict, above: tuple = ()) -> None:
+    """Raise ``ConfigError`` naming the first field of ``config`` that is not of its
+    low's kind (an integer for an integral low, else a real; never a bool), is not
+    finite, or is below its low in ``lows`` (not above it, for a field in ``above``)."""
     for name, low in lows.items():
         value = getattr(config, name)
-        if not low <= value < math.inf:
-            raise ConfigError(f"{kind} field '{name}' is {value}, must be finite and at least {low}")
+        integral = isinstance(low, numbers.Integral)
+        wanted = numbers.Integral if integral else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ConfigError(f"{kind} field '{name}' is {value!r}, "
+                              f"must be {'an integer' if integral else 'a real number'}")
+        if not (low < value if name in above else low <= value) or not value < math.inf:
+            raise ConfigError(f"{kind} field '{name}' is {value}, must be finite and "
+                              f"{'above' if name in above else 'at least'} {low}")

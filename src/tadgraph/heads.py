@@ -51,9 +51,6 @@ class LocalizationParams:
             b3=Tensor(np.zeros(2), requires_grad=True),
         )
 
-    def named(self, prefix: str = "loc") -> dict[str, Tensor]:
-        return {f"{prefix}.{n}": getattr(self, n) for n in ("w1", "b1", "w2", "b2", "w3", "b3")}
-
 
 @dataclass
 class NodeParams:
@@ -66,9 +63,6 @@ class NodeParams:
     def create(cls, width: int, rng: np.random.Generator):
         return cls(w=uniform_param(rng, (width, 2), width),
                    b=Tensor(np.zeros(2), requires_grad=True))
-
-    def named(self, prefix: str = "node") -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
 
 def localization_forward(subgraph_features, params: LocalizationParams) -> Tensor:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,7 +10,7 @@ from .align import SubgraphAligner, enumerate_anchors
 from .autodiff import Tensor
 from .backbone import BackboneParams, backbone_forward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, FormatError, check_lows
+from .errors import ConfigError, FormatError, check_lows, is_integer
 from .heads import LocalizationParams, NodeParams, localization_forward, node_branch_forward
 
 
@@ -31,38 +31,40 @@ class ModelConfig:
     head_hidden: tuple[int, int] = (512, 128)
 
     def __post_init__(self):
-        """Refuse, naming the field, a config that cannot build a model with an anchor."""
+        """Refuse, naming the field, a config that cannot build a model with an
+        anchor; ``head_hidden`` is stored as a tuple."""
         lows = dict(c_raw=1, width=1, blocks=1, cardinality=1, bottleneck_ratio=1, tau1=1,
                     tau2=0, k_neighbors=0, window_length=3, max_duration=2)
         check_lows(self, "model", lows)
-        if min(self.head_hidden) < 1:
-            raise ConfigError(f"model field 'head_hidden' is {self.head_hidden}, "
-                              "its sizes must be at least 1")
+        hidden = self.head_hidden
+        if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
+                and all(is_integer(size) and size >= 1 for size in hidden)):
+            raise ConfigError(f"model field 'head_hidden' is {hidden!r}, "
+                              "must be two integers of at least 1")
+        self.head_hidden = tuple(hidden)
         if self.k_neighbors >= self.window_length:
             raise ConfigError(f"model field 'k_neighbors' is {self.k_neighbors}, "
                               f"must be below window_length {self.window_length}")
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ModelConfig":
-        """Read a sidecar's ``model`` object: ``head_hidden`` holds two
-        integers and every other field is an integer."""
-        kwargs = dict(data)
-        for key, value in kwargs.items():
-            if key == "head_hidden":
-                valid = (isinstance(value, (list, tuple)) and len(value) == 2
-                         and all(map(_is_int, value)))
-            else:
-                valid = _is_int(value)
-            if not valid:
-                raise FormatError(f"model field '{key}' has value {value!r}, expected "
-                                  + ("two integers" if key == "head_hidden" else "an integer"))
-        if "head_hidden" in kwargs:
-            kwargs["head_hidden"] = tuple(kwargs["head_hidden"])
-        return cls(**kwargs)
+        if self.width % self.bottleneck_ratio:
+            raise ConfigError(f"model field 'bottleneck_ratio' is {self.bottleneck_ratio}, "
+                              f"must divide width {self.width}")
+        if (self.width // self.bottleneck_ratio) % self.cardinality:
+            raise ConfigError(f"model field 'cardinality' is {self.cardinality}, must divide "
+                              f"the bottleneck width {self.width // self.bottleneck_ratio}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _named_tensors(container, prefix: str) -> dict[str, Tensor]:
+    """A parameter dataclass's Tensor fields in declaration order, named ``prefix +
+    field``; item i of a list field ``blocks`` is a container prefixed ``block{i}.``."""
+    out = {}
+    for f in fields(container):
+        value = getattr(container, f.name)
+        if isinstance(value, Tensor):
+            out[prefix + f.name] = value
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                out.update(_named_tensors(item, f"{prefix}{f.name.removesuffix('s')}{i}."))
+    return out
 
 
 class Detector:
@@ -83,10 +85,8 @@ class Detector:
     # -- parameters ----------------------------------------------------------
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.backbone.named()
-        out.update(self.loc_head.named())
-        out.update(self.node_head.named())
-        return out
+        return {**_named_tensors(self.backbone, ""), **_named_tensors(self.loc_head, "loc."),
+                **_named_tensors(self.node_head, "node.")}
 
     def params(self) -> list[Tensor]:
         return list(self.named_params().values())

@@ -12,7 +12,6 @@ gradient. The learning rate drops once, halfway through the epochs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import ConfigError, NumericError, check_lows
+from .errors import NumericError, check_lows
 from .heads import (DEFAULT_LAMBDA1, assign_anchor_labels, assign_node_labels, node_loss,
                     subgraph_loss, total_loss)
 from .model import Detector, ModelConfig
@@ -45,11 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         """Refuse, naming the field, a setting that cannot train."""
         check_lows(self, "training", dict(batch_size=1, epochs=1, anchors_per_window=1, seed=0,
-                                          lambda1=0.0, lambda2=0.0))
-        for name in ("lr_phase1", "lr_phase2"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"training field '{name}' is {getattr(self, name)}, "
-                                  "must be finite and above 0")
+                                          lambda1=0.0, lambda2=0.0, lr_phase1=0.0,
+                                          lr_phase2=0.0), above=("lr_phase1", "lr_phase2"))
 
     def lr_for_epoch(self, epoch: int) -> float:
         """``lr_phase1`` for the first ``epochs // 2`` epochs, ``lr_phase2`` after."""

@@ -79,10 +79,6 @@ class TestGCNextForward:
         out_dense = gcnext_forward(Tensor(x_data), VideoGraph.build(length, 2), dense)
         np.testing.assert_allclose(out_grouped.data, out_dense.data, atol=1e-12)
 
-    def test_cardinality_must_divide_bottleneck(self):
-        with pytest.raises(ConfigError):
-            BlockParams.create(8, 3, 2, np.random.default_rng(0))
-
     @settings(max_examples=60)
     @given(st.sampled_from([(8, 1), (8, 2), (16, 4)]), st.integers(2, 24), st.data())
     def test_matches_dense_adjacency_form(self, widths, length, data):

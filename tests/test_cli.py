@@ -421,9 +421,9 @@ class TestOptionResolution:
 
     @pytest.mark.parametrize("flag, in_file, in_sidecar, expected", [
         (None, None, None, ModelConfig().width),
-        (None, None, 24, 24),
-        (None, 20, 24, 20),
-        (12, 20, 24, 12),
+        (None, None, 48, 48),
+        (None, 80, 48, 80),
+        (16, 80, 48, 16),
     ], ids=["default", "sidecar", "file", "flag"])
     def test_architecture_precedence(self, monkeypatch, small_synth, tmp_path,
                                      flag, in_file, in_sidecar, expected):

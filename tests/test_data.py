@@ -42,6 +42,14 @@ class TestFeatureFiles:
         with pytest.raises(FormatError, match="magic"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_data_error(self, tmp_path, value):
+        features = np.zeros((4, 3), dtype=np.float32)
+        features[2, 1] = value
+        write_feature_file(tmp_path / "v.fseq", features)
+        with pytest.raises(DataError, match="v.fseq.*non-finite"):
+            read_feature_file(tmp_path / "v.fseq")
+
 
 class TestLoadDataset:
     def test_empty_manifest_ok(self, tmp_path):
@@ -56,6 +64,22 @@ class TestLoadDataset:
                                          "duration_seconds": 10, "sampling_rate": 1}]))
         with pytest.raises(FormatError, match="nope.fseq"):
             load_dataset(manifest)
+
+    @pytest.mark.parametrize("videos, error, match", [
+        ([("a", (10, 4)), ("b", (0, 4))], DataError, "'b' has no snippets"),
+        ([("a", (10, 4)), ("b", (10, 6))], DataError,
+         "'b' has 6 feature channels, video 'a' has 4"),
+        ([("a", (10, 4)), ("a", (10, 4))], FormatError, "'a' is listed twice"),
+    ], ids=["no-snippets", "mixed-channels", "repeated-id"])
+    def test_unusable_manifest_names_the_video(self, tmp_path, videos, error, match):
+        entries = []
+        for i, (video_id, shape) in enumerate(videos):
+            write_feature_file(tmp_path / f"f{i}.fseq", np.zeros(shape, dtype=np.float32))
+            entries.append({"video_id": video_id, "feature_file": f"f{i}.fseq",
+                            "duration_seconds": 10, "sampling_rate": 1})
+        (tmp_path / "manifest.json").write_text(json.dumps(entries))
+        with pytest.raises(error, match=match):
+            load_dataset(tmp_path / "manifest.json")
 
     def test_annotation_outside_duration(self, tmp_path):
         write_feature_file(tmp_path / "v.fseq", np.zeros((10, 2), dtype=np.float32))
@@ -240,6 +264,15 @@ class TestSynthDataset:
             assert config.actions_min <= len(segments) <= config.actions_max
             assert all(1 <= s and e <= length - 2 for s, e in segments)
             assert all(e + 2 <= s for (_, e), (s, _) in zip(segments, segments[1:]))
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_videos", 2.5), ("num_videos", 0), ("c_raw", True), ("noise", "0.5"),
+        ("seconds_per_snippet", 0.0), ("duration_min", "6"), ("length", 8),
+        ("actions_max", 0),
+    ])
+    def test_impossible_synth_config_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            SynthConfig(**{field: value})
 
     def test_actions_that_cannot_fit_are_data_error(self, tmp_path):
         config = SynthConfig(num_videos=1, length=20, c_raw=2, actions_min=3)

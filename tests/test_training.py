@@ -72,6 +72,24 @@ class TestInit:
         for (name, ta), tb in zip(a.named_params().items(), b.named_params().values()):
             np.testing.assert_array_equal(ta.data, tb.data, err_msg=name)
 
+    def test_default_parameter_names_in_order(self):
+        blocks = [f"block{i}.{name}" for i in range(3)
+                  for name in ("t_in", "t_conv", "t_out", "s_in", "s_self", "s_neigh", "s_out")]
+        assert list(init_params(TrainConfig()).named_params()) == [
+            "proj", *blocks, "loc.w1", "loc.b1", "loc.w2", "loc.b2", "loc.w3", "loc.b3",
+            "node.w", "node.b"]
+
+    def test_every_trained_leaf_is_a_parameter(self, small_synth):
+        # a leaf left out of the parameters would never be updated, decayed or saved
+        config = _config()
+        model = init_params(config)
+        example = build_examples(model, small_synth["windows"][:1])[0]
+        subset = sample_anchor_subset(example.anchor_labels, config.anchors_per_window,
+                                      np.random.default_rng(0))
+        loss, _, _ = window_loss(model, example, config, subset, 0.0)
+        leaves = [t for t in ad.graph_nodes(loss) if t.requires_grad and not t._parents]
+        assert {id(t) for t in leaves} == {id(p) for p in model.params()}
+
     def test_different_seeds_differ(self):
         a = init_params(_config(seed=0))
         b = init_params(_config(seed=1))
@@ -366,7 +384,8 @@ class TestConfigJson:
         ("epochs", 0), ("epochs", -2), ("anchors_per_window", 0), ("seed", -1),
         ("lr_phase1", -1.0), ("lr_phase1", 0.0), ("lr_phase2", float("nan")),
         ("lr_phase2", float("inf")), ("lambda1", -1.0), ("lambda1", float("nan")),
-        ("lambda2", -1e-4), ("lambda2", float("inf")),
+        ("lambda2", -1e-4), ("lambda2", float("inf")), ("epochs", 2.5), ("batch_size", True),
+        ("lr_phase1", "0.1"),
     ])
     def test_impossible_train_config_names_the_field(self, field, value):
         with pytest.raises(ConfigError, match=f"'{field}'"):
@@ -377,16 +396,25 @@ class TestConfigJson:
 
     @pytest.mark.parametrize("config", [ModelConfig(), small_model_config()])
     def test_model_config_round_trip(self, config):
-        assert ModelConfig.from_json_dict(asdict(config)) == config
-        assert ModelConfig.from_json_dict(json.loads(json.dumps(asdict(config)))) == config
+        assert ModelConfig(**asdict(config)) == config
+        assert ModelConfig(**json.loads(json.dumps(asdict(config)))) == config
 
     @pytest.mark.parametrize("field, value", [
         ("c_raw", 0), ("bottleneck_ratio", 0), ("head_hidden", (512, 0)),
         ("window_length", 2), ("k_neighbors", -1), ("k_neighbors", 100),
+        ("blocks", True), ("width", "32"), ("width", None), ("head_hidden", (512, 2.5)),
+        ("head_hidden", 512), ("cardinality", 3),
+        pytest.param("bottleneck_ratio", dict(width=30, bottleneck_ratio=4),
+                     id="width-30-bottleneck_ratio-4"),
     ])
     def test_impossible_model_config_names_the_field(self, field, value):
+        # a dict value sets several fields, each valid alone
         with pytest.raises(ConfigError, match=f"'{field}'"):
-            ModelConfig(**{field: value})
+            ModelConfig(**(value if isinstance(value, dict) else {field: value}))
+
+    def test_numpy_integers_are_integers(self):
+        config = ModelConfig(width=np.int64(16), head_hidden=[np.int32(8), 4])
+        assert config.head_hidden == (8, 4)
 
 
 def test_production_path_builds_no_dense_adjacency(small_synth, monkeypatch):
