@@ -150,11 +150,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for key in unset:
         if key not in values:
             continue
-        cast = args.option_types[key]
+        value, cast = values[key], args.option_types[key]
         try:
-            setattr(args, key, values[key] if cast is None else cast(values[key]))
+            parsed = value if cast is None else cast(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{args.config}: bad value for '{key}': {exc}") from exc
+        # a number must reach its option unchanged: no bool, no real cut to an int
+        if (isinstance(value, bool) and cast in (int, float)) or \
+                (isinstance(value, float) and cast is int and parsed != value):
+            raise DataError(f"{args.config}: bad value for '{key}': "
+                            f"{json.dumps(value)} would be read as {parsed!r}")
+        setattr(args, key, parsed)
 
 
 def _given(args: argparse.Namespace, *keys: str) -> dict:

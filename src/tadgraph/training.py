@@ -181,9 +181,18 @@ def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
     return {"loss_total": totals[0] / n, "loss_g": totals[1] / n, "loss_n": totals[2] / n}
 
 
+def _plain_number(value):
+    """A numpy scalar config field as the python number json writes."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def train(model: Detector, windows: list[Window], config: TrainConfig,
           out_dir=None, log=print) -> list[dict]:
-    """Full run of ``config.epochs`` epochs; writes checkpoint + JSONL metrics when out_dir given."""
+    """Full run of ``config.epochs`` epochs. Given ``out_dir``, writes the config
+    sidecar before the first epoch, one JSONL metrics line per epoch and the
+    checkpoint after the last."""
     examples = build_examples(model, windows)
     optimizer = Adam(model.params())
     rng = np.random.default_rng(config.seed + 1)
@@ -192,6 +201,8 @@ def train(model: Detector, windows: list[Window], config: TrainConfig,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.json").write_text(json.dumps(asdict(config), indent=1,
+                                                        default=_plain_number))
         metrics_path = out_dir / "metrics.jsonl"
         metrics_path.write_text("")
     for epoch in range(config.epochs):
@@ -207,5 +218,4 @@ def train(model: Detector, windows: list[Window], config: TrainConfig,
                 fh.write(json.dumps(record) + "\n")
     if out_dir is not None:
         model.save(out_dir / "checkpoint.tgck")
-        (out_dir / "config.json").write_text(json.dumps(asdict(config), indent=1))
     return history

@@ -6,6 +6,12 @@ temporal chain as a convolution and each layer's (k*L, 2) semantic edge list
 through the sparse ``gather_matrix``. The dense adjacencies are test oracles:
 ``A[i, j] = 1`` for edge ``(i, j)``, so ``X @ A`` gathers neighbor features per
 column, ``(X @ A_fwd)[:, j] = x_{j+1}`` and ``A_fwd == A_bwd.T``.
+
+The k-NN screens each node's candidates with a Gram-matrix form
+``|a|^2 + |b|^2 - 2 a.b`` whose rounding slack is bounded, then ranks only the
+candidates by the exact distance summed channel by channel. So its edges are
+those of the dense channel-order form, exact ties included, at a fraction of
+its cost.
 """
 
 from __future__ import annotations
@@ -33,9 +39,15 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     and ties resolve to the smaller node index. Returns an (k*L, 2) int
     array ordered node-major, nearest neighbor first. ``k == 0`` yields an
     empty edge list (semantic context disabled).
+
+    A Gram-matrix screen picks each node's candidates: the columns within
+    ``2 * slack`` of its k-th smallest screen value, where ``slack`` is four
+    times the rounding error that the screen and the exact form can make
+    together. Only the candidates are ranked by the exact distance, summed
+    channel by channel, so the edges equal those of the dense form.
     """
     features = np.asarray(features, dtype=np.float64)
-    length = features.shape[1]
+    channels, length = features.shape
     if k < 0 or k >= length:
         raise ConfigError(f"knn_semantic_edges: k={k} invalid for {length} nodes")
     if not np.all(np.isfinite(features)):
@@ -43,15 +55,50 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.zeros((0, 2), dtype=np.int64)
 
-    # Summed channel by channel, a distance depends on its two columns alone, so
-    # duplicate or zero columns tie exactly (a Gram-matrix form would not).
-    d2 = np.zeros((length, length))
-    for row in features:
-        d2 += np.subtract.outer(row, row) ** 2
-    np.fill_diagonal(d2, np.inf)
+    # Screen: |a|^2 + |b|^2 - 2 a.b and the channel-order sum each lie within
+    # (2C + 5) * 2^-53 * (|a|^2 + |b|^2) of the true distance, plus an underflow
+    # term. So node i's exact k nearest are among the columns whose screen value
+    # is at most its k-th smallest plus twice the two errors; ``slack`` is at
+    # least four times their sum. The Gram form ties duplicate or zero columns
+    # only within rounding, so it only screens.
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ci,ci->i", features, features)
+        # no partial sum of either form exceeds 4 * max |a|^2
+        screen = bool(np.isfinite(4.0 * norms.max()))
+    if screen:
+        approx = features.T @ features
+        approx *= -2.0
+        approx += norms
+        approx += norms[:, None]
+        np.fill_diagonal(approx, np.inf)
+        slack = 16 * (channels + 4) * 2.0**-53 * (norms + norms.max()) + channels * 2.0**-1000
+        kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+        candidates = approx <= (kth + 2 * slack)[:, None]
+    else:
+        # |a|^2 overflows: every pair is a candidate, the node itself too, which
+        # ties at inf with the columns whose distance overflows
+        candidates = np.ones((length, length), dtype=bool)
+    node, cand = np.divmod(np.flatnonzero(candidates), length)   # by node, then index
 
-    neighbors = np.argsort(d2, axis=0, kind="stable")[:k]      # (k, L), nearest first
-    return np.stack([neighbors.T.reshape(-1), np.repeat(np.arange(length), k)], axis=1)
+    # Exact re-rank: each candidate's distance summed channel by channel in
+    # channel order, so it depends on its two columns alone and duplicate or
+    # zero columns tie exactly.
+    terms = features[:, cand] - features[:, node]
+    terms *= terms
+    d2 = terms[0].copy()
+    for term in terms[1:]:
+        d2 += term
+    d2[node == cand] = np.inf
+
+    # One inf-padded row of candidate distances per node, in index order, so a
+    # stable sort puts the nearest first and ties on the smaller index.
+    counts = np.bincount(node, minlength=length)
+    first = np.cumsum(counts) - counts
+    table = np.full((length, counts.max()), np.inf)
+    table[node, np.arange(len(node)) - first[node]] = d2
+    nearest = np.argsort(table, axis=1, kind="stable")[:, :k]
+    neighbors = cand[first[:, None] + nearest].reshape(-1)
+    return np.stack([neighbors, np.repeat(np.arange(length), k)], axis=1)
 
 
 def semantic_adjacency(edges: np.ndarray, length: int) -> np.ndarray:

@@ -479,6 +479,25 @@ def test_synth_places_every_action_in_short_videos(tmp_path):
     assert dispatch(["synth", "--out", str(tmp_path), "--num-videos", "2", "--length", "30"]) == 0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("num_videos", 2.5), ("num_videos", True), ("length", 50.5), ("noise", True),
+])
+def test_config_number_that_the_cast_would_change_is_data_error(tmp_path, capsys, key, value):
+    (tmp_path / "opts.json").write_text(json.dumps({key: value}))
+    assert dispatch(["synth", "--out", str(tmp_path / "d"),
+                     "--config", str(tmp_path / "opts.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"'{key}'" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_integral_real_is_an_integer(tmp_path):
+    (tmp_path / "opts.json").write_text(json.dumps({"num_videos": 2.0, "length": 50.0}))
+    assert dispatch(["synth", "--out", str(tmp_path / "d"),
+                     "--config", str(tmp_path / "opts.json")]) == 0
+    assert len(json.loads((tmp_path / "d" / "manifest.json").read_text())) == 2
+
+
 @pytest.mark.parametrize("field", ["width", "head_hidden"])
 @pytest.mark.parametrize("value", ["abc", True, [1], None], ids=["string", "bool", "list", "null"])
 def test_sidecar_field_of_wrong_type_is_data_error(small_synth, tmp_path, capsys, field, value):

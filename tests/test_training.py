@@ -380,6 +380,33 @@ class TestConfigJson:
         train(init_params(config), [window], config, out_dir=tmp_path, log=None)
         assert (tmp_path / "config.json").read_text() == DEFAULT_CONFIG_JSON
 
+    def test_numpy_scalar_fields_are_written_as_numbers(self, tmp_path, small_synth):
+        plain = _config(epochs=1)
+        config = _config(epochs=np.int64(1), batch_size=np.int32(8), lr_phase1=np.float32(0.5),
+                         model_overrides=dict(width=np.int64(16),
+                                              head_hidden=(np.int64(32), np.int16(16))))
+        train(init_params(config), small_synth["windows"][:1], config,
+              out_dir=tmp_path, log=None)
+        written = json.loads((tmp_path / "config.json").read_text())
+        assert written == {**asdict(plain), "lr_phase1": 0.5,
+                           "model": {**asdict(plain.model), "head_hidden": [32, 16]}}
+        assert type(written["epochs"]) is int and type(written["model"]["width"]) is int
+
+    def test_config_is_written_before_the_first_epoch(self, tmp_path, monkeypatch, small_synth):
+        class Interrupted(Exception):
+            pass
+
+        def interrupted(*args, **kwargs):
+            raise Interrupted
+
+        monkeypatch.setattr(training, "train_epoch", interrupted)
+        config = _config()
+        with pytest.raises(Interrupted):
+            train(init_params(config), small_synth["windows"][:1], config,
+                  out_dir=tmp_path, log=None)
+        assert json.loads((tmp_path / "config.json").read_text()) == \
+            json.loads(json.dumps(asdict(config)))
+
     @pytest.mark.parametrize("field, value", [
         ("epochs", 0), ("epochs", -2), ("anchors_per_window", 0), ("seed", -1),
         ("lr_phase1", -1.0), ("lr_phase1", 0.0), ("lr_phase2", float("nan")),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import knn_semantic_edges_dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -51,6 +52,41 @@ def _features_with_ties(draw):
     features = base[:, draw(arrays(np.int64, length, elements=st.integers(0, length - 1)))]
     features[:, draw(arrays(np.bool_, length))] = 0.0
     return features, draw(st.integers(1, length - 1))
+
+
+@st.composite
+def _wide_features(draw):
+    """Up to 48 x 256 features from a drawn seed, with exact ties and extreme scales.
+
+    Values on a 0.1 grid tie exactly in the channel-order distance, and
+    repeated or zeroed columns tie at 0. ``scale`` spreads the column norms
+    over 50 decades, adds a common offset of 1e6, shrinks the values until
+    their squares or the values themselves are subnormal, or lifts them to
+    1e154 and beyond, where squared distances overflow.
+    """
+    length = draw(st.integers(2, 256))
+    channels = draw(st.integers(1, 48))
+    k = draw(st.integers(1, min(8, length - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        features = rng.integers(-20, 21, size=(channels, length)) / 10
+    else:
+        features = rng.normal(size=(channels, length))
+    if draw(st.booleans()):
+        features = features[:, rng.integers(0, length, size=length)]
+    features[:, rng.random(length) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    scale = draw(st.sampled_from(["none", "decades", "offset", "tiny", "subnormal", "huge"]))
+    if scale == "decades":
+        features *= 10.0 ** rng.uniform(-25, 25, size=length)
+    elif scale == "offset":
+        features += 1e6
+    elif scale == "tiny":
+        features *= 10.0 ** rng.uniform(-162, -154)
+    elif scale == "subnormal":
+        features *= 1e-310
+    elif scale == "huge":
+        features *= 10.0 ** rng.uniform(154, 156)
+    return features, k
 
 
 class TestTemporalAdjacency:
@@ -154,6 +190,18 @@ class TestKnnSemanticEdges:
         features, k = case
         np.testing.assert_array_equal(knn_semantic_edges(features, k),
                                       _knn_reference(features, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_features())
+    # |a|^2 overflows, so every pair is a candidate; every distance from node 0
+    # overflows too and ties with node 0 itself
+    @example((np.array([[1e155, 3e155, -2e155, 0.0]]), 2))
+    def test_matches_dense_form(self, case):
+        features, k = case
+        with np.errstate(over="ignore"):     # huge draws overflow the dense form's squares
+            edges = knn_semantic_edges(features, k)
+            np.testing.assert_array_equal(edges, knn_semantic_edges_dense(features, k))
+        assert edges.dtype == np.int64
 
     def test_peak_memory_stays_near_one_distance_buffer(self):
         # one (800, 800) float64 buffer is 5.1 MB; a per-channel (C, L, L)
