@@ -1,8 +1,8 @@
 """Command-line pipeline: synth, train, infer, eval, export-graph.
 
 Each option resolves as: explicit flag > ``--config`` JSON file > the
-checkpoint's sidecar ``config.json`` (architecture options of ``infer`` and
-``export-graph`` only) > the default of the dataclass or function the
+checkpoint's sidecar ``config.json`` (architecture options and window length of
+``infer`` and ``export-graph`` only) > the default of the dataclass or function the
 option feeds. Exit codes: 0 success, 1 usage, 2 data/format error,
 3 numeric failure.
 """
@@ -168,20 +168,16 @@ def _given(args: argparse.Namespace, *keys: str) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
-def _model_config(args: argparse.Namespace, c_raw: int, window_length: int) -> ModelConfig:
-    """Architecture: flag or config file > checkpoint sidecar > ModelConfig default."""
-    base = ModelConfig()
+def _sidecar_model(args: argparse.Namespace) -> ModelConfig | None:
+    """The model config in the checkpoint's sidecar ``config.json``, if it has one."""
     checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint:
-        sidecar_path = Path(checkpoint).parent / "config.json"
-        if sidecar_path.exists():
-            try:
-                stored = json.loads(sidecar_path.read_text()).get("model", {})
-                base = ModelConfig(**stored)
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
-    return replace(base, c_raw=c_raw, window_length=window_length,
-                   **_given(args, *_ARCH_KEYS))
+    sidecar_path = Path(checkpoint).parent / "config.json" if checkpoint else None
+    if sidecar_path is None or not sidecar_path.exists():
+        return None
+    try:
+        return ModelConfig(**json.loads(sidecar_path.read_text()).get("model", {}))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
 
 
 def _nms_options(args: argparse.Namespace) -> dict:
@@ -228,35 +224,52 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_windows(args: argparse.Namespace, training: bool):
-    """The dataset's model windows; every window has the same (C_raw, L) shape.
-    A flag of the windowing mode not chosen is a usage error."""
+def _windows_and_model(args: argparse.Namespace, training: bool):
+    """The dataset's model windows, all of one (C_raw, L) shape, and the model config
+    for them: each architecture option from a flag or the config file, else the
+    checkpoint's sidecar, else the ModelConfig default.
+
+    Without a windowing flag, videos are rescaled to the sidecar's window length
+    (100 without a sidecar). A flag that asks for another length than the sidecar's,
+    or a flag of the windowing mode not chosen, is a usage error.
+    """
     if args.window_size is None and args.stride is not None:
         raise ConfigError("--stride needs --window-size; without it every video "
                           "is rescaled to --rescale-length")
     if args.window_size is not None and args.rescale_length is not None:
         raise ConfigError("--rescale-length and --window-size choose different "
                           "windowing modes; pass one of them")
-    sequences, annotations = load_dataset(args.manifest, args.annotations)
-    if not sequences:
-        raise DataError(f"{args.manifest}: dataset is empty")
     windowing = _given(args, "rescale_length", "stride")
     if args.window_size is not None:
         windowing["window_length"] = args.window_size
         windowing.setdefault("stride", args.window_size // 2)
-    return prepare_windows(sequences, annotations, training=training, **windowing)
+    base = _sidecar_model(args)
+    if base is not None:
+        key, flag = (("window_length", "--window-size") if args.window_size is not None
+                     else ("rescale_length", "--rescale-length"))
+        length = windowing.setdefault(key, base.window_length)
+        if length != base.window_length:
+            raise ConfigError(f"{flag} {length} differs from the window length "
+                              f"{base.window_length} that the checkpoint was trained at")
+    sequences, annotations = load_dataset(args.manifest, args.annotations)
+    if not sequences:
+        raise DataError(f"{args.manifest}: dataset is empty")
+    windows = prepare_windows(sequences, annotations, training=training, **windowing)
+    if not windows:
+        raise DataError("no training windows contain an action")
+    c_raw, window_length = windows[0].features.shape
+    return windows, replace(base or ModelConfig(), c_raw=c_raw, window_length=window_length,
+                            **_given(args, *_ARCH_KEYS))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    windows = _load_windows(args, training=True)
-    if not windows:
-        raise DataError("no training windows contain an action")
+    windows, model_config = _windows_and_model(args, training=True)
     schedule = {}
     if args.lr is not None:
         schedule.update(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
     if args.lr2 is not None:
         schedule["lr_phase2"] = args.lr2
-    config = TrainConfig(model=_model_config(args, *windows[0].features.shape), **schedule,
+    config = TrainConfig(model=model_config, **schedule,
                          **_given(args, "epochs", "batch_size", "lambda1", "lambda2",
                                   "anchors_per_window", "seed"))
     model = init_params(config)
@@ -266,8 +279,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    windows = _load_windows(args, training=False)
-    model = init_params(TrainConfig(model=_model_config(args, *windows[0].features.shape)))
+    windows, model_config = _windows_and_model(args, training=False)
+    model = init_params(TrainConfig(model=model_config))
     model.load(args.checkpoint)
     window_scores = score_windows(model, windows)
     if args.save_raw:
@@ -290,6 +303,13 @@ def _check_labels(detections, annotations, args: argparse.Namespace) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if args.detections and (unread := _given(args, "raw_scores", *_NMS_KEYS)):
+        flags = ", ".join(f"--{key.replace('_', '-')}" for key in unread)
+        raise ConfigError(f"{flags}: eval scores --detections as written and reads "
+                          "no raw scores or fusion and Soft-NMS options with them")
+    if args.grid_alpha and args.alpha is not None:
+        raise ConfigError("--alpha: --grid-alpha sweeps the fusion exponent over "
+                          "0.1..0.9; pass one of them")
     annotations = load_annotations(args.annotations)
     thresholds = _parse_thresholds(args.thresholds)
 
@@ -323,13 +343,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    windows = _load_windows(args, training=False)
+    windows, model_config = _windows_and_model(args, training=False)
     video_id = args.video_id or windows[0].video_id
     matching = [w for w in windows if w.video_id == video_id]
     if not matching:
         raise DataError(f"video '{video_id}' not found in the manifest")
-    model = init_params(TrainConfig(model=_model_config(args, *windows[0].features.shape),
-                                    **_given(args, "seed")))
+    model = init_params(TrainConfig(model=model_config, **_given(args, "seed")))
     if args.checkpoint:
         model.load(args.checkpoint)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +180,41 @@ class Window:
     """One model input: a fixed-length crop plus coordinate metadata."""
 
     video_id: str
-    features: np.ndarray           # (C_raw, L_win), zero padded past valid_length
+    features: np.ndarray           # (C_raw, L_win) F-order, zero padded past valid_length
     offset: int                    # window start in sequence index coordinates
     valid_length: int
     scale: float                   # seconds per index unit
     segments: list[tuple[float, float, str]] = field(default_factory=list)
+
+
+def _crop_windows(seq: FeatureSequence, window_length: int, starts, training: bool,
+                  segments_idx: list[tuple[float, float, str]]) -> list[Window]:
+    """The windows of ``window_length`` indices at ``starts``, the one path that builds
+    a window. Its features are the transposed view of the sequence's (L, C) row block,
+    zero-padded past the video's end. Annotations (index coordinates) spanning less than
+    one index once clipped into it are dropped, and in training so is a window left bare.
+    """
+    windows = []
+    for start in starts:
+        rows = seq.features[start:start + window_length]
+        valid = len(rows)
+        if valid < window_length:
+            rows = np.concatenate([rows, np.zeros((window_length - valid, seq.c_raw))])
+        local = []
+        for s, e, label in segments_idx:
+            ls, le = max(s - start, 0.0), min(e - start, valid - 1.0)
+            if le - ls >= 1.0:
+                local.append((ls, le, label))
+        if training and not local:
+            continue
+        # F-order features: `proj @ x` over a C-order copy sums in another BLAS
+        # order. At (32x32)@(32x100) that moves the last bits, and with them the
+        # trained parameters and the train_l100 golden; at (32x32)@(32x256) the
+        # two orders gave equal bits in 300 draws.
+        windows.append(Window(video_id=seq.video_id, features=np.ascontiguousarray(rows).T,
+                              offset=start, valid_length=valid, scale=seq.sampling_rate,
+                              segments=local))
+    return windows
 
 
 def window_sequence(seq: FeatureSequence, window_length: int, stride: int,
@@ -198,30 +228,8 @@ def window_sequence(seq: FeatureSequence, window_length: int, stride: int,
     """
     if not (window_length > stride > 0):
         raise ConfigError(f"window_sequence: need window length {window_length} > stride {stride} > 0")
-    segments_idx = segments_idx or []
-    starts = []
-    start = 0
-    while True:
-        starts.append(start)
-        if start + window_length >= seq.length:
-            break
-        start += stride
-
-    windows = []
-    for start in starts:
-        valid = min(window_length, seq.length - start)
-        padded = np.zeros((seq.c_raw, window_length))
-        padded[:, :valid] = seq.features[start:start + valid].T
-        local = []
-        for s, e, label in segments_idx:
-            ls, le = max(s - start, 0.0), min(e - start, valid - 1.0)
-            if le - ls >= 1.0:
-                local.append((ls, le, label))
-        if training and not local:
-            continue
-        windows.append(Window(video_id=seq.video_id, features=padded, offset=start,
-                              valid_length=valid, scale=seq.sampling_rate, segments=local))
-    return windows
+    starts = range(0, max(seq.length - window_length, 0) + stride, stride)
+    return _crop_windows(seq, window_length, starts, training, segments_idx or [])
 
 
 def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet,
@@ -229,34 +237,25 @@ def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet
                     stride: int = 0, training: bool = False) -> list[Window]:
     """Turn sequences into model windows.
 
-    Default mode rescales every sequence to a fixed length (one window per
-    video, index i maps to ``i / L * duration`` seconds). Setting
-    ``window_length`` > 0 switches to strided cropping at the native
-    sampling rate.
+    Default mode rescales every sequence to a fixed length and crops it
+    once, from index 0, so index i maps to ``i / L * duration`` seconds.
+    Setting ``window_length`` > 0 switches to strided cropping at the
+    native sampling rate. Both modes build their windows with
+    ``_crop_windows``.
     """
     if rescale_length < 1:
         raise ConfigError(f"rescale_length {rescale_length} must be at least 1")
     windows = []
     for seq in sequences:
-        segs = annotations.segments(seq.video_id)
+        if window_length <= 0:
+            seq = replace(rescale_sequence(seq, rescale_length),
+                          sampling_rate=seq.duration_seconds / rescale_length)
+        idx_segs = [(s / seq.sampling_rate, e / seq.sampling_rate, label)
+                    for s, e, label in annotations.segments(seq.video_id)]
         if window_length > 0:
-            idx_segs = [(s / seq.sampling_rate, e / seq.sampling_rate, label)
-                        for s, e, label in segs]
             windows.extend(window_sequence(seq, window_length, stride, training, idx_segs))
         else:
-            scaled = rescale_sequence(seq, rescale_length)
-            scale = seq.duration_seconds / rescale_length
-            local = [(s / scale, min(e / scale, rescale_length - 1.0), label)
-                     for s, e, label in segs]
-            if training and not local:
-                continue
-            # the features are the transposed, F-order view of the (L, C)
-            # sequence; `proj @ x` over a C-order copy differs in the last bits
-            # (another BLAS summation order), so changing this layout moves the
-            # trained parameters and the train_l100 golden
-            windows.append(Window(video_id=seq.video_id, features=scaled.features.T,
-                                  offset=0, valid_length=rescale_length, scale=scale,
-                                  segments=local))
+            windows.extend(_crop_windows(seq, rescale_length, [0], training, idx_segs))
     return windows
 
 

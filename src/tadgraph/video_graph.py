@@ -75,20 +75,20 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
         kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
         candidates = approx <= (kth + 2 * slack)[:, None]
     else:
-        # |a|^2 overflows: every pair is a candidate, the node itself too, which
-        # ties at inf with the columns whose distance overflows
-        candidates = np.ones((length, length), dtype=bool)
+        # |a|^2 overflows: every other node is a candidate; overflowed distances
+        # tie at inf
+        candidates = ~np.eye(length, dtype=bool)
     node, cand = np.divmod(np.flatnonzero(candidates), length)   # by node, then index
 
     # Exact re-rank: each candidate's distance summed channel by channel in
     # channel order, so it depends on its two columns alone and duplicate or
-    # zero columns tie exactly.
-    terms = features[:, cand] - features[:, node]
-    terms *= terms
-    d2 = terms[0].copy()
-    for term in terms[1:]:
-        d2 += term
-    d2[node == cand] = np.inf
+    # zero columns tie exactly. A distance that overflows is inf.
+    with np.errstate(over="ignore"):
+        terms = features[:, cand] - features[:, node]
+        terms *= terms
+        d2 = terms[0].copy()
+        for term in terms[1:]:
+            d2 += term
 
     # One inf-padded row of candidate distances per node, in index order, so a
     # stable sort puts the nearest first and ties on the smaller index.

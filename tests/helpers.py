@@ -164,12 +164,12 @@ def sample_anchor_subset_setdiff(labels: np.ndarray, count: int,
 
 def knn_semantic_edges_dense(features: np.ndarray, k: int) -> np.ndarray:
     """``video_graph.knn_semantic_edges`` as a full (L, L) distance buffer summed
-    channel by channel, then a stable argsort of every column."""
+    channel by channel, then a stable argsort of every column without the node itself."""
     features = np.asarray(features, dtype=np.float64)
     length = features.shape[1]
     d2 = np.zeros((length, length))
     for row in features:
         d2 += np.subtract.outer(row, row) ** 2
-    np.fill_diagonal(d2, np.inf)
-    neighbors = np.argsort(d2, axis=0, kind="stable")[:k]      # (k, L), nearest first
-    return np.stack([neighbors.T.reshape(-1), np.repeat(np.arange(length), k)], axis=1)
+    order = np.argsort(d2, axis=0, kind="stable").T             # (L, L): node, nearest first
+    others = order[order != np.arange(length)[:, None]].reshape(length, length - 1)
+    return np.stack([others[:, :k].reshape(-1), np.repeat(np.arange(length), k)], axis=1)

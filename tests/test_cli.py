@@ -174,6 +174,60 @@ class TestPipeline:
         second = json.loads(out.read_text())
         assert first["results"] == second["results"]
 
+    def test_infer_without_windowing_flag_rescales_to_the_trained_length(self, pipeline,
+                                                                         tmp_path):
+        out = tmp_path / "d.json"
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out)]) == 0
+        first = json.loads(pipeline["detections"].read_text())
+        assert json.loads(out.read_text())["results"] == first["results"]
+
+    def test_export_graph_without_windowing_flag_takes_the_trained_length(self, pipeline,
+                                                                          tmp_path):
+        out = tmp_path / "g.json"
+        assert dispatch(["export-graph", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["L"] == 50
+
+    @pytest.mark.parametrize("flags", [["--rescale-length", "100"], ["--window-size", "20"]],
+                             ids=["rescale-length", "window-size"])
+    @pytest.mark.parametrize("command", ["infer", "export-graph"])
+    def test_window_length_other_than_the_trained_one_is_usage_error(self, pipeline, tmp_path,
+                                                                     capsys, command, flags):
+        out = tmp_path / "out.json"
+        assert dispatch([command, "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and " ".join(flags) in err and "length 50" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "0.5"], ["--nms-method", "gaussian"], ["--nms-threshold", "0.5"],
+        ["--nms-sigma", "0.5"], ["--top-m", "5"], ["--raw-scores", "RAW"],
+    ], ids=["alpha", "nms-method", "nms-threshold", "nms-sigma", "top-m", "raw-scores"])
+    def test_detections_with_a_flag_eval_would_not_read_is_usage_error(self, pipeline,
+                                                                        tmp_path, capsys, flags):
+        flags = [str(pipeline["raw"]) if flag == "RAW" else flag for flag in flags]
+        out = tmp_path / "report.json"
+        assert dispatch(["eval", "--detections", str(pipeline["detections"]),
+                         "--annotations", str(pipeline["data"] / "annotations.json"),
+                         "--class-agnostic", "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flags[0] in err
+        assert not out.exists()
+
+    def test_grid_alpha_with_alpha_is_usage_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+                         "--annotations", str(pipeline["data"] / "annotations.json"),
+                         "--class-agnostic", "--alpha", "0.3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--alpha" in err
+        assert not out.exists()
+
 
 def test_eval_perfect_predictions_reach_map_one(tmp_path):
     database = {"v1": {"duration": 60.0, "subset": "training",

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from tadgraph.data import (FeatureSequence, SynthConfig, load_annotations,
-                           load_dataset, prepare_windows, read_feature_file,
-                           rescale_sequence, synth_dataset, window_sequence,
-                           write_feature_file)
+from tadgraph.data import (AnnotationSet, FeatureSequence, SynthConfig,
+                           load_annotations, load_dataset, prepare_windows,
+                           read_feature_file, rescale_sequence, synth_dataset,
+                           window_sequence, write_feature_file)
 from tadgraph.errors import ConfigError, DataError, FormatError
 from tadgraph.heads import assign_anchor_labels
 
@@ -186,6 +186,47 @@ class TestWindowing:
     def test_bad_stride_rejected(self):
         with pytest.raises(ConfigError):
             window_sequence(_seq(np.zeros((10, 2))), 4, 4, training=False)
+
+
+class TestPrepareWindows:
+    """Both windowing modes build their windows through one path."""
+
+    def test_rescale_mode_drops_annotations_under_one_index(self):
+        # a 200 s video at L=100: the first would clip to (99.6, 99.0), the
+        # second to (60.0, 60.45)
+        seq = _seq(np.zeros((200, 2)))
+        anns = AnnotationSet({"v0": [(199.2, 200.0, "a"), (120.0, 120.9, "b"),
+                                     (10.0, 30.0, "c")]})
+        for training in (False, True):
+            (window,) = prepare_windows([seq], anns, rescale_length=100, training=training)
+            assert window.segments == [(5.0, 15.0, "c")]
+            assert window.scale == 2.0 and seq.sampling_rate == 1.0
+
+    def test_training_drops_a_video_whose_only_annotation_is_dropped(self):
+        seq = _seq(np.zeros((200, 2)))
+        anns = AnnotationSet({"v0": [(199.2, 200.0, "a")]})
+        assert prepare_windows([seq], anns, rescale_length=100, training=True) == []
+        assert len(prepare_windows([seq], anns, rescale_length=100)) == 1
+
+    @pytest.mark.parametrize("length, window_args", [
+        (37, dict(rescale_length=50)),
+        (50, dict(rescale_length=50)),
+        (300, dict(window_length=256, stride=128)),
+        (100, dict(window_length=256, stride=128)),
+    ], ids=["rescaled", "same-length", "strided", "short"])
+    def test_features_are_f_order_rows_then_zeros(self, length, window_args):
+        rng = np.random.default_rng(length)
+        seq = _seq(rng.normal(size=(length, 3)))
+        rows = (rescale_sequence(seq, window_args["rescale_length"]).features
+                if "rescale_length" in window_args else seq.features)
+        windows = prepare_windows([seq], AnnotationSet(), **window_args)
+        assert windows
+        for window in windows:
+            size = window.features.shape[1]
+            block = rows[window.offset:window.offset + window.valid_length]
+            expected = np.concatenate([block, np.zeros((size - len(block), 3))])
+            assert window.features.shape == (3, size) and window.features.flags.f_contiguous
+            np.testing.assert_array_equal(window.features, expected.T)
 
 
 class TestSynthDataset:

@@ -1,6 +1,7 @@
 """Temporal and semantic graph construction."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ class TestKnnSemanticEdges:
 
     @settings(max_examples=200, deadline=None)
     @given(_wide_features())
-    # |a|^2 overflows, so every pair is a candidate; every distance from node 0
-    # overflows too and ties with node 0 itself
+    # |a|^2 overflows, so every other node is a candidate; every distance
+    # overflows too, and the inf ties go to the smaller index, never the node itself
     @example((np.array([[1e155, 3e155, -2e155, 0.0]]), 2))
     def test_matches_dense_form(self, case):
         features, k = case
@@ -202,6 +203,14 @@ class TestKnnSemanticEdges:
             edges = knn_semantic_edges(features, k)
             np.testing.assert_array_equal(edges, knn_semantic_edges_dense(features, k))
         assert edges.dtype == np.int64
+
+    def test_overflowing_distances_give_no_self_loop_and_no_warning(self):
+        features = np.array([[1e155, 3e155, -2e155, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            edges = knn_semantic_edges(features, 2)
+        assert not np.any(edges[:, 0] == edges[:, 1])
+        assert edges.tolist() == [[1, 0], [2, 0], [0, 1], [2, 1], [0, 2], [1, 2], [0, 3], [1, 3]]
 
     def test_peak_memory_stays_near_one_distance_buffer(self):
         # one (800, 800) float64 buffer is 5.1 MB; a per-channel (C, L, L)
