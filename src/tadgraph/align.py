@@ -8,10 +8,13 @@ of samples down to a fixed resolution: tau1 vectors of the features and
 tau2 vectors of their neighbour-smoothed copy (SGAlign). Because the whole
 procedure is linear in the features, it is precomputed once per anchor set
 as one stacked sparse plan, whose columns read the features and the
-smoothed copy placed side by side. The plan is applied per row block, on
-demand: a block of anchors costs one sparse product over its rows, so the
-aligned features of all anchors never exist at once, and each product's
-adjoint routes gradients back to every sampled snippet.
+smoothed copy placed side by side. Samples sit at offsets within their
+anchor, so an anchor's rows are those of the anchor (0, d) of its duration
+shifted t_s columns, and the plan copies one set of rows per duration. It
+is applied per row block, on demand: a block of anchors costs one sparse
+product over its rows, so the aligned features of all anchors never exist
+at once, and each product's adjoint routes gradients back to every sampled
+snippet.
 """
 
 from __future__ import annotations
@@ -36,11 +39,11 @@ def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
 
 
 def _anchor_sampling(t_s: int, t_e: int, tau: int, length: int):
-    """Sample positions and averaging run length for one anchor.
+    """Sample offsets within one anchor and its averaging run length.
 
     Duration d = t_e - t_s; run length s = max(1, floor(d / tau)) so short
-    anchors oversample instead of failing; T = tau * s positions at
-    ``t_s + k * d / T``, clamped into [0, length - 1].
+    anchors oversample instead of failing; T = tau * s offsets ``k * d / T``
+    from t_s. Each lies below d, so every sample lies below t_e <= length - 1.
     """
     d = t_e - t_s
     if d <= 0:
@@ -49,27 +52,26 @@ def _anchor_sampling(t_s: int, t_e: int, tau: int, length: int):
         raise ContractError(f"anchor ({t_s}, {t_e}) outside [0, {length - 1}]")
     s = max(1, d // tau)
     total = tau * s
-    idx = t_s + np.arange(total) * (d / total)
-    return np.clip(idx, 0.0, length - 1.0), s
+    return np.arange(total) * (d / total), s
 
 
 def _anchor_weight_rows(t_s: int, t_e: int, tau: int, length: int):
     """COO triplets of the (tau, length) weight matrix for one anchor.
 
     Row k holds the averaged linear-interpolation weights of output vector
-    k; integral sample positions take weight 1 at their own snippet.
+    k; integral sample positions take weight 1 at their own snippet. The
+    weights depend on the duration only: the rows of (t_s, t_s + d) are
+    those of (0, d) shifted t_s columns.
     """
-    idx, s = _anchor_sampling(t_s, t_e, tau, length)
-    lo = np.floor(idx).astype(np.int64)
-    hi = np.minimum(lo + 1, length - 1)
-    frac = idx - lo
+    offset, s = _anchor_sampling(t_s, t_e, tau, length)
+    base = np.floor(offset)
+    frac = offset - base
+    lo = t_s + base.astype(np.int64)
     rows = np.repeat(np.arange(tau, dtype=np.int64), s)
-    w_lo = (1.0 - frac) / s
-    w_hi = frac / s
     keep_hi = frac > 0
     out_rows = np.concatenate([rows, rows[keep_hi]])
-    out_cols = np.concatenate([lo, hi[keep_hi]])
-    out_vals = np.concatenate([w_lo, w_hi[keep_hi]])
+    out_cols = np.concatenate([lo, lo[keep_hi] + 1])
+    out_vals = np.concatenate([(1.0 - frac) / s, frac[keep_hi] / s])
     return out_rows, out_cols, out_vals
 
 
@@ -84,13 +86,16 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
 
 def build_alignment(anchors: np.ndarray, length: int, tau1: int,
                     tau2: int = 0) -> sparse.csr_matrix:
-    """The stacked alignment plan of all anchors, assembled directly in CSR form.
+    """The stacked alignment plan of all anchors, in CSR form.
 
     Anchor j owns rows ``j * (tau1 + tau2)`` onwards: first the tau1 rows of
     ``_anchor_weight_rows`` at tau1, over columns [0, length), then the tau2
     rows at tau2, shifted to columns [length, 2 * length). So the plan has
     shape (J * (tau1 + tau2), length) when tau2 is 0 and
-    (J * (tau1 + tau2), 2 * length) otherwise.
+    (J * (tau1 + tau2), 2 * length) otherwise. The rows of the anchors (0, d)
+    are built once per duration d; a run of anchors that share a start and
+    have consecutive durations (one run per start in ``enumerate_anchors``
+    order) is one slice of them, shifted t_s columns in both halves.
     """
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
     t_s, t_e = anchors[:, 0], anchors[:, 1]
@@ -98,40 +103,35 @@ def build_alignment(anchors: np.ndarray, length: int, tau1: int,
     if np.any(bad):
         j = int(np.argmax(bad))
         _anchor_sampling(int(t_s[j]), int(t_e[j]), tau1, length)    # raises its ContractError
-    taus = np.array((tau1, tau2) if tau2 > 0 else (tau1,))
-    # one segment per (anchor, tau), in row order
-    seg_tau = np.tile(taus, len(anchors))
-    seg_d = np.repeat(t_e - t_s, len(taus))
-    runs = np.maximum(1, seg_d // seg_tau)
-    totals = seg_tau * runs
-    itype = np.int32 if 2 * totals.sum() < np.iinfo(np.int32).max else np.int64
-    # one entry per sample position; k counts positions within the sample's segment
-    k = (np.arange(totals.sum(), dtype=itype)
-         - np.repeat((np.cumsum(totals) - totals).astype(itype), totals))
-    idx = np.repeat(np.repeat(t_s, len(taus)), totals) + k * np.repeat(seg_d / totals, totals)
-    lo = np.floor(idx)
-    frac = idx - lo
-    lo = lo.astype(itype)
-    # A row averages s samples 1 to 2 snippets apart (or one sample when d < tau),
-    # so its weights fill one column range: from its first sample's low neighbour
-    # to its last sample's high one, if that has weight. Each column takes at
-    # most one low and one high weight, and two floats add to the same sum in
-    # either order, so the entries match a sort-and-sum assembly bit for bit.
-    per_row = np.repeat(runs, seg_tau)
-    last = np.cumsum(per_row) - 1
-    first = lo[last - per_row + 1]
-    width = lo[last] - first + 1 + (frac[last] > 0)
-    indptr = np.concatenate([[0], np.cumsum(width)])
-    nnz = int(indptr[-1])
-    pos = lo + np.repeat((indptr[:-1] - first).astype(itype), per_row)
-    s = np.repeat(runs, totals)
-    data = np.zeros(nnz + 1)            # the spare slot takes the last row's zero high weight
-    data[pos] = (1.0 - frac) / s
-    data[pos + 1] += frac / s           # a zero high weight adds 0.0 to the next row's first
-    first += np.repeat(np.tile(np.arange(len(taus)) * length, len(anchors)), seg_tau).astype(itype)
-    indices = np.arange(nnz, dtype=itype) - np.repeat((indptr[:-1] - first).astype(itype), width)
-    return sparse.csr_matrix((data[:nnz], indices, indptr),
-                             shape=(len(per_row), len(taus) * length))
+    taus = (tau1, tau2) if tau2 > 0 else (tau1,)
+    per_anchor, dur = sum(taus), t_e - t_s
+    shape = (len(anchors) * per_anchor, len(taus) * length)
+    if len(anchors) == 0:
+        return sparse.csr_matrix(shape)
+    max_d, parts = int(dur.max()), []
+    for d in range(1, max_d + 1):
+        for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
+            rows, cols, vals = _anchor_weight_rows(0, d, tau, length)
+            parts.append((rows + (d - 1) * per_anchor + row0, cols + col0, vals))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, shape[1]))
+    # table rows: (0, d) for d = 1 to max_d in plan order; the run of anchors [first, stop)
+    # copies its rows [q0, q1), those of its durations, which go up by one per anchor
+    first = np.flatnonzero((np.diff(t_s, prepend=-1) != 0) | (np.diff(dur, prepend=-1) != 1))
+    stop = np.append(first[1:], len(anchors))
+    q0, q1 = (dur[first] - 1) * per_anchor, dur[stop - 1] * per_anchor
+    at = np.concatenate([[0], np.cumsum(table.indptr[q1] - table.indptr[q0])])
+    itype = np.int32 if at[-1] < np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(at[-1]), np.empty(at[-1], itype)
+    indptr = np.zeros(shape[0] + 1, itype)
+    ptr = table.indptr.tolist()
+    for r0, r1, a, b, o, start in zip((first * per_anchor).tolist(), (stop * per_anchor).tolist(),
+                                      q0.tolist(), q1.tolist(), at.tolist(), t_s[first].tolist()):
+        lo, hi = ptr[a], ptr[b]
+        data[o:o + hi - lo] = table.data[lo:hi]
+        np.add(table.indices[lo:hi], start, out=indices[o:o + hi - lo])
+        np.add(table.indptr[a + 1:b + 1], o - lo, out=indptr[r0 + 1:r1 + 1], dtype=itype)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:

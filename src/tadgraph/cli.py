@@ -239,6 +239,8 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
     if args.window_size is not None and args.rescale_length is not None:
         raise ConfigError("--rescale-length and --window-size choose different "
                           "windowing modes; pass one of them")
+    if args.window_size is not None and args.window_size < 2:
+        raise ConfigError(f"--window-size {args.window_size} must be at least 2")
     windowing = _given(args, "rescale_length", "stride")
     if args.window_size is not None:
         windowing["window_length"] = args.window_size

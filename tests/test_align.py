@@ -1,8 +1,10 @@
 """Anchor enumeration and sub-graph feature alignment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
@@ -17,6 +19,26 @@ from tadgraph.video_graph import knn_semantic_edges
 def _counting_oracle(length, max_duration):
     # sum over durations d of the number of (t_s, t_e) pairs with that duration
     return sum(max(0, length - 1 - d) for d in range(1, max_duration))
+
+
+def _anchor_lists(length):
+    """Anchors as ``enumerate_anchors`` lists them, or runs of consecutive durations
+    from drawn starts, concatenated in drawn order: unsorted, duplicated, with gaps in
+    duration, and a single anchor when one run of one anchor is drawn."""
+    run = st.tuples(st.integers(0, length - 2), st.integers(1, length - 1), st.integers(1, 4))
+    return st.one_of(
+        st.integers(2, length).map(lambda max_duration: enumerate_anchors(length, max_duration)),
+        st.lists(run, min_size=1, max_size=8).map(lambda runs: np.array(
+            [(t_s, t_s + d) for t_s, d0, n in runs for d in range(d0, d0 + n)
+             if t_s + d < length], dtype=np.int64).reshape(-1, 2)))
+
+
+@st.composite
+def _shifted_anchors(draw):
+    """(length, t_s, d) of a valid anchor (t_s, t_s + d) with t_s > 0."""
+    length = draw(st.integers(3, 256))
+    d = draw(st.integers(1, length - 2))
+    return length, draw(st.integers(1, length - 1 - d)), d
 
 
 class TestEnumerateAnchors:
@@ -92,7 +114,7 @@ class TestBuildAlignment:
     @given(st.integers(3, 40), st.data())
     def test_equals_stacked_anchor_rows(self, length, data):
         # tau above the shortest durations exercises the oversampling branch (d < tau)
-        anchors = enumerate_anchors(length, data.draw(st.integers(2, length)))
+        anchors = data.draw(_anchor_lists(length))
         tau = data.draw(st.integers(1, 8))
         plan = build_alignment(anchors, length, tau)
         expected = np.zeros((len(anchors) * tau, length))
@@ -106,7 +128,7 @@ class TestBuildAlignment:
     @given(st.integers(3, 30), st.data())
     def test_two_taus_stack_per_anchor(self, length, data):
         # per anchor: tau1 rows over columns [0, L), then tau2 rows over [L, 2L)
-        anchors = enumerate_anchors(length, data.draw(st.integers(2, length)))
+        anchors = data.draw(_anchor_lists(length))
         tau1, tau2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
         plan = build_alignment(anchors, length, tau1, tau2)
         expected = np.zeros((len(anchors) * (tau1 + tau2), 2 * length))
@@ -116,6 +138,30 @@ class TestBuildAlignment:
                 np.add.at(expected, (rows + j * (tau1 + tau2) + row0, cols + col0), vals)
         np.testing.assert_array_equal(plan.toarray(), expected)
         assert plan.nnz == np.count_nonzero(expected)
+
+    @settings(max_examples=150)
+    @given(_shifted_anchors(), st.integers(1, 40), st.integers(1, 40))
+    @example((256, 200, 55), 32, 4)                 # infer_l256's length and taus
+    def test_rows_shift_with_the_start(self, drawn, tau1, tau2):
+        # samples sit at offsets within the anchor, so (t_s, t_s + d) has the rows of
+        # (0, d) moved t_s columns right in both halves, bit for bit
+        length, t_s, d = drawn
+        base = build_alignment(np.array([[0, d]]), length, tau1, tau2)
+        moved = build_alignment(np.array([[t_s, t_s + d]]), length, tau1, tau2)
+        np.testing.assert_array_equal(moved.indptr, base.indptr)
+        np.testing.assert_array_equal(moved.indices, base.indices + t_s)
+        np.testing.assert_array_equal(moved.data, base.data)
+
+    def test_peak_memory_stays_near_the_plan(self):
+        # infer_l256's plan: 14049 anchors, 1.3M entries, 17.8 MB in its three arrays
+        anchors = enumerate_anchors(256, 64)
+        tracemalloc.start()
+        try:
+            plan = build_alignment(anchors, 256, 32, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (plan.data.nbytes + plan.indices.nbytes + plan.indptr.nbytes)
 
     def test_no_anchors_empty_plan(self):
         plan = build_alignment(np.zeros((0, 2)), 5, 3, 2)

@@ -386,6 +386,18 @@ def test_flag_of_the_other_windowing_mode_is_usage_error(small_synth, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", ["0", "-4"])
+@pytest.mark.parametrize("command", ["train", "export-graph"])
+def test_window_size_below_two_is_usage_error(small_synth, tmp_path, capsys, command, size):
+    # prepare_windows reads a window length of 0 or less as rescale mode
+    out = tmp_path / "out"
+    assert dispatch([command, *_data_args(small_synth), "--out", str(out),
+                     "--window-size", size]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"--window-size {size}" in err
+    assert not out.exists()
+
+
 def test_strided_windows_take_window_size_and_stride(small_synth, tmp_path):
     out = tmp_path / "graph.json"
     assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
