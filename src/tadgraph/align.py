@@ -38,41 +38,49 @@ def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
                                 dtype=np.int64)
 
 
-def _anchor_sampling(t_s: int, t_e: int, tau: int, length: int):
-    """Sample offsets within one anchor and its averaging run length.
-
-    Duration d = t_e - t_s; run length s = max(1, floor(d / tau)) so short
-    anchors oversample instead of failing; T = tau * s offsets ``k * d / T``
-    from t_s. Each lies below d, so every sample lies below t_e <= length - 1.
-    """
-    d = t_e - t_s
-    if d <= 0:
+def _check_anchor(t_s: int, t_e: int, length: int) -> None:
+    if t_e - t_s <= 0:
         raise ContractError(f"anchor ({t_s}, {t_e}) has non-positive duration")
     if t_s < 0 or t_e > length - 1:
         raise ContractError(f"anchor ({t_s}, {t_e}) outside [0, {length - 1}]")
-    s = max(1, d // tau)
+
+
+def _duration_weight_rows(durations: np.ndarray, tau: int, stride: int):
+    """COO triplets of the tau weight rows of each anchor (0, d), d in ``durations``.
+
+    The i-th duration's rows start at row ``i * stride``. Duration d has run
+    length s = max(1, floor(d / tau)), so short anchors oversample instead of
+    failing, and T = tau * s samples at offsets ``k * d / T``, each below d.
+    Row r averages the linear-interpolation weights of samples r * s to
+    r * s + s - 1; an integral offset takes weight 1 at its own snippet. Each
+    row lists the low snippet of every sample in sample order, then the high
+    snippet of every fractional one.
+    """
+    durations = np.asarray(durations, dtype=np.int64)
+    s = np.maximum(1, durations // tau)
     total = tau * s
-    return np.arange(total) * (d / total), s
+    owner = np.repeat(np.arange(len(durations)), total)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(total) - total, total)
+    offset = k * np.repeat(durations / total, total)
+    base = np.floor(offset)
+    frac = offset - base
+    lo = base.astype(np.int64)
+    run = s[owner]
+    rows = owner * stride + k // run
+    keep_hi = frac > 0
+    return (np.concatenate([rows, rows[keep_hi]]), np.concatenate([lo, lo[keep_hi] + 1]),
+            np.concatenate([(1.0 - frac) / run, frac[keep_hi] / run[keep_hi]]))
 
 
 def _anchor_weight_rows(t_s: int, t_e: int, tau: int, length: int):
     """COO triplets of the (tau, length) weight matrix for one anchor.
 
-    Row k holds the averaged linear-interpolation weights of output vector
-    k; integral sample positions take weight 1 at their own snippet. The
-    weights depend on the duration only: the rows of (t_s, t_s + d) are
+    The weights depend on the duration only: the rows of (t_s, t_s + d) are
     those of (0, d) shifted t_s columns.
     """
-    offset, s = _anchor_sampling(t_s, t_e, tau, length)
-    base = np.floor(offset)
-    frac = offset - base
-    lo = t_s + base.astype(np.int64)
-    rows = np.repeat(np.arange(tau, dtype=np.int64), s)
-    keep_hi = frac > 0
-    out_rows = np.concatenate([rows, rows[keep_hi]])
-    out_cols = np.concatenate([lo, lo[keep_hi] + 1])
-    out_vals = np.concatenate([(1.0 - frac) / s, frac[keep_hi] / s])
-    return out_rows, out_cols, out_vals
+    _check_anchor(t_s, t_e, length)
+    rows, cols, vals = _duration_weight_rows(np.array([t_e - t_s]), tau, tau)
+    return rows, cols + t_s, vals
 
 
 def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
@@ -92,27 +100,27 @@ def build_alignment(anchors: np.ndarray, length: int, tau1: int,
     ``_anchor_weight_rows`` at tau1, over columns [0, length), then the tau2
     rows at tau2, shifted to columns [length, 2 * length). So the plan has
     shape (J * (tau1 + tau2), length) when tau2 is 0 and
-    (J * (tau1 + tau2), 2 * length) otherwise. The rows of the anchors (0, d)
-    are built once per duration d; a run of anchors that share a start and
-    have consecutive durations (one run per start in ``enumerate_anchors``
-    order) is one slice of them, shifted t_s columns in both halves.
+    (J * (tau1 + tau2), 2 * length) otherwise. The rows of the anchors (0, d),
+    d = 1 to the longest duration, are built in one pass per tau; a run of
+    anchors that share a start and have consecutive durations (one run per
+    start in ``enumerate_anchors`` order) is one slice of them, shifted t_s
+    columns in both halves.
     """
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
     t_s, t_e = anchors[:, 0], anchors[:, 1]
     bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
     if np.any(bad):
         j = int(np.argmax(bad))
-        _anchor_sampling(int(t_s[j]), int(t_e[j]), tau1, length)    # raises its ContractError
+        _check_anchor(int(t_s[j]), int(t_e[j]), length)
     taus = (tau1, tau2) if tau2 > 0 else (tau1,)
     per_anchor, dur = sum(taus), t_e - t_s
     shape = (len(anchors) * per_anchor, len(taus) * length)
     if len(anchors) == 0:
         return sparse.csr_matrix(shape)
     max_d, parts = int(dur.max()), []
-    for d in range(1, max_d + 1):
-        for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
-            rows, cols, vals = _anchor_weight_rows(0, d, tau, length)
-            parts.append((rows + (d - 1) * per_anchor + row0, cols + col0, vals))
+    for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
+        rows, cols, vals = _duration_weight_rows(np.arange(1, max_d + 1), tau, per_anchor)
+        parts.append((rows + row0, cols + col0, vals))
     rows, cols, vals = map(np.concatenate, zip(*parts))
     table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, shape[1]))
     # table rows: (0, d) for d = 1 to max_d in plan order; the run of anchors [first, stop)

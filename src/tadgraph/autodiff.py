@@ -16,7 +16,9 @@ next), and the receiver keeps it; ``add`` copies for its second operand.
 one path; shapes must match, but an operand that needs no gradient may be
 0-d. A dense layer ``x @ w + b`` is one op (``affine``) that adds the bias
 into the product's own array, so the backward rule stays explicit and the
-layer makes one node and one array.
+layer makes one node and one array. ``affine_relu`` is ``relu(affine(...))``
+as one node that clamps the product's array in place, so a hidden layer
+makes one array, and its adjoint masks by the output's sign.
 ``relu`` is ``np.maximum(x, 0)``: a NaN input stays NaN.
 """
 
@@ -315,13 +317,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for an (m, k) x, (k, n) w and length-n bias b, as one
     node: the bias is added into the product's array in place."""
+    return _dense(x, w, b, "affine")
+
+
+def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``relu(affine(x, w, b))`` as one node, bit for bit: the product's array
+    is clamped in place. The output is positive exactly where ``x @ w + b`` is
+    (a NaN stays NaN), so the adjoint masks by the output's sign."""
+    return _dense(x, w, b, "affine_relu")
+
+
+def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"affine: cannot map {x.shape} through {w.shape} plus bias {b.shape}")
+        raise ShapeError(f"{op}: cannot map {x.shape} through {w.shape} plus bias {b.shape}")
     out = x.data @ w.data
     out += b.data
+    if op == "affine_relu":
+        np.maximum(out, 0.0, out=out)
 
     def bwd(g, x=x, w=w, b=b):
+        if op == "affine_relu":
+            g = g * (out > 0)
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
@@ -329,7 +346,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _make(out, "affine", (x, w, b), bwd)
+    return _make(out, op, (x, w, b), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:

@@ -54,15 +54,15 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
             offset += 4 * ndim
-            nbytes = 8 * math.prod(shape)
-            payload = raw[offset:offset + nbytes]
-            if len(payload) != nbytes:
+            count = math.prod(shape)
+            if offset + 8 * count > len(raw):
                 raise FormatError(f"{path}: truncated payload for parameter '{name}'")
-            value = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            # a view of the bytes read, copied once
+            value = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
             if not np.isfinite(value).all():
                 raise FormatError(f"{path}: parameter '{name}' holds a non-finite value")
             params[name] = value
-            offset += nbytes
+            offset += 8 * count
     except struct.error as exc:
         raise FormatError(f"{path}: truncated checkpoint header") from exc
     except UnicodeDecodeError as exc:

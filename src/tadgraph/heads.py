@@ -22,10 +22,10 @@ from .errors import ConfigError, ContractError
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
 # rows per pass of the localization head; at the default 1152-wide aligned
-# features and (512, 128) hidden units a block's aligned rows take 19 MB and
-# its activations, one array per layer, 8.4 and 2.1 MB, where all 14049
+# features and (512, 128) hidden units a block's aligned rows take 9.4 MB and
+# its activations, one array per layer, 4.2 and 1.0 MB, where all 14049
 # anchors of L=256 would take 129 and 72 MB
-LOC_BLOCK_ROWS = 2048
+LOC_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -84,8 +84,8 @@ def localization_forward(subgraph_features, params: LocalizationParams) -> Tenso
 
 
 def _localization_rows(x: Tensor, params: LocalizationParams) -> Tensor:
-    h = ad.relu(ad.affine(x, params.w1, params.b1))
-    h = ad.relu(ad.affine(h, params.w2, params.b2))
+    h = ad.affine_relu(x, params.w1, params.b1)
+    h = ad.affine_relu(h, params.w2, params.b2)
     return ad.sigmoid(ad.affine(h, params.w3, params.b3))
 
 

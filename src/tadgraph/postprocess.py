@@ -42,19 +42,45 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
     Linear decay multiplies by ``1 - IoU`` when IoU with the already
     selected detection exceeds ``threshold``; Gaussian decay multiplies by
     ``exp(-IoU^2 / sigma)``. Because each selection takes the current
-    maximum (the earlier start on ties, then the lower index) and scores
-    only ever shrink, the first ``top_m`` selections are exactly the top-M
-    detections by final decayed score, so the loop stops there. Scores
-    must be finite. Output is ordered by decayed score, ties by earlier
-    start.
+    maximum (the earlier start on ties, then the lower index) and
+    nonnegative scores only ever shrink, the first ``top_m`` selections are
+    exactly the top-M detections by final decayed score, so the loop stops
+    there. Scores must be finite. Output is ordered by decayed score, ties
+    by earlier start.
+
+    The loop first runs on the K highest initial scores, K = 4 * top_m
+    doubling up to all of them. Every decay factor lies in [0, 1], so a
+    score left out never rises above max(its initial value, 0); once every
+    selected score is strictly above that bound for all left-out scores, no
+    left-out candidate could have been selected, and the result is the full
+    run's, bit for bit.
     """
     if method not in ("linear", "gaussian"):
         raise DataError(f"soft_nms: unknown method '{method}'")
+    if method == "gaussian" and not sigma > 0:
+        # a decay factor above 1 would void the early exit below
+        raise DataError(f"soft_nms: Gaussian sigma must be above 0, got {sigma}")
     segments = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
     # in start order, argmax's first maximum is the earliest start
     by_start = np.argsort(segments[:, 0], kind="stable")
     segments = segments[by_start]
     scores = np.asarray(scores, dtype=np.float64)[by_start]
+    k = 4 * top_m
+    while 0 < k < len(scores):
+        left_out, top = np.split(np.argpartition(scores, len(scores) - k), [len(scores) - k])
+        top = np.sort(top)          # back in start order
+        kept, decayed = _soft_nms_select(segments[top], scores[top], method, threshold,
+                                         sigma, top_m)
+        if decayed.min() > max(scores[left_out].max(), 0.0):
+            return by_start[top[kept]], decayed
+        k *= 2
+    kept, decayed = _soft_nms_select(segments, scores, method, threshold, sigma, top_m)
+    return by_start[kept], decayed
+
+
+def _soft_nms_select(segments: np.ndarray, scores: np.ndarray, method: str, threshold: float,
+                     sigma: float, top_m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The masked loop of ``soft_nms`` over candidates in start order."""
     alive = np.ones(len(scores), dtype=bool)
     keep: list[int] = []
     for _ in range(min(top_m, len(scores))):
@@ -69,7 +95,7 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
         scores = np.where(alive, scores * decay, scores)
     keep = np.asarray(keep, dtype=np.int64)
     keep = keep[np.lexsort((segments[keep, 0], -scores[keep]))]
-    return by_start[keep], scores[keep]
+    return keep, scores[keep]
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared test utilities."""
 
 import numpy as np
+from scipy import sparse
 
 from tadgraph import autodiff as ad
 from tadgraph.errors import ShapeError
@@ -10,12 +11,17 @@ def relu_margin(loss: ad.Tensor) -> float:
     """Smallest |pre-activation| over every relu in the recorded graph.
 
     Finite-difference checks are only trustworthy away from relu kinks, so
-    tests resample their seed until this margin clears a threshold.
+    tests resample their seed until this margin clears a threshold. An
+    ``affine_relu`` node keeps only its clamped output, so its pre-activation
+    is recomputed from the (x, w, b) its adjoint holds.
     """
     margin = np.inf
     for node in ad.graph_nodes(loss):
         if node.op == "relu":
             margin = min(margin, float(np.min(np.abs(node._parents[0].data))))
+        elif node.op == "affine_relu":
+            x, w, b = node._backward.__defaults__
+            margin = min(margin, float(np.min(np.abs(x.data @ w.data + b.data))))
     return margin
 
 
@@ -173,3 +179,54 @@ def knn_semantic_edges_dense(features: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(d2, axis=0, kind="stable").T             # (L, L): node, nearest first
     others = order[order != np.arange(length)[:, None]].reshape(length, length - 1)
     return np.stack([others[:, :k].reshape(-1), np.repeat(np.arange(length), k)], axis=1)
+
+
+def anchor_weight_rows_per_anchor(t_s: int, t_e: int, tau: int) -> tuple:
+    """``align._anchor_weight_rows`` for one anchor on its own: T = tau * s samples
+    at offsets ``k * d / T``, s = max(1, d // tau), the low snippet of every sample,
+    then the high snippet of every fractional one."""
+    d = t_e - t_s
+    s = max(1, d // tau)
+    total = tau * s
+    offset = np.arange(total) * (d / total)
+    base = np.floor(offset)
+    frac = offset - base
+    lo = t_s + base.astype(np.int64)
+    rows = np.repeat(np.arange(tau, dtype=np.int64), s)
+    keep_hi = frac > 0
+    return (np.concatenate([rows, rows[keep_hi]]), np.concatenate([lo, lo[keep_hi] + 1]),
+            np.concatenate([(1.0 - frac) / s, frac[keep_hi] / s]))
+
+
+def build_alignment_per_duration(anchors: np.ndarray, length: int, tau1: int,
+                                 tau2: int = 0) -> sparse.csr_matrix:
+    """``align.build_alignment`` with its table of the anchors (0, d) built by one
+    ``anchor_weight_rows_per_anchor`` call per duration and tau."""
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+    t_s, t_e = anchors[:, 0], anchors[:, 1]
+    taus = (tau1, tau2) if tau2 > 0 else (tau1,)
+    per_anchor, dur = sum(taus), t_e - t_s
+    shape = (len(anchors) * per_anchor, len(taus) * length)
+    if len(anchors) == 0:
+        return sparse.csr_matrix(shape)
+    max_d, parts = int(dur.max()), []
+    for d in range(1, max_d + 1):
+        for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
+            rows, cols, vals = anchor_weight_rows_per_anchor(0, d, tau)
+            parts.append((rows + (d - 1) * per_anchor + row0, cols + col0, vals))
+    rows, cols, vals = map(np.concatenate, zip(*parts))
+    table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, shape[1]))
+    first = np.flatnonzero((np.diff(t_s, prepend=-1) != 0) | (np.diff(dur, prepend=-1) != 1))
+    stop = np.append(first[1:], len(anchors))
+    q0, q1 = (dur[first] - 1) * per_anchor, dur[stop - 1] * per_anchor
+    at = np.concatenate([[0], np.cumsum(table.indptr[q1] - table.indptr[q0])])
+    itype = np.int32 if at[-1] < np.iinfo(np.int32).max else np.int64
+    data, indices = np.empty(at[-1]), np.empty(at[-1], itype)
+    indptr = np.zeros(shape[0] + 1, itype)
+    for r0, r1, a, b, o, start in zip(first * per_anchor, stop * per_anchor, q0, q1, at,
+                                      t_s[first]):
+        lo, hi = table.indptr[a], table.indptr[b]
+        data[o:o + hi - lo] = table.data[lo:hi]
+        indices[o:o + hi - lo] = table.indices[lo:hi] + start
+        indptr[r0 + 1:r1 + 1] = table.indptr[a + 1:b + 1] + (o - lo)
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)

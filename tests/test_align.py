@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import anchor_weight_rows_per_anchor, build_alignment_per_duration
 
 from tadgraph import autodiff as ad
 from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, build_alignment,
@@ -151,6 +152,39 @@ class TestBuildAlignment:
         np.testing.assert_array_equal(moved.indptr, base.indptr)
         np.testing.assert_array_equal(moved.indices, base.indices + t_s)
         np.testing.assert_array_equal(moved.data, base.data)
+
+    @settings(max_examples=100)
+    @given(st.integers(3, 80), st.data())
+    def test_matches_per_duration_build(self, length, data):
+        # one pass per tau lists each row's entries in the order of one call per
+        # duration, so the CSR sums its duplicate columns in the same order
+        anchors = data.draw(_anchor_lists(length))
+        tau1, tau2 = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
+        self._assert_same_plan(anchors, length, tau1, tau2)
+
+    @pytest.mark.parametrize("length", [100, 256], ids=["train_l100", "infer_l256"])
+    def test_matches_per_duration_build_at_bench_sizes(self, length):
+        self._assert_same_plan(enumerate_anchors(length, 64), length, 32, 4)
+
+    @staticmethod
+    def _assert_same_plan(anchors, length, tau1, tau2):
+        plan = build_alignment(anchors, length, tau1, tau2)
+        expected = build_alignment_per_duration(anchors, length, tau1, tau2)
+        assert plan.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(plan, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    @settings(max_examples=150)
+    @given(_shifted_anchors(), st.integers(1, 40))
+    def test_anchor_rows_match_per_anchor_weights(self, drawn, tau):
+        # interp_rescale's weights: the same triplets, in the same order
+        length, t_s, d = drawn
+        got = _anchor_weight_rows(t_s, t_s + d, tau, length)
+        for mine, want in zip(got, anchor_weight_rows_per_anchor(t_s, t_s + d, tau)):
+            assert mine.dtype == want.dtype
+            np.testing.assert_array_equal(mine, want)
 
     def test_peak_memory_stays_near_the_plan(self):
         # infer_l256's plan: 14049 anchors, 1.3M entries, 17.8 MB in its three arrays

@@ -65,6 +65,46 @@ def test_affine_shape_error_names_all_shapes(w_shape, b_shape):
         ad.affine(Tensor(np.zeros((4, 2))), Tensor(np.zeros(w_shape)), Tensor(np.zeros(b_shape)))
 
 
+def test_affine_relu_shape_error_names_its_op():
+    with pytest.raises(ShapeError, match=r"affine_relu: .*\(4, 2\).*\(3, 2\)"):
+        ad.affine_relu(Tensor(np.zeros((4, 2))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+
+
+def test_affine_relu_is_one_node():
+    x = Tensor([[1.0, 2.0], [3.0, -4.0]], requires_grad=True)
+    out = ad.affine_relu(x, Tensor([[1.0], [1.0]]), Tensor([0.5]))
+    np.testing.assert_array_equal(out.data, [[3.5], [0.0]])
+    assert [n.op for n in ad.graph_nodes(out) if n.op] == ["affine_relu"]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_affine_relu_equals_relu_of_affine_bit_for_bit(seed):
+    # small integers make many pre-activations exactly 0; a NaN in x makes its
+    # row NaN, which relu keeps
+    rng = np.random.default_rng(seed)
+    x, w, b = (rng.integers(-2, 3, size=shape).astype(float) for shape in ((7, 4), (4, 5), (5,)))
+    x[0, 1] = np.nan
+    upstream = rng.normal(size=(7, 5))
+    results = []
+    for layer in (ad.affine_relu, lambda *t: ad.relu(ad.affine(*t))):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, w, b)]
+        out = layer(*tensors)
+        ad.tsum(ad.mul(out, upstream)).backward()
+        results.append([out.data] + [t.grad for t in tensors])
+    pre = x @ w + b
+    assert np.isnan(pre).any() and (pre == 0).any() and (pre < 0).any() and (pre > 0).any()
+    for name, fused, composed in zip(("out", "x", "w", "b"), *results):
+        assert fused.shape == composed.shape and fused.tobytes() == composed.tobytes(), name
+
+
+def test_grad_check_affine_relu_away_from_kink():
+    # pre-activations [[0.8, -5.2, 2.6], [1.55, 5.3, -2.65]]: none within 1e-4 of 0
+    x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    w = Tensor([[1.0, -1.0, 0.5], [0.25, 2.0, -1.0]], requires_grad=True)
+    b = Tensor([0.3, -0.2, 0.1], requires_grad=True)
+    assert ad.grad_check(lambda: ad.tsum(ad.square(ad.affine_relu(x, w, b))), [x, w, b]) < 1e-6
+
+
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
 

@@ -25,6 +25,55 @@ def test_round_trip_bit_exact(tmp_path):
         assert loaded[name].dtype == np.float64
 
 
+def test_loaded_parameters_are_writable_copies(tmp_path):
+    # each array owns its data, so training can update it in place; a (0, 3)
+    # parameter and one after it still round trip
+    params = {"empty": np.zeros((0, 3)), "w": np.arange(6.0).reshape(2, 3)}
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, params)
+    loaded = load_checkpoint(path)
+    for name, value in loaded.items():
+        assert value.flags.owndata and value.flags.writeable and value.flags.c_contiguous, name
+        np.testing.assert_array_equal(value, params[name])
+    assert loaded["empty"].shape == (0, 3)
+
+
+@pytest.mark.parametrize("dropped", [1, 7, 8, 32])
+def test_payload_truncated_anywhere_rejected(tmp_path, dropped):
+    # 'b' is the last entry, with a 32-byte payload
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"a": np.ones(3), "b": np.ones((2, 2))})
+    path.write_bytes(path.read_bytes()[:-dropped])
+    with pytest.raises(FormatError, match="truncated payload for parameter 'b'"):
+        load_checkpoint(path)
+
+
+def test_unsupported_version_rejected(tmp_path):
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"w": np.ones(2)})
+    raw = bytearray(path.read_bytes())
+    raw[4] += 1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported checkpoint version 2"):
+        load_checkpoint(path)
+
+
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"w": np.ones(2)})
+    path.write_bytes(path.read_bytes().replace(b"w", b"\xff", 1))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+def test_truncated_header_rejected(tmp_path):
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"w": np.ones(2)})
+    path.write_bytes(path.read_bytes()[:16])
+    with pytest.raises(FormatError, match="truncated checkpoint header"):
+        load_checkpoint(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.tgck"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from tadgraph.postprocess import (Detection, WindowScores, finalize_detections,
-                                  fuse_scores, read_detections, soft_nms,
-                                  write_detections)
+from tadgraph import postprocess
+from tadgraph.errors import DataError
+from tadgraph.postprocess import (Detection, WindowScores, _soft_nms_select,
+                                  finalize_detections, fuse_scores, read_detections,
+                                  soft_nms, write_detections)
 
 
 class TestFuseScores:
@@ -124,6 +126,78 @@ class TestSoftNMS:
         ref_kept, ref_scores = _soft_nms_oracle(segments, scores, method, 0.3, 0.4, top_m)
         assert kept.tolist() == ref_kept
         np.testing.assert_allclose(decayed, ref_scores, rtol=0, atol=1e-12)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_top_k_exit_matches_oracle_and_full_run(self, data):
+        # many candidates against a small top_m, so the loop first runs on the
+        # 4 * top_m highest scores; few distinct scores tie at that cut. A
+        # negative score rises toward 0 as it decays, so the oracle's top-M by
+        # final score is the selection order only without them; with them the
+        # result must still be the full run's
+        n = data.draw(st.integers(1, 60))
+        starts = data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        lengths = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        segments = np.array([(s, s + d) for s, d in zip(starts, lengths)], dtype=float)
+        pool = data.draw(st.sampled_from([[-0.6, -0.1, 0.0, 0.05, 0.3, 0.5, 0.9],
+                                          [-0.9, -0.6, -0.3, -0.1]]))
+        scores = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        method = data.draw(st.sampled_from(["linear", "gaussian"]))
+        top_m = data.draw(st.integers(1, 4))
+        kept, decayed = soft_nms(segments, scores, method=method, threshold=0.3, sigma=0.4,
+                                 top_m=top_m)
+        if scores.min() >= 0:
+            ref_kept, ref_scores = _soft_nms_oracle(segments, scores, method, 0.3, 0.4, top_m)
+            assert kept.tolist() == ref_kept
+            np.testing.assert_allclose(decayed, ref_scores, rtol=0, atol=1e-12)
+        by_start = np.argsort(segments[:, 0], kind="stable")
+        full_kept, full_scores = _soft_nms_select(segments[by_start], scores[by_start], method,
+                                                  0.3, 0.4, top_m)
+        np.testing.assert_array_equal(kept, by_start[full_kept])
+        assert decayed.tobytes() == full_scores.tobytes()
+
+    @pytest.fixture
+    def pass_sizes(self, monkeypatch):
+        """The candidate count of each masked-loop pass ``soft_nms`` runs."""
+        sizes = []
+
+        def select(segments, scores, *args):
+            sizes.append(len(scores))
+            return _soft_nms_select(segments, scores, *args)
+
+        monkeypatch.setattr(postprocess, "_soft_nms_select", select)
+        return sizes
+
+    def test_top_k_exit_runs_on_the_highest_scores_only(self, pass_sizes):
+        # 1000 disjoint candidates: the 8 highest hold the top 2, so one short pass does
+        segments = np.column_stack([np.arange(1000.0) * 2, np.arange(1000.0) * 2 + 1])
+        scores = np.random.default_rng(0).uniform(size=1000)
+        kept, _ = soft_nms(segments, scores, top_m=2)
+        assert pass_sizes == [8]
+        assert kept.tolist() == np.argsort(-scores)[:2].tolist()
+
+    def test_top_k_exit_doubles_until_the_bound_holds(self, pass_sizes):
+        # every score ties, so no subset clears the largest excluded score
+        segments = np.column_stack([np.arange(50.0) * 2, np.arange(50.0) * 2 + 1])
+        kept, scores = soft_nms(segments, np.full(50, 0.5), top_m=3)
+        assert pass_sizes == [12, 24, 48, 50]
+        assert kept.tolist() == [0, 1, 2] and scores.tolist() == [0.5] * 3
+
+    def test_top_k_exit_bounds_negative_scores_by_zero(self):
+        # top_m 2 runs first on the 8 highest scores, rows 0-7; the excluded row 8
+        # overlaps row 0, the first pick, and decays from -0.3 to -0.03, past the
+        # -0.2 of rows 1-7, so it is the second pick
+        segments = np.array([[0.0, 10.0]] + [[20.0 + 2 * i, 21.0 + 2 * i] for i in range(7)]
+                            + [[0.0, 9.0]])
+        scores = np.array([-0.1] + [-0.2] * 7 + [-0.3])
+        kept, decayed = soft_nms(segments, scores, threshold=0.5, top_m=2)
+        assert kept.tolist() == [8, 0]
+        np.testing.assert_allclose(decayed, [-0.03, -0.1], rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, -0.4])
+    def test_gaussian_sigma_not_above_zero_is_refused(self, sigma):
+        with pytest.raises(DataError, match="sigma"):
+            soft_nms(np.array([[0.0, 1.0]]), np.array([0.5]), method="gaussian", sigma=sigma)
 
     def test_tie_at_top_m_cut_keeps_earlier_start(self):
         kept, scores = soft_nms(np.array([[10.0, 20.0], [0.0, 5.0]]), np.array([0.5, 0.5]),
