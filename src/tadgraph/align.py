@@ -5,16 +5,17 @@ An anchor is an integer snippet pair ``(t_s, t_e)`` with
 feature is produced by sampling the snippet sequence on a regular grid
 inside the anchor, linearly interpolating, and averaging consecutive runs
 of samples down to a fixed resolution: tau1 vectors of the features and
-tau2 vectors of their neighbour-smoothed copy (SGAlign). Because the whole
-procedure is linear in the features, it is precomputed once per anchor set
-as one stacked sparse plan, whose columns read the features and the
-smoothed copy placed side by side. Samples sit at offsets within their
-anchor, so an anchor's rows are those of the anchor (0, d) of its duration
-shifted t_s columns, and the plan copies one set of rows per duration. It
-is applied per row block, on demand: a block of anchors costs one sparse
-product over its rows, so the aligned features of all anchors never exist
-at once, and each product's adjoint routes gradients back to every sampled
-snippet.
+tau2 vectors of their neighbour-smoothed copy (SGAlign). The whole
+procedure is linear in the features, so an anchor's feature is a product
+of sparse plan rows, whose columns read the features and the smoothed copy
+placed side by side. Samples sit at offsets within their anchor, so an
+anchor's rows are those of the anchor (0, d) of its duration shifted t_s
+columns. The one plan kept per anchor set is therefore a table of the
+anchors (0, d), one per duration; the rows of a block of anchors are copied
+from it when the block is needed, and a block costs one sparse product over
+them. So neither the plan of all anchors nor their aligned features ever
+exist at once, and each product's adjoint routes gradients back to every
+sampled snippet.
 """
 
 from __future__ import annotations
@@ -92,6 +93,18 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
     return ad.resample_columns(x, weights).reshape(tau * x.shape[0])
 
 
+def _checked_anchors(anchors, length: int) -> np.ndarray:
+    """``anchors`` as a (J, 2) int64 array; the first anchor outside [0, length - 1]
+    or of non-positive duration raises ``ContractError``."""
+    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
+    t_s, t_e = anchors[:, 0], anchors[:, 1]
+    bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        _check_anchor(int(t_s[j]), int(t_e[j]), length)
+    return anchors
+
+
 def build_alignment(anchors: np.ndarray, length: int, tau1: int,
                     tau2: int = 0) -> sparse.csr_matrix:
     """The stacked alignment plan of all anchors, in CSR form.
@@ -101,44 +114,52 @@ def build_alignment(anchors: np.ndarray, length: int, tau1: int,
     rows at tau2, shifted to columns [length, 2 * length). So the plan has
     shape (J * (tau1 + tau2), length) when tau2 is 0 and
     (J * (tau1 + tau2), 2 * length) otherwise. The rows of the anchors (0, d),
-    d = 1 to the longest duration, are built in one pass per tau; a run of
-    anchors that share a start and have consecutive durations (one run per
-    start in ``enumerate_anchors`` order) is one slice of them, shifted t_s
-    columns in both halves.
+    d = 1 to the longest duration, are built in one pass per tau into a
+    per-duration table, and ``_plan_rows`` copies every anchor's rows from it.
     """
-    anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
-    t_s, t_e = anchors[:, 0], anchors[:, 1]
-    bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        _check_anchor(int(t_s[j]), int(t_e[j]), length)
+    anchors = _checked_anchors(anchors, length)
     taus = (tau1, tau2) if tau2 > 0 else (tau1,)
-    per_anchor, dur = sum(taus), t_e - t_s
-    shape = (len(anchors) * per_anchor, len(taus) * length)
-    if len(anchors) == 0:
-        return sparse.csr_matrix(shape)
-    max_d, parts = int(dur.max()), []
+    per_anchor, parts = sum(taus), []
+    max_d = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
     for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
         rows, cols, vals = _duration_weight_rows(np.arange(1, max_d + 1), tau, per_anchor)
         parts.append((rows + row0, cols + col0, vals))
     rows, cols, vals = map(np.concatenate, zip(*parts))
-    table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, shape[1]))
-    # table rows: (0, d) for d = 1 to max_d in plan order; the run of anchors [first, stop)
-    # copies its rows [q0, q1), those of its durations, which go up by one per anchor
+    table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, len(taus) * length))
+    return _plan_rows(table, anchors, per_anchor)
+
+
+def _plan_rows(table: sparse.csr_matrix, anchors: np.ndarray,
+               per_anchor: int) -> sparse.csr_matrix:
+    """The plan rows of ``anchors``, in their order, copied from a per-duration table.
+
+    Rows ``(d - 1) * per_anchor`` to ``d * per_anchor`` of ``table`` are those of the
+    anchor (0, d); the anchor (t_s, t_s + d) has them shifted t_s columns, in both
+    halves. A run of anchors that share a start and have consecutive durations
+    (one run per start of a contiguous range in ``enumerate_anchors`` order) reads
+    one contiguous slice of the table, so the copy takes one slice per run.
+    """
+    shape = (len(anchors) * per_anchor, table.shape[1])
+    if len(anchors) == 0:
+        return sparse.csr_matrix(shape)
+    t_s, dur = anchors[:, 0], anchors[:, 1] - anchors[:, 0]
     first = np.flatnonzero((np.diff(t_s, prepend=-1) != 0) | (np.diff(dur, prepend=-1) != 1))
     stop = np.append(first[1:], len(anchors))
+    # run i copies table rows [q0, q1), entries [lo, hi), to entries [end - (hi - lo), end)
     q0, q1 = (dur[first] - 1) * per_anchor, dur[stop - 1] * per_anchor
-    at = np.concatenate([[0], np.cumsum(table.indptr[q1] - table.indptr[q0])])
-    itype = np.int32 if at[-1] < np.iinfo(np.int32).max else np.int64
-    data, indices = np.empty(at[-1]), np.empty(at[-1], itype)
+    lo, hi = table.indptr[q0], table.indptr[q1]
+    end = np.cumsum(hi - lo)
+    itype = np.int32 if end[-1] < np.iinfo(np.int32).max else np.int64
+    # one output array at a time, each temporary freed before the next array: a
+    # plan's build peaks near its own three arrays
     indptr = np.zeros(shape[0] + 1, itype)
-    ptr = table.indptr.tolist()
-    for r0, r1, a, b, o, start in zip((first * per_anchor).tolist(), (stop * per_anchor).tolist(),
-                                      q0.tolist(), q1.tolist(), at.tolist(), t_s[first].tolist()):
-        lo, hi = ptr[a], ptr[b]
-        data[o:o + hi - lo] = table.data[lo:hi]
-        np.add(table.indices[lo:hi], start, out=indices[o:o + hi - lo])
-        np.add(table.indptr[a + 1:b + 1], o - lo, out=indptr[r0 + 1:r1 + 1], dtype=itype)
+    np.concatenate([table.indptr[a + 1:b + 1] for a, b in zip(q0.tolist(), q1.tolist())],
+                   out=indptr[1:])
+    indptr[1:] += np.repeat((end - hi).astype(itype), q1 - q0)
+    runs = list(zip(lo.tolist(), hi.tolist()))
+    indices = np.concatenate([table.indices[a:b] for a, b in runs]).astype(itype, copy=False)
+    indices += np.repeat(t_s[first].astype(itype), hi - lo)
+    data = np.concatenate([table.data[a:b] for a, b in runs])
     return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
@@ -149,23 +170,29 @@ def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:
 
 
 class SubgraphAligner:
-    """Cached alignment operator for a fixed anchor set.
+    """Alignment operator for a fixed anchor set.
 
-    ``plan`` is the stacked plan of ``build_alignment``: per anchor, tau1
-    temporal rows over the features, then tau2 semantic rows over their
-    neighbour-smoothed copy. A call places the two side by side and returns
-    ``AlignedRows``, which applies the plan per row block when a block is
-    asked for, so a consumer reading blocks holds one block's features at a
-    time. A subset takes its anchors' rows of the same plan. ``tau2 = 0``
+    ``table`` is the plan of ``build_alignment`` for the anchors (0, d), d = 1
+    to the set's longest duration: per duration, tau1 temporal rows over the
+    features, then tau2 semantic rows over their neighbour-smoothed copy. It
+    is the only plan the aligner keeps, (longest duration) * (tau1 + tau2)
+    rows, whatever the number of anchors. A call places the features and
+    their smoothed copy side by side and returns ``AlignedRows``, which copies
+    a block's plan rows from the table when the block is asked for, so a
+    consumer reading blocks holds one block's rows and features at a time. A
+    subset takes the rows of its own anchors the same way. ``tau2 = 0``
     leaves out the semantic rows and columns (ablation).
     """
 
     def __init__(self, anchors: np.ndarray, length: int, tau1: int, tau2: int):
-        self.anchors = np.asarray(anchors, dtype=np.int64)
+        self.anchors = _checked_anchors(anchors, length)
         self.length = length
         self.tau1 = tau1
         self.tau2 = tau2
-        self.plan = build_alignment(self.anchors, length, tau1, tau2)
+        longest = int((self.anchors[:, 1] - self.anchors[:, 0]).max(initial=0))
+        durations = np.arange(1, longest + 1)
+        self.table = build_alignment(np.stack([np.zeros_like(durations), durations], axis=1),
+                                     length, tau1, tau2)
 
     def feature_width(self, channels: int) -> int:
         return (self.tau1 + self.tau2) * channels
@@ -175,46 +202,40 @@ class SubgraphAligner:
         """Per-anchor rows: temporal part, then the neighbor-smoothed part."""
         if features.shape[1] != self.length:
             raise ContractError(f"aligner built for L={self.length}, features have {features.shape[1]}")
-        plan = self.plan
-        per_anchor = self.tau1 + self.tau2
-        if subset is not None:
-            plan = plan[(subset[:, None] * per_anchor + np.arange(per_anchor)).reshape(-1)]
         if self.tau2 > 0:
             if len(np.asarray(edges).reshape(-1, 2)) == 0:
                 smoothed = features        # semantic context disabled: fall back to raw
             else:
                 smoothed = semantic_smooth(features, edges)
             features = ad.concat([features, smoothed], axis=1)
-        return AlignedRows(features, plan, per_anchor)
+        anchors = self.anchors if subset is None else self.anchors[subset]
+        return AlignedRows(features, self.table, anchors, self.tau1 + self.tau2)
 
 
 class AlignedRows:
     """The (J, F) aligned anchor features, computed per row range on demand.
 
-    ``rows[lo:hi]`` is the Tensor of anchors lo to hi: one sparse product of
-    the plan's rows ``lo * per_anchor`` to ``hi * per_anchor`` with the
-    source, whose (count * per_anchor, C) result reshapes without a copy into
-    (count, per_anchor * C). Each plan row is computed on its own, so a row
-    reads the same bits whichever range it is taken in. ``rows[:]`` is all J.
+    ``rows[lo:hi]`` is the Tensor of anchors lo to hi: their plan rows, copied
+    from the per-duration ``table`` by ``_plan_rows``, in one sparse product
+    with the source, whose (count * per_anchor, C) result reshapes without a
+    copy into (count, per_anchor * C). Each plan row is computed on its own,
+    so a row reads the same bits whichever range it is taken in. ``rows[:]``
+    is all J.
     """
 
-    def __init__(self, source: Tensor, plan, per_anchor: int):
+    def __init__(self, source: Tensor, table: sparse.csr_matrix, anchors: np.ndarray,
+                 per_anchor: int):
         self.source = source
-        self.plan = plan
+        self.table = table
+        self.anchors = anchors
         self.per_anchor = per_anchor
-        self.shape = (plan.shape[0] // per_anchor, per_anchor * source.shape[0])
+        self.shape = (len(anchors), per_anchor * source.shape[0])
 
     def __getitem__(self, key: slice) -> Tensor:
         lo, hi, step = key.indices(self.shape[0])
         if step != 1:
             raise ContractError(f"aligned rows take a contiguous row range, got step {step}")
-        # the block from slices of the plan's arrays, which scipy copies whole;
-        # ``plan[a:b]`` extracts them row by row, 3.5 times slower at L=256
-        a, b = lo * self.per_anchor, max(lo, hi) * self.per_anchor
-        start, stop = self.plan.indptr[a], self.plan.indptr[b]
-        rows = sparse.csr_matrix((self.plan.data[start:stop], self.plan.indices[start:stop],
-                                  self.plan.indptr[a:b + 1] - start),
-                                 shape=(b - a, self.plan.shape[1]))
+        rows = _plan_rows(self.table, self.anchors[lo:hi], self.per_anchor)
         return ad.resample_columns(self.source, rows).reshape(-1, self.shape[1])
 
 

@@ -154,6 +154,14 @@ def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
+def new_param(rng: np.random.Generator | None, shape, fan_in: int) -> Tensor:
+    """A trainable leaf of ``shape``: drawn by ``uniform_param``, or with no ``rng``
+    allocated unfilled, for a checkpoint to fill."""
+    if rng is None:
+        return Tensor(np.empty(shape), requires_grad=True)
+    return uniform_param(rng, shape, fan_in)
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, uniform_param
+from .autodiff import Tensor, new_param
 from .errors import ConfigError, ShapeError
 from .video_graph import VideoGraph, gather_matrix, temporal_adjacency
 from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
@@ -50,17 +50,17 @@ class BlockParams:
 
     @classmethod
     def create(cls, width: int, cardinality: int, bottleneck_ratio: int,
-               rng: np.random.Generator) -> "BlockParams":
+               rng: np.random.Generator | None) -> "BlockParams":
         cb = width // bottleneck_ratio
         cg = cb // cardinality
         return cls(
-            t_in=uniform_param(rng, (cb, width), width),
-            t_conv=uniform_param(rng, (3, cg, cb), 3 * cg),
-            t_out=uniform_param(rng, (width, cb), cb),
-            s_in=uniform_param(rng, (cb, width), width),
-            s_self=uniform_param(rng, (1, cg, cb), cg),
-            s_neigh=uniform_param(rng, (1, cg, cb), cg),
-            s_out=uniform_param(rng, (width, cb), cb),
+            t_in=new_param(rng, (cb, width), width),
+            t_conv=new_param(rng, (3, cg, cb), 3 * cg),
+            t_out=new_param(rng, (width, cb), cb),
+            s_in=new_param(rng, (cb, width), width),
+            s_self=new_param(rng, (1, cg, cb), cg),
+            s_neigh=new_param(rng, (1, cg, cb), cg),
+            s_out=new_param(rng, (width, cb), cb),
             cardinality=cardinality,
         )
 
@@ -113,8 +113,8 @@ class BackboneParams:
 
     @classmethod
     def create(cls, c_raw: int, width: int, num_blocks: int, cardinality: int,
-               bottleneck_ratio: int, rng: np.random.Generator) -> "BackboneParams":
-        proj = uniform_param(rng, (width, c_raw), c_raw)
+               bottleneck_ratio: int, rng: np.random.Generator | None) -> "BackboneParams":
+        proj = new_param(rng, (width, c_raw), c_raw)
         blocks = [BlockParams.create(width, cardinality, bottleneck_ratio, rng)
                   for _ in range(num_blocks)]
         return cls(proj=proj, blocks=blocks)

@@ -22,7 +22,7 @@ from .data import SynthConfig, load_annotations, load_dataset, prepare_windows, 
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
 from .inference import read_raw_scores, score_windows, write_raw_scores
-from .model import ModelConfig
+from .model import Detector, ModelConfig
 from .postprocess import finalize_detections, read_detections, write_detections
 from .training import TrainConfig, init_params, train
 
@@ -282,8 +282,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     windows, model_config = _windows_and_model(args, training=False)
-    model = init_params(TrainConfig(model=model_config))
-    model.load(args.checkpoint)
+    model = Detector.from_checkpoint(model_config, args.checkpoint)
     window_scores = score_windows(model, windows)
     if args.save_raw:
         write_raw_scores(args.save_raw, window_scores)
@@ -350,9 +349,10 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
     matching = [w for w in windows if w.video_id == video_id]
     if not matching:
         raise DataError(f"video '{video_id}' not found in the manifest")
-    model = init_params(TrainConfig(model=model_config, **_given(args, "seed")))
     if args.checkpoint:
-        model.load(args.checkpoint)
+        model = Detector.from_checkpoint(model_config, args.checkpoint)
+    else:
+        model = init_params(TrainConfig(model=model_config, **_given(args, "seed")))
 
     with ad.no_grad():
         _, _, graph = model.forward_features(matching[0].features)

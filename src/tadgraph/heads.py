@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, uniform_param
+from .autodiff import Tensor, new_param
 from .errors import ConfigError, ContractError
 
 PROB_EPS = 1e-7
@@ -40,14 +40,14 @@ class LocalizationParams:
     b3: Tensor
 
     @classmethod
-    def create(cls, in_width: int, hidden: Sequence[int], rng: np.random.Generator):
+    def create(cls, in_width: int, hidden: Sequence[int], rng: np.random.Generator | None):
         h1, h2 = hidden
         return cls(
-            w1=uniform_param(rng, (in_width, h1), in_width),
+            w1=new_param(rng, (in_width, h1), in_width),
             b1=Tensor(np.zeros(h1), requires_grad=True),
-            w2=uniform_param(rng, (h1, h2), h1),
+            w2=new_param(rng, (h1, h2), h1),
             b2=Tensor(np.zeros(h2), requires_grad=True),
-            w3=uniform_param(rng, (h2, 2), h2),
+            w3=new_param(rng, (h2, 2), h2),
             b3=Tensor(np.zeros(2), requires_grad=True),
         )
 
@@ -60,8 +60,8 @@ class NodeParams:
     b: Tensor
 
     @classmethod
-    def create(cls, width: int, rng: np.random.Generator):
-        return cls(w=uniform_param(rng, (width, 2), width),
+    def create(cls, width: int, rng: np.random.Generator | None):
+        return cls(w=new_param(rng, (width, 2), width),
                    b=Tensor(np.zeros(2), requires_grad=True))
 
 

@@ -59,6 +59,8 @@ def write_raw_scores(path, window_scores: list[WindowScores]) -> None:
 
 
 def read_raw_scores(path) -> list[WindowScores]:
+    """The windows of a ``write_raw_scores`` file; a malformed file, a non-finite
+    scale or a score outside [0, 1] raises ``FormatError``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -80,8 +82,13 @@ def read_raw_scores(path) -> list[WindowScores]:
         if ws.anchors.shape != rows + (2,) or ws.p_cls.shape != rows or ws.p_reg.shape != rows:
             raise FormatError(f"{path}: window of '{ws.video_id}' needs (J, 2) anchors and "
                               "J values in each of p_cls and p_reg")
-        if not (np.isfinite(ws.p_cls).all() and np.isfinite(ws.p_reg).all()
-                and np.isfinite(ws.scale)):
-            raise FormatError(f"{path}: window of '{ws.video_id}' has a non-finite score "
-                              "or scale")
+        if not np.isfinite(ws.scale):
+            raise FormatError(f"{path}: window of '{ws.video_id}' at offset {ws.offset} has "
+                              "a non-finite scale")
+        # sigmoid outputs; fusion raises each to a fractional power, which is NaN
+        # for a negative score
+        for name, scores in (("p_cls", ws.p_cls), ("p_reg", ws.p_reg)):
+            if not ((scores >= 0) & (scores <= 1)).all():
+                raise FormatError(f"{path}: window of '{ws.video_id}' at offset {ws.offset} "
+                                  f"has a {name} score that is not in [0, 1]")
     return windows

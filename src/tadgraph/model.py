@@ -70,7 +70,9 @@ def _named_tensors(container, prefix: str) -> dict[str, Tensor]:
 class Detector:
     """Parameter container plus the forward passes used in training and inference."""
 
-    def __init__(self, config: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: ModelConfig, rng: np.random.Generator | None):
+        """Draw every parameter from ``rng``; with ``rng`` None they are allocated
+        unfilled, which only ``from_checkpoint`` does before it fills them."""
         self.config = config
         self.backbone = BackboneParams.create(
             config.c_raw, config.width, config.blocks, config.cardinality,
@@ -81,6 +83,15 @@ class Detector:
         feature_width = self.aligner.feature_width(config.width)
         self.loc_head = LocalizationParams.create(feature_width, config.head_hidden, rng)
         self.node_head = NodeParams.create(config.width, rng)
+
+    @classmethod
+    def from_checkpoint(cls, config: ModelConfig, path) -> "Detector":
+        """A model of ``config`` with every parameter read from a checkpoint and
+        none drawn: each is allocated at its shape, then ``load`` checks them all
+        before it assigns any, so a mismatched checkpoint raises ``FormatError``."""
+        model = cls(config, None)
+        model.load(path)
+        return model
 
     # -- parameters ----------------------------------------------------------
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from helpers import anchor_weight_rows_per_anchor, build_alignment_per_duration
 
 from tadgraph import autodiff as ad
-from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, build_alignment,
+from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, _plan_rows, build_alignment,
                             enumerate_anchors, interp_rescale, semantic_smooth,
                             sgalign_forward)
 from tadgraph.autodiff import Tensor
 from tadgraph.errors import ContractError
+from tadgraph.training import sample_anchor_subset
 from tadgraph.video_graph import knn_semantic_edges
 
 
@@ -304,6 +305,55 @@ class TestSGAlign:
             np.testing.assert_array_equal(aligned[key].data, full[key])
         with pytest.raises(ContractError, match="step 2"):
             aligned[::2]
+
+    @settings(max_examples=100)
+    @given(st.integers(3, 80), st.data())
+    def test_assembled_rows_equal_rows_of_the_plan(self, length, data):
+        # a block's or a subset's rows, copied from the per-duration table, equal
+        # the plan rows of its anchors entry for entry; the plan comes from the
+        # per-duration oracle, which build_alignment equals, since both share
+        # _plan_rows
+        max_duration = data.draw(st.integers(2, length))
+        tau1, tau2 = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
+        anchors = enumerate_anchors(length, max_duration)
+        aligner = SubgraphAligner(anchors, length, tau1, tau2)
+        plan = build_alignment_per_duration(anchors, length, tau1, tau2)
+        per_anchor, count = tau1 + tau2, len(anchors)
+        longest = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
+        assert aligner.table.shape == (longest * per_anchor, plan.shape[1])
+        lo = data.draw(st.integers(0, count))
+        hi = data.draw(st.integers(lo, count))
+        for a, b in ((lo, hi), (lo, lo), (lo, min(lo + 1, count))):   # also empty and one
+            self._assert_same_rows(_plan_rows(aligner.table, aligner.anchors[a:b], per_anchor),
+                                   plan[a * per_anchor:b * per_anchor])
+        if count > 1:
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            subset = sample_anchor_subset(rng.random(count), data.draw(st.integers(1, count - 1)),
+                                          rng)
+            rows = (subset[:, None] * per_anchor + np.arange(per_anchor)).reshape(-1)
+            self._assert_same_rows(_plan_rows(aligner.table, aligner.anchors[subset], per_anchor),
+                                   plan[rows])
+
+    @staticmethod
+    def _assert_same_rows(got, want):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(got, name), getattr(want, name)
+            assert mine.dtype == theirs.dtype, name
+            np.testing.assert_array_equal(mine, theirs, err_msg=name)
+
+    def test_aligner_keeps_only_the_per_duration_table(self):
+        # infer_l256's anchor set: a table of the 63 durations, 5982 entries, where
+        # the plan of all 14049 anchors has 1.3M entries in 17.8 MB
+        anchors = enumerate_anchors(256, 64)
+        tracemalloc.start()
+        try:
+            aligner = SubgraphAligner(anchors, 256, 32, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert aligner.table.shape == (63 * 36, 512) and aligner.table.nnz == 5982
 
     @pytest.mark.parametrize("tau2", [0, 3])
     @pytest.mark.parametrize("edge_kind", ["knn", "empty"])

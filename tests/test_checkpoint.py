@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import small_model_config
 
+from tadgraph import autodiff
 from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.errors import FormatError
 from tadgraph.model import Detector
@@ -125,3 +126,40 @@ def test_model_rejects_non_finite_parameter_by_name(tmp_path, bad):
         model.load(path)
     for name, tensor in model.named_params().items():
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parameter was drawn")
+    monkeypatch.setattr(autodiff, "uniform_param", refuse)
+
+
+def test_from_checkpoint_reads_every_parameter_without_a_draw(tmp_path, monkeypatch):
+    path = tmp_path / "model.tgck"
+    config = small_model_config()
+    Detector(config, np.random.default_rng(0)).save(path)
+    expected = Detector(config, np.random.default_rng(1))
+    expected.load(path)
+    _refuse_draws(monkeypatch)
+    got = Detector.from_checkpoint(config, path).named_params()
+    assert list(got) == list(expected.named_params())
+    for name, tensor in expected.named_params().items():
+        assert got[name].requires_grad, name
+        np.testing.assert_array_equal(got[name].data, tensor.data, err_msg=name)
+
+
+@pytest.mark.parametrize("stored, message", [
+    (dict(blocks=3), "'block2.t_in' is not in the model"),
+    (dict(head_hidden=(32, 8)), "'loc.w2' has shape"),
+    (dict(), "'loc.w1' holds a non-finite value"),
+], ids=["extra", "shape", "non-finite"])
+def test_from_checkpoint_refuses_a_mismatch_by_name(tmp_path, monkeypatch, stored, message):
+    path = tmp_path / "model.tgck"
+    source = Detector(small_model_config(**stored), np.random.default_rng(0))
+    if not stored:
+        source.loc_head.w1.data[3, 1] = np.nan
+    source.save(path)
+    _refuse_draws(monkeypatch)
+    with pytest.raises(FormatError, match=message):
+        Detector.from_checkpoint(small_model_config(), path)

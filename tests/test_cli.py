@@ -398,6 +398,30 @@ def test_window_size_below_two_is_usage_error(small_synth, tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shapes, named", [
+    ([(0, 6)], "'v0' has no snippets"),
+    ([(10, 4), (10, 6)], "'v1' has 6 feature channels, video 'v0' has 4"),
+], ids=["empty", "mixed"])
+def test_unusable_manifest_is_data_error_naming_the_video(tmp_path, capsys, shapes, named):
+    # the annotations match the manifest, so only the video itself can be refused
+    entries, database = [], {}
+    for i, shape in enumerate(shapes):
+        write_feature_file(tmp_path / f"v{i}.fseq", np.ones(shape, np.float32))
+        entries.append({"video_id": f"v{i}", "feature_file": f"v{i}.fseq",
+                        "duration_seconds": 10.0, "sampling_rate": 1.0})
+        database[f"v{i}"] = {"duration": 10.0, "subset": "training",
+                             "annotations": [{"segment": [2.0, 6.0], "label": "a"}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(entries))
+    (tmp_path / "annotations.json").write_text(json.dumps({"database": database}))
+    out = tmp_path / "run"
+    assert dispatch(["train", "--manifest", str(tmp_path / "manifest.json"),
+                     "--annotations", str(tmp_path / "annotations.json"), "--out", str(out),
+                     "--rescale-length", "20", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
 def test_strided_windows_take_window_size_and_stride(small_synth, tmp_path):
     out = tmp_path / "graph.json"
     assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
@@ -414,7 +438,7 @@ def test_console_script_help_runs():
 
 
 class _Built(Exception):
-    """Raised by a stand-in for ``init_params`` to hand back the config it got."""
+    """Raised by a stand-in for model construction to hand back the config it got."""
 
 
 def _data_args(small_synth):
@@ -493,10 +517,10 @@ class TestOptionResolution:
     ], ids=["default", "sidecar", "file", "flag"])
     def test_architecture_precedence(self, monkeypatch, small_synth, tmp_path,
                                      flag, in_file, in_sidecar, expected):
-        def stop(config):
+        def stop(config, path):
             raise _Built(config)
 
-        monkeypatch.setattr(cli, "init_params", stop)
+        monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
         (tmp_path / "run").mkdir()
         if in_sidecar is not None:
             (tmp_path / "run" / "config.json").write_text(
@@ -511,7 +535,7 @@ class TestOptionResolution:
             args += ["--width", str(flag)]
         with pytest.raises(_Built) as built:
             dispatch(args)
-        model = built.value.args[0].model
+        model = built.value.args[0]
         assert model.width == expected
         assert model.blocks == (ModelConfig().blocks if in_sidecar is None else 2)
         assert (model.c_raw, model.window_length) == (6, 100)
@@ -611,6 +635,20 @@ class TestMalformedEvalInputs:
         assert dispatch(["eval", "--detections", str(files["detections"]),
                          "--annotations", str(files["annotations"]), "--class-agnostic"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("p_cls, p_reg", [(-0.5, 0.5), (0.5, 1.5)], ids=["cls", "reg"])
+    def test_raw_score_outside_unit_interval_is_data_error(self, files, tmp_path, capsys,
+                                                           p_cls, p_reg):
+        # fusion would raise a negative score to a fractional power: a NaN detection
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
+            {"video_id": "v", "anchors": [[0, 2], [1, 3]], "p_cls": [0.5, p_cls],
+             "p_reg": [0.5, p_reg], "offset": 7, "scale": 1.0, "valid_length": 10}]}))
+        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+                         "--annotations", str(files["annotations"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'v' at offset 7" in err
+        assert ("p_cls" if p_cls < 0 else "p_reg") in err
 
     def test_raw_scores_shorter_than_anchors_are_data_errors(self, files, tmp_path, capsys):
         raw = tmp_path / "raw.json"

@@ -146,8 +146,8 @@ def test_read_detections(workdir, payload):
 _window = _record({
     "video_id": st.text(max_size=3),
     "anchors": st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), max_size=3),
-    "p_cls": st.lists(st.floats(0, 1), max_size=3),
-    "p_reg": st.lists(st.floats(0, 1), max_size=3),
+    "p_cls": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "p_reg": st.lists(st.floats(-0.5, 1.5), max_size=3),
     "offset": st.integers(0, 9),
     "scale": st.floats(),
     "valid_length": st.integers(0, 9),
@@ -170,5 +170,6 @@ def test_read_raw_scores(workdir, payload):
     for ws in _accepts_or_rejects(read_raw_scores, workdir / "raw.json", payload) or []:
         assert ws.anchors.shape == (len(ws.anchors), 2)
         assert ws.p_cls.shape == ws.p_reg.shape == (len(ws.anchors),)
-        assert np.isfinite(ws.p_cls).all() and np.isfinite(ws.p_reg).all()
+        for scores in (ws.p_cls, ws.p_reg):
+            assert ((scores >= 0) & (scores <= 1)).all()
         assert np.isfinite(ws.scale)
