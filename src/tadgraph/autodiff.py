@@ -11,6 +11,11 @@ accumulates until ``zero_grad``.
 Each adjoint hands ``_accumulate`` an array that nothing else reads or
 writes (fresh, or a view of its node's gradient, which ``backward`` frees
 next), and the receiver keeps it; ``add`` copies for its second operand.
+A dense layer's weight is handed its first gradient the same way; each later
+one its adjoint adds into ``w.grad`` in place, one row block of about
+``GRAD_BLOCK_BYTES`` at a time, so no weight-sized product is built. No block
+has a single row, so each block's product takes the whole product's GEMM path
+and the sum is bit-identical to adding the whole product.
 
 ``add`` and ``mul`` take a tensor, scalar or ndarray on either side through
 one path; shapes must match, but an operand that needs no gradient may be
@@ -33,6 +38,9 @@ from scipy.special import expit
 from .errors import ConfigError, ContractError, ShapeError
 
 _grad_enabled = True
+
+# bytes of one row block of a weight gradient that a dense layer's adjoint adds in place
+GRAD_BLOCK_BYTES = 1 << 21
 
 
 @contextmanager
@@ -350,7 +358,15 @@ def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
         if x.requires_grad:
             x._accumulate(g @ w.data.T)
         if w.requires_grad:
-            w._accumulate(x.data.T @ g)
+            if w.grad is None:
+                w._accumulate(x.data.T @ g)
+            else:
+                # no block has one row: numpy takes a one-row product through gemv,
+                # which may sum in another order than the whole product's gemm
+                rows = max(2, GRAD_BLOCK_BYTES // max(1, g.shape[1] * g.itemsize))
+                cuts = [*range(0, max(w.shape[0] - 1, 1), rows), w.shape[0]]
+                for lo, hi in zip(cuts, cuts[1:]):
+                    w.grad[lo:hi] += x.data[:, lo:hi].T @ g
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 

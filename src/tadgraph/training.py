@@ -7,6 +7,10 @@ backpropagated; gradients accumulate across the windows of a batch before
 a single optimizer step. Weight decay lives here alone: each batch's L2
 value enters every window's loss as a constant, and ``Adam.step`` adds its
 gradient. The learning rate drops once, halfway through the epochs.
+
+``Adam.step`` updates every parameter and its moments in place, chunk by
+chunk, bit-identical to the whole-array formula, so a step holds no
+parameter-sized temporary; parameters must therefore be C-contiguous.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import NumericError, check_lows
+from .errors import ContractError, NumericError, check_lows
 from .heads import (DEFAULT_LAMBDA1, assign_anchor_labels, assign_node_labels, node_loss,
                     subgraph_loss, total_loss)
 from .model import Detector, ModelConfig
@@ -55,30 +59,66 @@ class TrainConfig:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# elements of a parameter that ``Adam.step`` updates at a time
+ADAM_CHUNK = 1 << 15
 
 
 class Adam:
     """Adaptive moment estimation with ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``;
     ``step`` adds the weight term's gradient 2 * lambda2 * p before the moments
-    (coupled L2, not AdamW's decoupled decay)."""
+    (coupled L2, not AdamW's decoupled decay).
+
+    ``step`` updates each parameter and its moments in place, ``ADAM_CHUNK`` flat
+    elements at a time through two chunk-sized scratch buffers, so it holds no
+    parameter-sized temporary. Each element takes the operations of the whole-array
+    formula in their order, so the result is bit-identical to it. Parameters must be
+    C-contiguous: ``step`` refuses another layout with a ``ContractError`` naming the
+    parameter's position and shape, before it updates any."""
 
     def __init__(self, params: list[ad.Tensor]):
         self.params = params
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        self.m = [np.zeros(p.shape) for p in params]
+        self.v = [np.zeros(p.shape) for p in params]
         self.t = 0
 
     def step(self, lr: float, lambda2: float) -> None:
+        for i, p in enumerate(self.params):
+            # the flat form of another layout is a copy, which an update never reaches
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"Adam parameter {i} of shape {p.shape} is not "
+                                    "C-contiguous")
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
+        decay = 2.0 * lambda2
+        g_buf, t_buf = np.empty(ADAM_CHUNK), np.empty(ADAM_CHUNK)
         for p, m, v in zip(self.params, self.m, self.v):
-            g = (0.0 if p.grad is None else p.grad) + 2.0 * lambda2 * p.data
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+            flat_p, flat_m, flat_v = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+            flat_grad = None if p.grad is None else p.grad.reshape(-1)
+            for lo in range(0, flat_p.size, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, flat_p.size)
+                pc, mc, vc = flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+                g, tmp = g_buf[:hi - lo], t_buf[:hi - lo]
+                # g = grad + 2 * lambda2 * p, or 0.0 + 2 * lambda2 * p without a gradient
+                np.multiply(pc, decay, out=g)
+                if flat_grad is None:
+                    g += 0.0
+                else:
+                    g += flat_grad[lo:hi]
+                mc *= ADAM_BETA1                                 # m = b1 m + (1 - b1) g
+                np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+                mc += tmp
+                vc *= ADAM_BETA2                                 # v = b2 v + ((1 - b2) g) g
+                np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+                tmp *= g
+                vc += tmp
+                np.divide(mc, b1c, out=tmp)                      # p -= lr (m / b1c)
+                tmp *= lr                                        #   / (sqrt(v / b2c) + eps)
+                np.divide(vc, b2c, out=g)
+                np.sqrt(g, out=g)
+                g += ADAM_EPS
+                tmp /= g
+                pc -= tmp
 
 
 def init_params(config: TrainConfig) -> Detector:

@@ -5,6 +5,7 @@ from scipy import sparse
 
 from tadgraph import autodiff as ad
 from tadgraph.errors import ShapeError
+from tadgraph.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def relu_margin(loss: ad.Tensor) -> float:
@@ -54,6 +55,21 @@ def total_loss_over_params(loss_g: ad.Tensor, loss_n: ad.Tensor, params,
     ``lambda2`` times the squared parameters, summed over ``params`` in order."""
     weight_term = sum(float(np.vdot(p.data, p.data)) for p in params)
     return loss_g + loss_n + lambda2 * weight_term
+
+
+def adam_step_whole_array(optimizer, lr: float, lambda2: float) -> None:
+    """``training.Adam.step`` as whole-array expressions, which build their own
+    parameter-sized temporaries; it steps ``optimizer``'s parameters and moments."""
+    optimizer.t += 1
+    b1c = 1.0 - ADAM_BETA1 ** optimizer.t
+    b2c = 1.0 - ADAM_BETA2 ** optimizer.t
+    for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
+        g = (0.0 if p.grad is None else p.grad) + 2.0 * lambda2 * p.data
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 def zeros_then_add_accumulate(self: ad.Tensor, g: np.ndarray) -> None:

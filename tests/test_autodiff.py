@@ -1,17 +1,20 @@
 """Tensor engine: forward semantics, backward rules, finite-difference audit."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
-                     mul_with_constant_branch, zeros_then_add_accumulate)
+                     mul_with_constant_branch, relu_margin, zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tadgraph import autodiff as ad
 from tadgraph.autodiff import Tensor
+from tadgraph.data import SynthConfig, load_dataset, prepare_windows, synth_dataset
 from tadgraph.errors import ConfigError, ContractError, ShapeError
+from tadgraph.training import Adam, TrainConfig, build_examples, init_params, train_epoch
 
 
 def test_matmul_identity():
@@ -515,3 +518,70 @@ def test_shaped_operands_must_match(op, a, b):
     for first, second in ((a, b), (b, a)):
         with pytest.raises(ShapeError, match=op.__name__):
             op(first, second)
+
+
+# ---------------------------------------------------------------------------
+# a dense layer adds a weight's later gradients into its grad in place
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("layer", [ad.affine, ad.affine_relu], ids=["affine", "affine_relu"])
+def test_later_weight_gradient_adds_into_the_kept_one_over_row_blocks(monkeypatch, layer):
+    # a (10, 4) weight in 3-row blocks: rows 9 and 6-8 form one block, since a
+    # one-row product would go through gemv and may round otherwise
+    monkeypatch.setattr(ad, "GRAD_BLOCK_BYTES", 3 * 4 * 8)
+    rng = np.random.default_rng(3)
+    w = Tensor(rng.normal(size=(10, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    terms = []
+    for _ in range(2):
+        x, upstream = rng.normal(size=(6, 10)), rng.normal(size=(6, 4))
+        ad.tsum(ad.mul(layer(Tensor(x), w, b), upstream)).backward()
+        if layer is ad.affine_relu:
+            upstream = upstream * (x @ w.data + b.data > 0)
+        terms.append(x.T @ upstream)
+        if len(terms) == 1:
+            kept = w.grad
+    assert w.grad is kept
+    np.testing.assert_array_equal(w.grad, terms[0] + terms[1])
+
+
+def test_grad_check_through_an_in_place_weight_gradient(monkeypatch):
+    # w feeds two layers of one graph, so the second adjoint to run adds into the
+    # first one's gradient, in blocks of 2 of its 5 rows
+    monkeypatch.setattr(ad, "GRAD_BLOCK_BYTES", 2 * 3 * 8)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x1, x2 = (Tensor(rng.normal(size=(rows, 5)), requires_grad=True) for rows in (4, 6))
+        w = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+
+        def f():
+            return (ad.tsum(ad.square(ad.affine(x1, w, b)))
+                    + ad.tsum(ad.square(ad.affine_relu(x2, w, b))))
+
+        if relu_margin(f()) > 1e-2:
+            break
+    assert ad.grad_check(f, [x1, x2, w, b]) < 1e-6
+
+
+def test_one_training_batch_holds_no_weight_sized_temporary(tmp_path):
+    # default configs at L = 100, 16 windows in one batch of 16. A whole-array Adam
+    # step and a fresh x.T @ g per window for loc.w1 (4.7 MB each) peaked at
+    # 29.2 MB; the in-place Adam step alone leaves 19.5 MB, and with the in-place
+    # weight gradient 17.0 MB
+    manifest, annotations = synth_dataset(SynthConfig(num_videos=16, length=100, seed=5),
+                                          tmp_path)
+    windows = prepare_windows(*load_dataset(manifest, annotations), rescale_length=100,
+                              training=True)
+    config = TrainConfig()
+    model = init_params(config)
+    examples = build_examples(model, windows)
+    optimizer = Adam(model.params())
+    tracemalloc.start()
+    try:
+        train_epoch(model, examples, optimizer, config, config.lr_phase1,
+                    np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.5e6

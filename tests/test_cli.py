@@ -1,10 +1,12 @@
 """Command-line pipeline behaviour and exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,6 +437,33 @@ def test_console_script_help_runs():
                             capture_output=True, text=True)
     assert result.returncode in (0, 1)
     assert "synth" in result.stdout + result.stderr
+
+
+def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
+    # the workflow's console-script smoke run, as `python -m tadgraph` processes: L=100
+    # with durations under 32 gives 2573 anchors, so infer runs the localization head
+    # over three row blocks; a numpy overflow or invalid-value warning is an error
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    data, run, det = tmp_path / "d", tmp_path / "run", tmp_path / "det.json"
+    commands = [
+        ["synth", "--out", data, "--num-videos", "4", "--length", "50", "--c-raw", "6"],
+        ["train", "--manifest", data / "manifest.json", "--annotations",
+         data / "annotations.json", "--out", run, "--rescale-length", "100", "--width", "16",
+         "--cardinality", "2", "--k-neighbors", "2", "--tau1", "8", "--tau2", "2",
+         "--max-duration", "32", "--epochs", "2", "--batch-size", "4",
+         "--anchors-per-window", "64", "--quiet"],
+        ["infer", "--manifest", data / "manifest.json", "--checkpoint",
+         run / "checkpoint.tgck", "--rescale-length", "100", "--out", det],
+        ["eval", "--detections", det, "--annotations", data / "annotations.json",
+         "--class-agnostic"],
+    ]
+    for args in commands:
+        result = subprocess.run([sys.executable, "-m", "tadgraph", *map(str, args)], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0 and result.stderr == "", (args[0], result.stderr)
+    assert "average  " in result.stdout
 
 
 class _Built(Exception):

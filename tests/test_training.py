@@ -1,14 +1,16 @@
 """Optimization loop: initialization, reproducibility, convergence."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from conftest import small_model_config
-from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
-                     mul_with_constant_branch, sample_anchor_subset_setdiff,
-                     total_loss_over_params, zeros_then_add_accumulate)
+from helpers import (adam_step_whole_array, add_with_constant_branch,
+                     grouped_conv1d_per_group, mul_with_constant_branch,
+                     sample_anchor_subset_setdiff, total_loss_over_params,
+                     zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from tadgraph import autodiff as ad
 from tadgraph import backbone, training, video_graph
 from tadgraph.autodiff import Tensor
 from tadgraph.data import SynthConfig, Window, load_dataset, prepare_windows, synth_dataset
-from tadgraph.errors import ConfigError, NumericError
+from tadgraph.errors import ConfigError, ContractError, NumericError
 from tadgraph.model import ModelConfig
 from tadgraph.training import (ADAM_BETA1, Adam, TrainConfig, build_examples, init_params,
                                sample_anchor_subset, train, train_epoch, window_loss)
@@ -246,6 +248,73 @@ class TestWeightDecay:
         optimizer.step(1e-3, self.LAMBDA2)
         for m, want in zip(optimizer.m, expected):
             np.testing.assert_allclose(m, want, rtol=1e-15)
+
+
+class TestAdam:
+    CHUNK = 8
+
+    @staticmethod
+    def _three_steps(data, grads, lambda2, step):
+        """Three steps from copies of ``data``; ``grads[t][i]`` is parameter i's gradient
+        at step t. Returns the parameters and both moments."""
+        params = [Tensor(d.copy(), requires_grad=True) for d in data]
+        optimizer = Adam(params)
+        for lr, step_grads in zip((4e-3, 4e-3, 4e-4), grads):
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            step(optimizer, lr, lambda2)
+        return [p.data for p in params], optimizer.m, optimizer.v
+
+    @pytest.mark.parametrize("lambda2", [0.0, 0.25])
+    def test_chunked_step_equals_the_whole_array_formula(self, monkeypatch, lambda2):
+        # sizes below the chunk, equal to it, a multiple of it and not a multiple of
+        # it; the last parameter never receives a gradient. Signed zeros in the
+        # parameters and gradients and magnitudes over 10 decades probe the rounding.
+        monkeypatch.setattr(training, "ADAM_CHUNK", self.CHUNK)
+        rng = np.random.default_rng(7)
+        shapes = [(5,), (2, 4), (3, 8), (29,), (3, 3)]
+
+        def draw(shape):
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 4, size=shape)
+            values.reshape(-1)[:2] = (0.0, -0.0)
+            return values
+
+        data = [draw(shape) for shape in shapes]
+        grads = [[draw(shape) for shape in shapes[:-1]] + [None] for _ in range(3)]
+        got = self._three_steps(data, grads, lambda2, Adam.step)
+        want = self._three_steps(data, grads, lambda2, adam_step_whole_array)
+        for name, got_arrays, want_arrays in zip("pmv", got, want):
+            for i, (g, w) in enumerate(zip(got_arrays, want_arrays)):
+                np.testing.assert_array_equal(g, w, err_msg=f"{name}[{i}]")
+                assert g.tobytes() == w.tobytes(), f"{name}[{i}] differs in a zero's sign"
+        assert not np.array_equal(got[0][3], data[3])
+
+    def test_step_on_the_default_model_allocates_under_1_mb(self):
+        # the whole-array formula peaks at 18.9 MB: four copies of loc.w1 (4.7 MB)
+        params = init_params(TrainConfig()).params()
+        for p in params:
+            p.grad = np.ones(p.shape)
+        optimizer = Adam(params)
+        tracemalloc.start()
+        try:
+            optimizer.step(4e-3, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_non_contiguous_parameter_is_refused_by_name_before_any_update(self):
+        rng = np.random.default_rng(2)
+        params = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)]
+        before = [p.data.copy() for p in params]
+        optimizer = Adam(params)
+        with pytest.raises(ContractError, match=r"parameter 1 of shape \(3, 4\) is not "
+                                                r"C-contiguous"):
+            optimizer.step(4e-3, 1e-4)
+        assert optimizer.t == 0
+        for p, b in zip(params, before):
+            np.testing.assert_array_equal(p.data, b)
 
 
 class TestTrainLoop:
