@@ -12,10 +12,9 @@ Each adjoint hands ``_accumulate`` an array that nothing else reads or
 writes (fresh, or a view of its node's gradient, which ``backward`` frees
 next), and the receiver keeps it; ``add`` copies for its second operand.
 A dense layer's weight is handed its first gradient the same way; each later
-one its adjoint adds into ``w.grad`` in place, one row block of about
-``GRAD_BLOCK_BYTES`` at a time, so no weight-sized product is built. No block
-has a single row, so each block's product takes the whole product's GEMM path
-and the sum is bit-identical to adding the whole product.
+one its adjoint adds into ``w.grad`` in place, over ``row_blocks`` of about
+``GRAD_BLOCK_BYTES`` each, so no weight-sized product is built and the sum is
+bit-identical to adding the whole product.
 
 ``add`` and ``mul`` take a tensor, scalar or ndarray on either side through
 one path; shapes must match, but an operand that needs no gradient may be
@@ -130,24 +129,10 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("division is supported by scalars only")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return tslice(self, key)
 
-    # -- reductions / shaping as methods for readability ----------------------
-
-    def sum(self):
-        return tsum(self)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
+    # -- shaping as methods for readability ------------------------------------
 
     def transpose(self):
         return transpose(self)
@@ -298,18 +283,12 @@ def tsum(x: Tensor) -> Tensor:
     return _make(x.data.sum(), "sum", (x,), bwd)
 
 
-def tmean(x: Tensor, axis=None) -> Tensor:
-    if axis is not None and not (-x.data.ndim <= axis < x.data.ndim):
-        raise ShapeError(f"mean: axis {axis} invalid for shape {x.shape}")
-    n = x.data.size if axis is None else x.data.shape[axis]
+def tmean(x: Tensor) -> Tensor:
+    """The mean of every element, as a 0-d tensor."""
+    def bwd(g, x=x):
+        x._accumulate(np.full_like(x.data, g.reshape(()) / x.data.size))
 
-    def bwd(g, x=x, axis=axis, n=n):
-        if axis is None:
-            x._accumulate(np.full_like(x.data, g.reshape(()) / n))
-        else:
-            x._accumulate(np.expand_dims(g, axis) / n * np.ones_like(x.data))
-
-    return _make(x.data.mean(axis=axis), "mean", (x,), bwd)
+    return _make(x.data.mean(), "mean", (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +322,17 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _dense(x, w, b, "affine_relu")
 
 
+def row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
+    """The one cut of ``n`` rows into consecutive (lo, hi) blocks, for any op that
+    computes a product block by block. Each block but the last has ``max(rows, 2)``
+    rows, and a one-row tail joins the block before it, so no block has one row
+    unless ``n`` is 1: numpy takes a one-row product through gemv, which may sum
+    in another order than the gemm of the rows around it. ``n`` = 0 gives the one
+    empty block (0, 0)."""
+    cuts = [*range(0, max(n - 1, 1), max(rows, 2)), n]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
     if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
             or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
@@ -361,11 +351,8 @@ def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
             if w.grad is None:
                 w._accumulate(x.data.T @ g)
             else:
-                # no block has one row: numpy takes a one-row product through gemv,
-                # which may sum in another order than the whole product's gemm
-                rows = max(2, GRAD_BLOCK_BYTES // max(1, g.shape[1] * g.itemsize))
-                cuts = [*range(0, max(w.shape[0] - 1, 1), rows), w.shape[0]]
-                for lo, hi in zip(cuts, cuts[1:]):
+                rows = GRAD_BLOCK_BYTES // max(1, g.shape[1] * g.itemsize)
+                for lo, hi in row_blocks(w.shape[0], rows):
                     w.grad[lo:hi] += x.data[:, lo:hi].T @ g
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
@@ -388,10 +375,13 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """The tensors joined along ``axis``; a single tensor is returned as it is."""
     tensors = [_wrap(t) for t in tensors]
     ndim = tensors[0].data.ndim
     if not (-ndim <= axis < ndim):
         raise ShapeError(f"concat: axis {axis} invalid for ndim {ndim}")
+    if len(tensors) == 1:
+        return tensors[0]
     cuts = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
 
     def bwd(g, tensors=tensors, cuts=cuts, axis=axis):

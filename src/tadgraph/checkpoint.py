@@ -2,7 +2,8 @@
 
 Layout: magic ``TGCK``, u32 version, u32 entry count, then per entry a
 u16 name length, the utf-8 name, a u8 rank, u32 dimensions, and the
-row-major float64 little-endian payload. Loading rejects a non-finite value.
+row-major float64 little-endian payload. Loading rejects a non-finite value,
+a name that repeats and bytes after the last entry.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += 2
             name = raw[offset:offset + name_len].decode("utf-8")
             offset += name_len
+            if name in params:
+                raise FormatError(f"{path}: parameter '{name}' appears twice")
             (ndim,) = struct.unpack_from("<B", raw, offset)
             offset += 1
             shape = struct.unpack_from(f"<{ndim}I", raw, offset)
@@ -63,6 +66,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
                 raise FormatError(f"{path}: parameter '{name}' holds a non-finite value")
             params[name] = value
             offset += 8 * count
+        if offset != len(raw):
+            raise FormatError(f"{path}: {len(raw) - offset} bytes after the last parameter")
     except struct.error as exc:
         raise FormatError(f"{path}: truncated checkpoint header") from exc
     except UnicodeDecodeError as exc:

@@ -217,21 +217,6 @@ def _crop_windows(seq: FeatureSequence, window_length: int, starts, training: bo
     return windows
 
 
-def window_sequence(seq: FeatureSequence, window_length: int, stride: int,
-                    training: bool,
-                    segments_idx: list[tuple[float, float, str]] | None = None) -> list[Window]:
-    """Crop a sequence into strided windows, zero-padding the final one.
-
-    ``segments_idx`` holds annotations in sequence index coordinates; they
-    are clipped into each window, and in training mode windows without any
-    action are dropped.
-    """
-    if not (window_length > stride > 0):
-        raise ConfigError(f"window_sequence: need window length {window_length} > stride {stride} > 0")
-    starts = range(0, max(seq.length - window_length, 0) + stride, stride)
-    return _crop_windows(seq, window_length, starts, training, segments_idx or [])
-
-
 def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet,
                     rescale_length: int = 100, window_length: int = 0,
                     stride: int = 0, training: bool = False) -> list[Window]:
@@ -240,22 +225,28 @@ def prepare_windows(sequences: list[FeatureSequence], annotations: AnnotationSet
     Default mode rescales every sequence to a fixed length and crops it
     once, from index 0, so index i maps to ``i / L * duration`` seconds.
     Setting ``window_length`` > 0 switches to strided cropping at the
-    native sampling rate. Both modes build their windows with
-    ``_crop_windows``.
+    native sampling rate: windows start every ``stride`` indices until one
+    reaches the end, and the last is zero-padded. Annotations are clipped
+    into each window, and in training a window without any is dropped.
+    Both modes build their windows with ``_crop_windows``.
     """
     if rescale_length < 1:
         raise ConfigError(f"rescale_length {rescale_length} must be at least 1")
+    if window_length > 0 and not window_length > stride > 0:
+        raise ConfigError(f"prepare_windows: need window length {window_length} > "
+                          f"stride {stride} > 0")
     windows = []
     for seq in sequences:
-        if window_length <= 0:
-            seq = replace(rescale_sequence(seq, rescale_length),
-                          sampling_rate=seq.duration_seconds / rescale_length)
+        if window_length > 0:
+            length = window_length
+            starts = range(0, max(seq.length - length, 0) + stride, stride)
+        else:
+            length, starts = rescale_length, [0]
+            seq = replace(rescale_sequence(seq, length),
+                          sampling_rate=seq.duration_seconds / length)
         idx_segs = [(s / seq.sampling_rate, e / seq.sampling_rate, label)
                     for s, e, label in annotations.segments(seq.video_id)]
-        if window_length > 0:
-            windows.extend(window_sequence(seq, window_length, stride, training, idx_segs))
-        else:
-            windows.extend(_crop_windows(seq, rescale_length, [0], training, idx_segs))
+        windows.extend(_crop_windows(seq, length, starts, training, idx_segs))
     return windows
 
 

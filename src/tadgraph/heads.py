@@ -21,10 +21,10 @@ from .errors import ConfigError, ContractError
 
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
-# rows per pass of the localization head; at the default 1152-wide aligned
-# features and (512, 128) hidden units a block's aligned rows take 9.4 MB and
-# its activations, one array per layer, 4.2 and 1.0 MB, where all 14049
-# anchors of L=256 would take 129 and 72 MB
+# rows per pass of the localization head, cut by ``autodiff.row_blocks``; at the
+# default 1152-wide aligned features and (512, 128) hidden units a block's aligned
+# rows take 9.4 MB and its activations, one array per layer, 4.2 and 1.0 MB, where
+# all 14049 anchors of L=256 would take 129 and 72 MB
 LOC_BLOCK_ROWS = 1024
 
 
@@ -69,18 +69,15 @@ def localization_forward(subgraph_features, params: LocalizationParams) -> Tenso
     """(J, F) aligned features -> (J, 2) sigmoid scores (cls, reg columns).
 
     The input is a Tensor or ``align.AlignedRows``, read only through its
-    ``shape`` and row slices. The layers run over blocks of
-    ``LOC_BLOCK_ROWS`` rows, so neither the aligned rows of ``AlignedRows``
+    ``shape`` and row slices. The layers run over the ``autodiff.row_blocks``
+    of ``LOC_BLOCK_ROWS`` rows, so neither the aligned rows of ``AlignedRows``
     nor the hidden activations exist for all J anchors at once.
     """
     if subgraph_features.shape[1] != params.w1.shape[0]:
         raise ConfigError(
             f"localization head expects width {params.w1.shape[0]}, got {subgraph_features.shape[1]}")
-    rows = subgraph_features.shape[0]
-    if rows <= LOC_BLOCK_ROWS:
-        return _localization_rows(subgraph_features[:], params)
-    return ad.concat([_localization_rows(subgraph_features[lo:lo + LOC_BLOCK_ROWS], params)
-                      for lo in range(0, rows, LOC_BLOCK_ROWS)], axis=0)
+    return ad.concat([_localization_rows(subgraph_features[lo:hi], params)
+                      for lo, hi in ad.row_blocks(subgraph_features.shape[0], LOC_BLOCK_ROWS)])
 
 
 def _localization_rows(x: Tensor, params: LocalizationParams) -> Tensor:

@@ -59,8 +59,9 @@ def write_raw_scores(path, window_scores: list[WindowScores]) -> None:
 
 
 def read_raw_scores(path) -> list[WindowScores]:
-    """The windows of a ``write_raw_scores`` file; a malformed file, a non-finite
-    scale or a score outside [0, 1] raises ``FormatError``."""
+    """The windows of a ``write_raw_scores`` file; a malformed file, a negative
+    offset, a valid length below 1, an anchor other than 0 <= t_s < t_e, a
+    non-finite scale or a score outside [0, 1] raises ``FormatError``."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -82,13 +83,17 @@ def read_raw_scores(path) -> list[WindowScores]:
         if ws.anchors.shape != rows + (2,) or ws.p_cls.shape != rows or ws.p_reg.shape != rows:
             raise FormatError(f"{path}: window of '{ws.video_id}' needs (J, 2) anchors and "
                               "J values in each of p_cls and p_reg")
+        where = f"{path}: window of '{ws.video_id}' at offset {ws.offset}"
+        if ws.offset < 0 or ws.valid_length < 1:
+            raise FormatError(f"{where} needs offset >= 0 and valid_length >= 1, "
+                              f"got valid_length {ws.valid_length}")
+        if not ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all():
+            raise FormatError(f"{where} has an anchor other than 0 <= t_s < t_e")
         if not np.isfinite(ws.scale):
-            raise FormatError(f"{path}: window of '{ws.video_id}' at offset {ws.offset} has "
-                              "a non-finite scale")
+            raise FormatError(f"{where} has a non-finite scale")
         # sigmoid outputs; fusion raises each to a fractional power, which is NaN
         # for a negative score
         for name, scores in (("p_cls", ws.p_cls), ("p_reg", ws.p_reg)):
             if not ((scores >= 0) & (scores <= 1)).all():
-                raise FormatError(f"{path}: window of '{ws.video_id}' at offset {ws.offset} "
-                                  f"has a {name} score that is not in [0, 1]")
+                raise FormatError(f"{where} has a {name} score that is not in [0, 1]")
     return windows

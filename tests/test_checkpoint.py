@@ -91,6 +91,25 @@ def test_truncated_payload_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_repeated_parameter_name_rejected(tmp_path):
+    # 'v' renamed 'w' in place, so the file holds 'w' twice; the second copy
+    # must not silently replace the first
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"w": np.ones(2), "v": np.zeros(2)})
+    path.write_bytes(path.read_bytes().replace(b"\x01\x00v", b"\x01\x00w"))
+    with pytest.raises(FormatError, match="parameter 'w' appears twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [1, 8, 40])
+def test_bytes_after_the_last_entry_rejected(tmp_path, extra):
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, {"w": np.ones((2, 2))})
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(FormatError, match=f"{extra} bytes after the last parameter"):
+        load_checkpoint(path)
+
+
 def test_model_rejects_parameter_it_does_not_have(tmp_path):
     path = tmp_path / "model.tgck"
     Detector(small_model_config(blocks=3), np.random.default_rng(0)).save(path)

@@ -123,6 +123,46 @@ class TestPipeline:
         assert "'loc.w1' holds a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("extra, edit, message", [
+        # a last entry 'loc.b4' renamed 'loc.b3' in place: loading it would replace
+        # the trained bias
+        ({"loc.b4": np.ones(2)}, lambda raw: raw.replace(b"loc.b4", b"loc.b3"),
+         "'loc.b3' appears twice"),
+        ({}, lambda raw: raw + b"\x00" * 3, "3 bytes after the last parameter"),
+    ], ids=["repeated-name", "trailing-bytes"])
+    def test_infer_with_a_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys,
+                                                              extra, edit, message):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        path = run / "checkpoint.tgck"
+        save_checkpoint(path, {**load_checkpoint(path), **extra})
+        path.write_bytes(edit(path.read_bytes()))
+        assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(path), "--out", str(tmp_path / "d.json")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda w: w.update(offset=-50), "needs offset >= 0"),
+        (lambda w: w.update(valid_length=0), "valid_length 0"),
+        (lambda w: w["anchors"][-1].reverse(), "anchor other than 0 <= t_s < t_e"),
+        (lambda w: w["anchors"][0].__setitem__(0, -1), "anchor other than 0 <= t_s < t_e"),
+    ], ids=["negative-offset", "empty-window", "end-before-start", "negative-start"])
+    def test_raw_scores_outside_the_window_are_data_error(self, pipeline, tmp_path, capsys,
+                                                          edit, message):
+        payload = json.loads(pipeline["raw"].read_text())
+        window = payload["windows"][1]
+        edit(window)
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+                         "--annotations", str(pipeline["data"] / "annotations.json"),
+                         "--class-agnostic", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and f"window of '{window['video_id']}' at offset" in err
+        assert not out.exists()
+
     def test_infer_with_overflowing_head_is_numeric_failure(self, pipeline, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = self._infer_with_w1(pipeline, tmp_path, lambda w1: np.sign(w1) * 1e307)

@@ -9,7 +9,7 @@ import pytest
 from tadgraph.data import (AnnotationSet, FeatureSequence, SynthConfig,
                            load_annotations, load_dataset, prepare_windows,
                            read_feature_file, rescale_sequence, synth_dataset,
-                           window_sequence, write_feature_file)
+                           write_feature_file)
 from tadgraph.errors import ConfigError, DataError, FormatError
 from tadgraph.heads import assign_anchor_labels
 
@@ -146,23 +146,29 @@ class TestRescale:
 
 
 class TestWindowing:
+    """Strided windows of one video at sampling rate 1, where seconds are indices."""
+
+    @staticmethod
+    def _windows(length, training=False, segments=(), window_length=256, stride=128,
+                 features=None):
+        seq = _seq(np.zeros((length, 2)) if features is None else features)
+        return prepare_windows([seq], AnnotationSet({"v0": list(segments)}),
+                               window_length=window_length, stride=stride, training=training)
+
     def test_exact_cover_starts(self):
-        seq = _seq(np.zeros((512, 2)))
-        windows = window_sequence(seq, 256, 128, training=False)
+        windows = self._windows(512)
         assert [w.offset for w in windows] == [0, 128, 256]
         assert all(w.valid_length == 256 for w in windows)
 
     def test_short_sequence_single_padded_window(self):
-        seq = _seq(np.ones((100, 2)))
-        windows = window_sequence(seq, 256, 128, training=False)
+        windows = self._windows(100, features=np.ones((100, 2)))
         assert len(windows) == 1
         assert windows[0].valid_length == 100
         assert windows[0].features.shape == (2, 256)
         assert not windows[0].features[:, 100:].any()
 
     def test_partial_final_window_covers_tail(self):
-        seq = _seq(np.zeros((513, 2)))
-        windows = window_sequence(seq, 256, 128, training=False)
+        windows = self._windows(513)
         assert [w.offset for w in windows] == [0, 128, 256, 384]
         covered = set()
         for w in windows:
@@ -170,22 +176,19 @@ class TestWindowing:
         assert covered == set(range(513))
 
     def test_training_filter_drops_void_windows(self):
-        seq = _seq(np.zeros((512, 2)))
-        segs = [(10.0, 20.0, "a")]
-        windows = window_sequence(seq, 256, 128, training=True, segments_idx=segs)
+        windows = self._windows(512, training=True, segments=[(10.0, 20.0, "a")])
         assert [w.offset for w in windows] == [0]
         assert windows[0].segments == [(10.0, 20.0, "a")]
 
     def test_training_filter_keeps_every_overlapping_window(self):
-        seq = _seq(np.zeros((512, 2)))
         segs = [(10.0, 20.0, "a"), (120.0, 140.0, "b")]
-        windows = window_sequence(seq, 256, 128, training=True, segments_idx=segs)
+        windows = self._windows(512, training=True, segments=segs)
         assert [w.offset for w in windows] == [0, 128]
         assert windows[1].segments == [(0.0, 12.0, "b")]
 
     def test_bad_stride_rejected(self):
-        with pytest.raises(ConfigError):
-            window_sequence(_seq(np.zeros((10, 2))), 4, 4, training=False)
+        with pytest.raises(ConfigError, match="stride 4"):
+            self._windows(10, window_length=4, stride=4)
 
 
 class TestPrepareWindows:

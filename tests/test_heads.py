@@ -78,6 +78,21 @@ class TestLocalizationBlocks:
         assert out.shape == (rows, 2)
         np.testing.assert_allclose(out, self._unblocked(x, params), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("block_rows", [2, 3, 5])
+    def test_no_block_scores_a_single_row(self, block_rows, monkeypatch):
+        # at J = 2 * rows + 1 the last anchor would be a one-row block, which numpy
+        # multiplies through gemv; it joins the block before it instead
+        monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", block_rows)
+        seen = []
+        score_rows = heads._localization_rows
+        monkeypatch.setattr(heads, "_localization_rows",
+                            lambda x, params: seen.append(x.shape[0]) or score_rows(x, params))
+        count = 2 * block_rows + 1
+        x = np.random.default_rng(block_rows).normal(size=(count, 6))
+        out = localization_forward(Tensor(x), _loc_params(seed=block_rows)).data
+        assert seen == [block_rows, block_rows + 1]
+        assert out.shape == (count, 2)
+
     def test_grad_check_across_block_boundary(self, monkeypatch):
         monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)
         for seed in range(30):

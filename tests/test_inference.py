@@ -52,8 +52,8 @@ def test_long_window_head_equals_numpy_composition():
         aligned = model.aligner(final, graph.semantic_layers[-1])
         scores = localization_forward(aligned, p).data
     blocks = []
-    for lo in range(0, aligned.shape[0], heads.LOC_BLOCK_ROWS):
-        h = aligned[lo:lo + heads.LOC_BLOCK_ROWS].data @ p.w1.data + p.b1.data
+    for lo, hi in ad.row_blocks(aligned.shape[0], heads.LOC_BLOCK_ROWS):
+        h = aligned[lo:hi].data @ p.w1.data + p.b1.data
         h = np.where(h > 0, h, 0.0)
         h = h @ p.w2.data + p.b2.data
         h = np.where(h > 0, h, 0.0)

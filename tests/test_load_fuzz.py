@@ -145,10 +145,10 @@ def test_read_detections(workdir, payload):
 
 _window = _record({
     "video_id": st.text(max_size=3),
-    "anchors": st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=2), max_size=3),
+    "anchors": st.lists(st.lists(st.integers(-1, 9), min_size=2, max_size=2), max_size=3),
     "p_cls": st.lists(st.floats(-0.5, 1.5), max_size=3),
     "p_reg": st.lists(st.floats(-0.5, 1.5), max_size=3),
-    "offset": st.integers(0, 9),
+    "offset": st.integers(-2, 9),
     "scale": st.floats(),
     "valid_length": st.integers(0, 9),
 })
@@ -173,3 +173,5 @@ def test_read_raw_scores(workdir, payload):
         for scores in (ws.p_cls, ws.p_reg):
             assert ((scores >= 0) & (scores <= 1)).all()
         assert np.isfinite(ws.scale)
+        assert ws.offset >= 0 and ws.valid_length >= 1
+        assert ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all()
