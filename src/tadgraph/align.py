@@ -39,13 +39,6 @@ def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
                                 dtype=np.int64)
 
 
-def _check_anchor(t_s: int, t_e: int, length: int) -> None:
-    if t_e - t_s <= 0:
-        raise ContractError(f"anchor ({t_s}, {t_e}) has non-positive duration")
-    if t_s < 0 or t_e > length - 1:
-        raise ContractError(f"anchor ({t_s}, {t_e}) outside [0, {length - 1}]")
-
-
 def _duration_weight_rows(durations: np.ndarray, tau: int, stride: int):
     """COO triplets of the tau weight rows of each anchor (0, d), d in ``durations``.
 
@@ -79,7 +72,7 @@ def _anchor_weight_rows(t_s: int, t_e: int, tau: int, length: int):
     The weights depend on the duration only: the rows of (t_s, t_s + d) are
     those of (0, d) shifted t_s columns.
     """
-    _check_anchor(t_s, t_e, length)
+    _checked_anchors((t_s, t_e), length)
     rows, cols, vals = _duration_weight_rows(np.array([t_e - t_s]), tau, tau)
     return rows, cols + t_s, vals
 
@@ -94,14 +87,15 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
 
 
 def _checked_anchors(anchors, length: int) -> np.ndarray:
-    """``anchors`` as a (J, 2) int64 array; the first anchor outside [0, length - 1]
-    or of non-positive duration raises ``ContractError``."""
+    """``anchors`` as a (J, 2) int64 array; the first anchor of non-positive duration
+    or outside [0, length - 1] raises ``ContractError``."""
     anchors = np.asarray(anchors, dtype=np.int64).reshape(-1, 2)
-    t_s, t_e = anchors[:, 0], anchors[:, 1]
-    bad = (t_e <= t_s) | (t_s < 0) | (t_e > length - 1)
+    bad = (anchors[:, 1] <= anchors[:, 0]) | (anchors[:, 0] < 0) | (anchors[:, 1] > length - 1)
     if np.any(bad):
-        j = int(np.argmax(bad))
-        _check_anchor(int(t_s[j]), int(t_e[j]), length)
+        t_s, t_e = anchors[np.argmax(bad)].tolist()
+        if t_e <= t_s:
+            raise ContractError(f"anchor ({t_s}, {t_e}) has non-positive duration")
+        raise ContractError(f"anchor ({t_s}, {t_e}) outside [0, {length - 1}]")
     return anchors
 
 

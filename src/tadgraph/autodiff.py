@@ -11,19 +11,19 @@ accumulates until ``zero_grad``.
 Each adjoint hands ``_accumulate`` an array that nothing else reads or
 writes (fresh, or a view of its node's gradient, which ``backward`` frees
 next), and the receiver keeps it; ``add`` copies for its second operand.
-A dense layer's weight is handed its first gradient the same way; each later
-one its adjoint adds into ``w.grad`` in place, over ``row_blocks`` of about
-``GRAD_BLOCK_BYTES`` each, so no weight-sized product is built and the sum is
-bit-identical to adding the whole product.
+``_dense`` hands its right operand ``w`` its first gradient the same way and
+adds each later one into ``w.grad`` in place, over ``row_blocks`` of about
+``GRAD_BLOCK_BYTES`` each, so no weight-sized product is built; the sum is
+bit-identical to adding the whole product unless a one-column ``w`` (a gemv,
+which rounds by where a block starts) is cut.
 
-``add`` and ``mul`` take a tensor, scalar or ndarray on either side through
-one path; shapes must match, but an operand that needs no gradient may be
-0-d. A dense layer ``x @ w + b`` is one op (``affine``) that adds the bias
-into the product's own array, so the backward rule stays explicit and the
-layer makes one node and one array. ``affine_relu`` is ``relu(affine(...))``
-as one node that clamps the product's array in place, so a hidden layer
-makes one array, and its adjoint masks by the output's sign.
-``relu`` is ``np.maximum(x, 0)``: a NaN input stays NaN.
+A one-operand op records through ``_unary``, whose adjoint hands ``adjoint(g)``
+to the operand. ``add`` and ``mul`` take a tensor, scalar or ndarray on either
+side through one path; shapes must match, but an operand that needs no gradient
+may be 0-d. Every dense product is one ``_dense`` node with one adjoint:
+``matmul`` is the case without a bias, ``affine`` adds the bias into the
+product's own array, and ``affine_relu`` also clamps that array in place.
+``concat``, ``tslice`` and ``grouped_conv1d`` keep their own records.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import ConfigError, ContractError, ShapeError
 
 _grad_enabled = True
 
-# bytes of one row block of a weight gradient that a dense layer's adjoint adds in place
+# bytes of one row block of a weight gradient that a dense product's adjoint adds in place
 GRAD_BLOCK_BYTES = 1 << 21
 
 
@@ -234,61 +234,47 @@ def mul(a, b) -> Tensor:
     return _make(a.data * b.data, "mul", (a, b), bwd)
 
 
-def square(x: Tensor) -> Tensor:
+def _unary(x: Tensor, value, op: str, adjoint: Callable) -> Tensor:
+    """The node ``op`` of ``value``; its adjoint hands ``adjoint(g)`` to ``x``."""
     def bwd(g, x=x):
-        x._accumulate(g * (2.0 * x.data))
+        x._accumulate(adjoint(g))
 
-    return _make(x.data * x.data, "square", (x,), bwd)
+    return _make(value, op, (x,), bwd)
+
+
+def square(x: Tensor) -> Tensor:
+    return _unary(x, x.data * x.data, "square", lambda g: g * (2.0 * x.data))
 
 
 def relu(x: Tensor) -> Tensor:
     """``max(x, 0)``; NaN propagates. The adjoint passes gradient where x > 0
     and builds that mask only when it runs."""
-    def bwd(g, x=x):
-        x._accumulate(g * (x.data > 0))
-
-    return _make(np.maximum(x.data, 0.0), "relu", (x,), bwd)
+    return _unary(x, np.maximum(x.data, 0.0), "relu", lambda g: g * (x.data > 0))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = expit(x.data)
-
-    def bwd(g, x=x, s=s):
-        x._accumulate(g * s * (1.0 - s))
-
-    return _make(s, "sigmoid", (x,), bwd)
+    return _unary(x, s, "sigmoid", lambda g: g * s * (1.0 - s))
 
 
 def log(x: Tensor) -> Tensor:
-    def bwd(g, x=x):
-        x._accumulate(g / x.data)
-
-    return _make(np.log(x.data), "log", (x,), bwd)
+    return _unary(x, np.log(x.data), "log", lambda g: g / x.data)
 
 
 def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only through the strict interior."""
-    mask = (x.data > lo) & (x.data < hi)
-
-    def bwd(g, x=x, mask=mask):
-        x._accumulate(g * mask)
-
-    return _make(np.clip(x.data, lo, hi), "clip", (x,), bwd)
+    return _unary(x, np.clip(x.data, lo, hi), "clip",
+                  lambda g: g * ((x.data > lo) & (x.data < hi)))
 
 
 def tsum(x: Tensor) -> Tensor:
-    def bwd(g, x=x):
-        x._accumulate(np.full_like(x.data, g.reshape(())))
-
-    return _make(x.data.sum(), "sum", (x,), bwd)
+    return _unary(x, x.data.sum(), "sum", lambda g: np.full_like(x.data, g.reshape(())))
 
 
 def tmean(x: Tensor) -> Tensor:
     """The mean of every element, as a 0-d tensor."""
-    def bwd(g, x=x):
-        x._accumulate(np.full_like(x.data, g.reshape(()) / x.data.size))
-
-    return _make(x.data.mean(), "mean", (x,), bwd)
+    return _unary(x, x.data.mean(), "mean",
+                  lambda g: np.full_like(x.data, g.reshape(()) / x.data.size))
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +282,8 @@ def tmean(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
-
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _make(a.data @ b.data, "matmul", (a, b), bwd)
+    """``a @ b`` for an (m, k) a and (k, n) b: a dense layer without a bias."""
+    return _dense(_wrap(a), _wrap(b), None, "matmul")
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -333,12 +310,15 @@ def row_blocks(n: int, rows: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"{op}: cannot map {x.shape} through {w.shape} plus bias {b.shape}")
+def _dense(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
+    """``x @ w``, plus ``b`` unless it is None, as one node of parents (x, w[, b])."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b is not None and (b.data.ndim != 1 or w.shape[1] != b.shape[0])):
+        bias = "" if b is None else f" plus bias {b.shape}"
+        raise ShapeError(f"{op}: cannot map {x.shape} through {w.shape}{bias}")
     out = x.data @ w.data
-    out += b.data
+    if b is not None:
+        out += b.data
     if op == "affine_relu":
         np.maximum(out, 0.0, out=out)
 
@@ -354,24 +334,18 @@ def _dense(x: Tensor, w: Tensor, b: Tensor, op: str) -> Tensor:
                 rows = GRAD_BLOCK_BYTES // max(1, g.shape[1] * g.itemsize)
                 for lo, hi in row_blocks(w.shape[0], rows):
                     w.grad[lo:hi] += x.data[:, lo:hi].T @ g
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _make(out, op, (x, w, b), bwd)
+    return _make(out, op, (x, w) if b is None else (x, w, b), bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
-    def bwd(g, x=x):
-        x._accumulate(g.T)
-
-    return _make(x.data.T, "transpose", (x,), bwd)
+    return _unary(x, x.data.T, "transpose", lambda g: g.T)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    def bwd(g, x=x):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _make(x.data.reshape(shape), "reshape", (x,), bwd)
+    return _unary(x, x.data.reshape(shape), "reshape", lambda g: g.reshape(x.data.shape))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -416,12 +390,8 @@ def resample_columns(x: Tensor, weights) -> Tensor:
     """
     if x.data.ndim != 2 or weights.shape[1] != x.shape[1]:
         raise ShapeError(f"resample_columns: weights {weights.shape} incompatible with {x.shape}")
-    out_data = weights @ x.data.T
-
-    def bwd(g, x=x, weights=weights):
-        x._accumulate((weights.T @ g).T)
-
-    return _make(np.asarray(out_data), "resample_columns", (x,), bwd)
+    return _unary(x, np.asarray(weights @ x.data.T), "resample_columns",
+                  lambda g: (weights.T @ g).T)
 
 
 # ---------------------------------------------------------------------------

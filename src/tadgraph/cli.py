@@ -36,17 +36,17 @@ _NMS_RULES = {"alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that hands each option's type to the parsed namespace,
-    so values read from a ``--config`` file are cast like flag values."""
+    """Subcommand parser that hands each option's action to the parsed namespace,
+    so values read from a ``--config`` file are checked and cast like flag values."""
 
     def __init__(self, **kwargs):
-        self.option_types = {}
+        self.option_actions = {}
         super().__init__(**kwargs)
-        self.set_defaults(option_types=self.option_types)
+        self.set_defaults(option_actions=self.option_actions)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.option_types[action.dest] = action.type
+        self.option_actions[action.dest] = action
         return action
 
 
@@ -139,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill each option still None or False from the ``--config`` file."""
+    """Fill each option still None or False from the ``--config`` file. A switch
+    takes a JSON boolean, an option without a type a JSON string, and an option
+    with choices one of them."""
     try:
         values = json.loads(Path(args.config).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -150,16 +152,22 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     for key in unset:
         if key not in values:
             continue
-        value, cast = values[key], args.option_types[key]
+        value, action = values[key], args.option_actions[key]
+        bad, cast = f"{args.config}: bad value for '{key}'", action.type
+        if cast is None:
+            kind, name = (bool, "boolean") if action.nargs == 0 else (str, "string")
+            if not isinstance(value, kind):
+                raise DataError(f"{bad}: {json.dumps(value)} is not a JSON {name}")
         try:
             parsed = value if cast is None else cast(value)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{args.config}: bad value for '{key}': {exc}") from exc
+            raise DataError(f"{bad}: {exc}") from exc
         # a number must reach its option unchanged: no bool, no real cut to an int
         if (isinstance(value, bool) and cast in (int, float)) or \
                 (isinstance(value, float) and cast is int and parsed != value):
-            raise DataError(f"{args.config}: bad value for '{key}': "
-                            f"{json.dumps(value)} would be read as {parsed!r}")
+            raise DataError(f"{bad}: {json.dumps(value)} would be read as {parsed!r}")
+        if action.choices is not None and parsed not in action.choices:
+            raise DataError(f"{bad}: {json.dumps(value)} is not one of {action.choices}")
         setattr(args, key, parsed)
 
 

@@ -118,7 +118,8 @@ def load_annotations(path) -> AnnotationSet:
 
 def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequence], AnnotationSet]:
     """Read the manifest's feature files and, when given, the annotations. Each
-    video needs its own id, at least one snippet and the first video's channels."""
+    video needs its own id, a finite positive duration and sampling rate, at least
+    one snippet and the first video's channels."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
@@ -140,6 +141,11 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
         if video_id in seen:
             raise FormatError(f"{manifest_path}: video '{video_id}' is listed twice")
         seen.add(video_id)
+        for name, value in (("duration_seconds", duration_seconds),
+                            ("sampling_rate", sampling_rate)):
+            if not (np.isfinite(value) and value > 0):
+                raise DataError(f"{manifest_path}: video '{video_id}' has {name} {value}, "
+                                f"which must be finite and above 0")
         seq = FeatureSequence(video_id, read_feature_file(feature_path), duration_seconds,
                               sampling_rate)
         if seq.length == 0:

@@ -130,6 +130,22 @@ def mul_with_constant_branch(a, b) -> ad.Tensor:
     return ad._make(a.data * b.data, "mul", (a, b), bwd)
 
 
+def matmul_own_adjoint(a, b) -> ad.Tensor:
+    """``autodiff.matmul`` as its own node, with its own shape check and an adjoint
+    that adds a later gradient of ``b`` as one whole product."""
+    a, b = ad._wrap(a), ad._wrap(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
+
+    def bwd(g, a=a, b=b):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return ad._make(a.data @ b.data, "matmul", (a, b), bwd)
+
+
 def grouped_conv1d_per_group(x: ad.Tensor, w: ad.Tensor, groups: int = 1) -> ad.Tensor:
     """``autodiff.grouped_conv1d`` as one 2-D product per group and tap."""
     c_in, length = x.shape

@@ -97,9 +97,9 @@ class TestInterpRescale:
         np.testing.assert_allclose(out.data, [1.0, 1.25, 1.5, 1.75], atol=1e-15)
 
     def test_bad_anchor_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^anchor \(3, 3\) has non-positive duration$"):
             interp_rescale(Tensor(np.zeros((1, 5))), (3, 3), 2)
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"^anchor \(2, 7\) outside \[0, 4\]$"):
             interp_rescale(Tensor(np.zeros((1, 5))), (2, 7), 2)
 
     def test_gradient_reaches_covered_snippets(self):
@@ -202,10 +202,13 @@ class TestBuildAlignment:
         plan = build_alignment(np.zeros((0, 2)), 5, 3, 2)
         assert plan.shape == (0, 10) and plan.nnz == 0
 
-    @pytest.mark.parametrize("anchors", [[[1, 2], [3, 3]], [[1, 2], [2, 7]], [[-1, 2]]],
-                             ids=["zero-duration", "past-end", "negative-start"])
-    def test_bad_anchor_rejected(self, anchors):
-        with pytest.raises(ContractError):
+    @pytest.mark.parametrize("anchors, message", [
+        ([[1, 2], [3, 3]], r"\(3, 3\) has non-positive duration"),
+        ([[1, 2], [2, 7]], r"\(2, 7\) outside \[0, 4\]"),
+        ([[-1, 2]], r"\(-1, 2\) outside \[0, 4\]"),
+    ], ids=["zero-duration", "past-end", "negative-start"])
+    def test_bad_anchor_rejected(self, anchors, message):
+        with pytest.raises(ContractError, match=f"^anchor {message}$"):
             build_alignment(np.array(anchors), 5, 2)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import (add_with_constant_branch, grouped_conv1d_per_group,
+from helpers import (add_with_constant_branch, grouped_conv1d_per_group, matmul_own_adjoint,
                      mul_with_constant_branch, relu_margin, zeros_then_add_accumulate)
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -39,6 +39,46 @@ def test_matmul_grad_matches_finite_differences():
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     err = ad.grad_check(lambda: ad.tsum(ad.matmul(a, b)), [a, b])
     assert err < 1e-3
+
+
+def _matmul_run(m, k, n, kinds, block_rows, seed):
+    """The op name and value of ``ad.matmul`` (whichever is installed) and the
+    gradients of its operands of ``kinds``; a right operand of kind "kept" already
+    holds a gradient, which its adjoint adds into over blocks of ``block_rows`` rows.
+    A one-column gradient is a gemv, whose rows may round by where a block starts,
+    so it keeps the default block size: one block for every weight drawn here."""
+    rng = np.random.default_rng(seed)
+    a, b = (Tensor(rng.normal(size=shape), requires_grad=kind != "const")
+            for kind, shape in zip(kinds, ((m, k), (k, n))))
+    if kinds[1] == "kept":
+        b.grad = rng.normal(size=(k, n))
+    upstream = rng.normal(size=(m, n))
+    with pytest.MonkeyPatch.context() as patch:
+        if n > 1:
+            patch.setattr(ad, "GRAD_BLOCK_BYTES", block_rows * n * 8)
+        out = ad.matmul(a, b)
+        assert [p for p in (a, b) if p.requires_grad] == list(out._parents)
+        if out.requires_grad:
+            ad.tsum(ad.mul(out, upstream)).backward()
+    return out.op, [out.data, a.grad, b.grad]
+
+
+@given(m=st.integers(1, 6), k=st.integers(1, 9), n=st.integers(1, 5),
+       kinds=st.sampled_from([("grad", "grad"), ("grad", "kept"), ("const", "kept"),
+                              ("const", "grad"), ("grad", "const"), ("const", "const")]),
+       block_rows=st.sampled_from([1, 2, 3, 1 << 18]), seed=st.integers(0, 2**16))
+@example(m=4, k=7, n=3, kinds=("grad", "kept"), block_rows=2, seed=0)
+@example(m=1, k=5, n=2, kinds=("const", "kept"), block_rows=2, seed=0)
+@example(m=2, k=4, n=1, kinds=("grad", "kept"), block_rows=1, seed=1)
+def test_matmul_equals_its_own_adjoint_version_bit_for_bit(m, k, n, kinds, block_rows, seed):
+    got_op, got = _matmul_run(m, k, n, kinds, block_rows, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ad, "matmul", matmul_own_adjoint)
+        want_op, want = _matmul_run(m, k, n, kinds, block_rows, seed)
+    assert got_op == want_op
+    for name, g, w in zip(("out", "a", "b"), got, want):
+        assert (g is None) == (w is None), name
+        assert g is None or (g.shape == w.shape and g.tobytes() == w.tobytes()), name
 
 
 def test_relu_values():

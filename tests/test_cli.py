@@ -464,6 +464,25 @@ def test_unusable_manifest_is_data_error_naming_the_video(tmp_path, capsys, shap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate", [0.0, float("nan")], ids=["zero", "nan"])
+def test_manifest_sampling_rate_not_finite_and_positive_is_data_error(tmp_path, capsys, rate):
+    # strided windows divide by the rate, and a NaN rate would place no label
+    write_feature_file(tmp_path / "v0.fseq", np.ones((40, 4), np.float32))
+    (tmp_path / "manifest.json").write_text(json.dumps([{
+        "video_id": "v0", "feature_file": "v0.fseq", "duration_seconds": 40.0,
+        "sampling_rate": rate}]))
+    (tmp_path / "annotations.json").write_text(json.dumps({"database": {"v0": {
+        "duration": 40.0, "subset": "training",
+        "annotations": [{"segment": [2.0, 6.0], "label": "a"}]}}}))
+    out = tmp_path / "run"
+    assert dispatch(["train", "--manifest", str(tmp_path / "manifest.json"),
+                     "--annotations", str(tmp_path / "annotations.json"), "--out", str(out),
+                     "--window-size", "20", "--stride", "10", "--epochs", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'v0' has sampling_rate" in err
+    assert not out.exists()
+
+
 def test_strided_windows_take_window_size_and_stride(small_synth, tmp_path):
     out = tmp_path / "graph.json"
     assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
@@ -487,6 +506,7 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     data, run, det = tmp_path / "d", tmp_path / "run", tmp_path / "det.json"
+    graph, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
     commands = [
         ["synth", "--out", data, "--num-videos", "4", "--length", "50", "--c-raw", "6"],
         ["train", "--manifest", data / "manifest.json", "--annotations",
@@ -496,6 +516,8 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
          "--anchors-per-window", "64", "--quiet"],
         ["infer", "--manifest", data / "manifest.json", "--checkpoint",
          run / "checkpoint.tgck", "--rescale-length", "100", "--out", det],
+        ["export-graph", "--manifest", data / "manifest.json", "--checkpoint",
+         run / "checkpoint.tgck", "--out", graph, "--dot", dot],
         ["eval", "--detections", det, "--annotations", data / "annotations.json",
          "--class-agnostic"],
     ]
@@ -504,6 +526,7 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
                                 capture_output=True, text=True)
         assert result.returncode == 0 and result.stderr == "", (args[0], result.stderr)
     assert "average  " in result.stdout
+    assert json.loads(graph.read_text())["L"] == 100 and dot.read_text().strip()
 
 
 class _Built(Exception):
@@ -619,12 +642,31 @@ class TestOptionResolution:
                          "--checkpoint", str(run / "checkpoint.tgck"),
                          "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 0
 
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[1]", b'{"epochs": "four"}'],
-                             ids=["not-utf8", "not-an-object", "bad-value"])
-    def test_bad_config_file_is_data_error(self, small_synth, tmp_path, content):
+    @pytest.mark.parametrize("command, content, key", [
+        ("train", b"\xff\xfe{}", None),
+        ("train", b"[1]", None),
+        ("train", b'{"epochs": "four"}', "epochs"),
+        ("export-graph", b'{"dot": 5}', "dot"),
+        ("eval", b'{"class_agnostic": "no"}', "class_agnostic"),
+        ("infer", b'{"nms_method": "bogus"}', "nms_method"),
+    ], ids=["not-utf8", "not-an-object", "bad-value", "untyped-not-a-string",
+            "switch-not-a-boolean", "not-a-choice"])
+    def test_bad_config_file_is_data_error(self, small_synth, pipeline, tmp_path, capsys,
+                                           command, content, key):
+        # refused before any work starts, so nothing is written
+        inputs = {"train": _data_args(small_synth),
+                  "export-graph": ["--manifest", str(small_synth["manifest"])],
+                  "eval": ["--detections", str(pipeline["detections"]),
+                           "--annotations", str(pipeline["data"] / "annotations.json")],
+                  "infer": ["--manifest", str(pipeline["data"] / "manifest.json"),
+                            "--checkpoint", str(pipeline["run"] / "checkpoint.tgck")]}
         (tmp_path / "opts.json").write_bytes(content)
-        assert dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "r"),
+        out = tmp_path / "out"
+        assert dispatch([command, *inputs[command], "--out", str(out),
                          "--config", str(tmp_path / "opts.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and (key is None or f"'{key}'" in err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["eval", "--annotations", "a.json"],

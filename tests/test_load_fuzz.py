@@ -6,8 +6,8 @@ arbitrary values. The explicit examples are inputs that once escaped as
 ``struct.error``, ``UnicodeDecodeError``, ``KeyError``, ``AttributeError``,
 ``OverflowError`` or ``IsADirectoryError``, or that were once accepted
 although later stages cannot use them: a detection ending before it starts,
-a NaN score, a raw-score window with fewer scores than anchors or a NaN
-scale.
+a NaN score, a raw-score window with fewer scores than anchors, a NaN
+scale, or a video whose sampling rate or duration is zero or NaN.
 """
 
 import json
@@ -108,8 +108,14 @@ _manifest_entry = _record({
                       "sampling_rate": 1.0}]).encode())
 @example(json.dumps([{"video_id": "v", "feature_file": "ok.fseq",
                       "duration_seconds": 10 ** 400, "sampling_rate": 1.0}]).encode())
+@example(json.dumps([{"video_id": "v", "feature_file": "ok.fseq",
+                      "duration_seconds": 4.0, "sampling_rate": 0.0}]).encode())
+@example(json.dumps([{"video_id": "v", "feature_file": "ok.fseq",
+                      "duration_seconds": float("nan"), "sampling_rate": 1.0}]).encode())
 def test_load_dataset(workdir, payload):
-    _accepts_or_rejects(load_dataset, workdir / "manifest.json", payload)
+    loaded = _accepts_or_rejects(load_dataset, workdir / "manifest.json", payload)
+    for seq in loaded[0] if loaded else []:
+        assert 0 < seq.duration_seconds < np.inf and 0 < seq.sampling_rate < np.inf
 
 
 _segment = _record({"segment": st.lists(st.floats(), max_size=3), "label": st.text(max_size=3)})
