@@ -2,13 +2,16 @@
 
 Layout: magic ``TGCK``, u32 version, u32 entry count, then per entry a
 u16 name length, the utf-8 name, a u8 rank, u32 dimensions, and the
-row-major float64 little-endian payload. Loading rejects a non-finite value,
-a name that repeats and bytes after the last entry.
+row-major float64 little-endian payload. Loading reads each payload once,
+straight from the file into its own array, so it never holds the file's bytes
+as well. It rejects a non-finite value, a name that repeats and bytes after the
+last entry.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -37,39 +40,33 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
     params: dict[str, np.ndarray] = {}
-    try:
-        version, count = struct.unpack_from("<II", raw, 4)
-        if version != VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        offset = 12
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, offset)
-            offset += 2
-            name = raw[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            if name in params:
-                raise FormatError(f"{path}: parameter '{name}' appears twice")
-            (ndim,) = struct.unpack_from("<B", raw, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, offset)
-            offset += 4 * ndim
-            count = math.prod(shape)
-            if offset + 8 * count > len(raw):
-                raise FormatError(f"{path}: truncated payload for parameter '{name}'")
-            # a view of the bytes read, copied once
-            value = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-            if not np.isfinite(value).all():
-                raise FormatError(f"{path}: parameter '{name}' holds a non-finite value")
-            params[name] = value
-            offset += 8 * count
-        if offset != len(raw):
-            raise FormatError(f"{path}: {len(raw) - offset} bytes after the last parameter")
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated checkpoint header") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: parameter name is not UTF-8") from exc
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(4) != MAGIC:
+            raise FormatError(f"{path}: not a parameter checkpoint (bad magic)")
+        try:
+            version, count = struct.unpack("<II", fh.read(8))
+            if version != VERSION:
+                raise FormatError(f"{path}: unsupported checkpoint version {version}")
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode("utf-8")
+                if name in params:
+                    raise FormatError(f"{path}: parameter '{name}' appears twice")
+                (ndim,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                if fh.tell() + 8 * math.prod(shape) > size:
+                    raise FormatError(f"{path}: truncated payload for parameter '{name}'")
+                value = np.empty(shape, dtype="<f8")
+                fh.readinto(value.reshape(-1).view(np.uint8))
+                if not np.isfinite(value).all():
+                    raise FormatError(f"{path}: parameter '{name}' holds a non-finite value")
+                params[name] = value
+        except struct.error as exc:
+            raise FormatError(f"{path}: truncated checkpoint header") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: parameter name is not UTF-8") from exc
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} bytes after the last parameter")
     return params

@@ -23,9 +23,9 @@ PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
 # rows per pass of the localization head, cut by ``autodiff.row_blocks``; at the
 # default 1152-wide aligned features and (512, 128) hidden units a block's aligned
-# rows take 9.4 MB and its activations, one array per layer, 4.2 and 1.0 MB, where
+# rows take 4.7 MB and its activations, one array per layer, 2.1 and 0.5 MB, where
 # all 14049 anchors of L=256 would take 129 and 72 MB
-LOC_BLOCK_ROWS = 1024
+LOC_BLOCK_ROWS = 512
 
 
 @dataclass

@@ -11,7 +11,13 @@ The k-NN screens each node's candidates with a Gram-matrix form
 ``|a|^2 + |b|^2 - 2 a.b`` whose rounding slack is bounded, then ranks only the
 candidates by the exact distance summed channel by channel. So its edges are
 those of the dense channel-order form, exact ties included, at a fraction of
-its cost.
+its cost. Columns that tie keep one another as candidates: on a zero-padded
+tail window the padding columns are all equally near one another, and a real
+column's nearest is often the origin, so each column keeps every padding
+column. At L=256 and k=4 one call's candidates rise from 1,024 on a full
+window to as many as 25,981. So the re-rank takes them in chunks of
+``KNN_CHUNK`` distance terms: its per-channel working arrays stay one chunk
+wide, however many candidates the screen keeps.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, ContractError, DataError
+
+# float64 distance terms per chunk of the k-NN's exact re-rank (0.5 MB): each
+# chunk takes KNN_CHUNK // C candidates of C channels
+KNN_CHUNK = 1 << 16
 
 
 def temporal_adjacency(length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -45,6 +55,12 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     times the rounding error that the screen and the exact form can make
     together. Only the candidates are ranked by the exact distance, summed
     channel by channel, so the edges equal those of the dense form.
+
+    Columns that tie stay one another's candidates, so m identical columns
+    (the zero padding of a tail window) add about m^2 candidates. The
+    re-rank gathers and sums ``KNN_CHUNK // C`` candidates at a time, so its
+    three working arrays stay near ``3 * KNN_CHUNK`` float64 values (1.5 MB)
+    however many candidates the screen keeps.
     """
     features = np.asarray(features, dtype=np.float64)
     channels, length = features.shape
@@ -83,12 +99,16 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     # Exact re-rank: each candidate's distance summed channel by channel in
     # channel order, so it depends on its two columns alone and duplicate or
     # zero columns tie exactly. A distance that overflows is inf.
+    d2 = np.empty(len(cand))
+    step = max(1, KNN_CHUNK // channels)
     with np.errstate(over="ignore"):
-        terms = features[:, cand] - features[:, node]
-        terms *= terms
-        d2 = terms[0].copy()
-        for term in terms[1:]:
-            d2 += term
+        for lo in range(0, len(cand), step):
+            terms = features[:, cand[lo:lo + step]] - features[:, node[lo:lo + step]]
+            terms *= terms
+            part = d2[lo:lo + step]
+            part[:] = terms[0]
+            for term in terms[1:]:
+                part += term
 
     # One inf-padded row of candidate distances per node, in index order, so a
     # stable sort puts the nearest first and ties on the smaller index.

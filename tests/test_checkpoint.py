@@ -1,5 +1,7 @@
 """Parameter archive round trips and corruption handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import small_model_config
@@ -7,7 +9,7 @@ from conftest import small_model_config
 from tadgraph import autodiff
 from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.errors import FormatError
-from tadgraph.model import Detector
+from tadgraph.model import Detector, ModelConfig
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -182,3 +184,33 @@ def test_from_checkpoint_refuses_a_mismatch_by_name(tmp_path, monkeypatch, store
     _refuse_draws(monkeypatch)
     with pytest.raises(FormatError, match=message):
         Detector.from_checkpoint(small_model_config(), path)
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    # the L=256 model's 5.3 MB of parameters: each payload is read from the file
+    # into its own array, so the load peaks near one copy (5.4 MB here); reading
+    # the whole file first and copying each array out of it peaked at 10.7 MB
+    path = tmp_path / "model.tgck"
+    Detector(ModelConfig(window_length=256), np.random.default_rng(0)).save(path)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    payload = sum(value.nbytes for value in loaded.values())
+    assert payload > 5e6
+    assert peak < 1.25 * payload
+
+
+def test_zero_size_parameters_round_trip(tmp_path):
+    # an empty payload reads no bytes, between, before and after other entries
+    params = {"none": np.zeros(0), "w": np.arange(6.0).reshape(2, 3), "rows": np.zeros((0, 3)),
+              "cols": np.zeros((2, 0, 4)), "last": np.zeros((3, 0))}
+    path = tmp_path / "model.tgck"
+    save_checkpoint(path, params)
+    loaded = load_checkpoint(path)
+    assert list(loaded) == list(params)
+    for name, value in params.items():
+        assert loaded[name].shape == value.shape, name
+        np.testing.assert_array_equal(loaded[name], value)

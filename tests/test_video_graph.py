@@ -224,6 +224,23 @@ class TestKnnSemanticEdges:
             tracemalloc.stop()
         assert peak < 32e6
 
+    def test_zero_padded_window_matches_reference_in_bounded_memory(self):
+        # a tail window of 128 real columns, then 128 zero columns: the zeros tie
+        # exactly with one another, and each real column's nearest is the origin,
+        # so every column keeps all 128 zeros and the screen keeps 32,719
+        # candidates, against 1,024 on a full window. Re-ranking them all at once
+        # peaked at 26.8 MB here; chunk by chunk, the whole call peaks at 4.0 MB
+        features = np.random.default_rng(2).normal(size=(32, 256))
+        features[:, 128:] = 0.0
+        tracemalloc.start()
+        try:
+            edges = knn_semantic_edges(features, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(edges, _knn_reference(features, 4))
+        assert peak < 6e6
+
 
 class TestGatherMatrix:
     def test_mean_divides_by_in_degree(self):
