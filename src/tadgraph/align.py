@@ -6,27 +6,48 @@ feature is produced by sampling the snippet sequence on a regular grid
 inside the anchor, linearly interpolating, and averaging consecutive runs
 of samples down to a fixed resolution: tau1 vectors of the features and
 tau2 vectors of their neighbour-smoothed copy (SGAlign). The whole
-procedure is linear in the features, so an anchor's feature is a product
-of sparse plan rows, whose columns read the features and the smoothed copy
-placed side by side. Samples sit at offsets within their anchor, so an
-anchor's rows are those of the anchor (0, d) of its duration shifted t_s
-columns. The one plan kept per anchor set is therefore a table of the
-anchors (0, d), one per duration; the rows of a block of anchors are copied
-from it when the block is needed, and a block costs one sparse product over
-them. So neither the plan of all anchors nor their aligned features ever
-exist at once, and each product's adjoint routes gradients back to every
-sampled snippet.
+procedure is linear in the features, and its weights depend on the
+duration alone: samples sit at offsets within their anchor, so the rows of
+``(t_s, t_s + d)`` are those of ``(0, d)`` moved t_s snippets. The one plan
+kept per anchor set is therefore, per tau, the weight rows of the anchors
+(0, d), one set per duration (``DurationRows``). A block of anchors' rows is
+computed from it when the block is needed, in one of two ways:
+
+- Grid. When every temporal row of a duration is one sample at a multiple
+  of 1/tau1 (a duration below 2 * tau1 whose offsets come out exact; at
+  tau1 = 32 every duration up to 63 does), its rows are gathered from
+  ``_lerp_grid``, which holds the features lerped at every multiple of
+  1/tau1 and is built once per call. The gather is exact: the sample's row
+  holds the same two weights, and the grid forms the same two products and
+  adds them in column order, as a sum over the row's entries does; phase 0
+  is the snippet itself.
+- Per duration. Every other row (the semantic rows, and temporal rows that
+  average several samples) takes one dense product per anchor: the
+  duration's (tau, d + 1) weight rows times the anchor's d + 1 snippets, all
+  of a block's anchors of one duration in one batched product. Every anchor
+  of a duration runs the same product on its own snippets, so its rows read
+  the same bits in whichever block they are computed.
+
+So neither the plan of all anchors nor their aligned features ever exist at
+once, and each block's adjoint routes gradients back to every sampled
+snippet.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy import sparse
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ContractError
-from .video_graph import gather_matrix
+from .video_graph import gather_edges
+
+# anchors per dense product in the adjoint of the per-duration products; at
+# L = 100 and tau2 = 4 their placed weight rows take at most 0.35 MB
+ADJOINT_ANCHORS = 64
 
 
 def enumerate_anchors(length: int, max_duration: int) -> np.ndarray:
@@ -77,13 +98,24 @@ def _anchor_weight_rows(t_s: int, t_e: int, tau: int, length: int):
     return rows, cols + t_s, vals
 
 
+def _summed(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int):
+    """The triplets sorted by (row, column) with duplicate entries summed, as a CSR
+    matrix holds them. Samples lie at least one snippet apart, so a column takes at
+    most two entries of a row and their sum is the same in either order."""
+    keys, slot = np.unique(rows * width + cols, return_inverse=True)
+    rows, cols = np.divmod(keys, width)
+    return rows, cols, np.bincount(slot, weights=vals)
+
+
 def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
-    """Fixed-resolution feature of one anchor: tau averaged vectors, concatenated."""
+    """Fixed-resolution feature of one anchor: tau averaged vectors, concatenated.
+
+    Each vector sums its weighted snippets in column order, as the row of a CSR
+    plan does."""
     x = features if isinstance(features, Tensor) else Tensor(features)
     t_s, t_e = int(anchor[0]), int(anchor[1])
-    rows, cols, vals = _anchor_weight_rows(t_s, t_e, tau, x.shape[1])
-    weights = sparse.coo_matrix((vals, (rows, cols)), shape=(tau, x.shape[1])).tocsr()
-    return ad.resample_columns(x, weights).reshape(tau * x.shape[0])
+    rows, cols, vals = _summed(*_anchor_weight_rows(t_s, t_e, tau, x.shape[1]), x.shape[1])
+    return ad.transpose(ad.gather_sum(x, cols, rows, vals, tau)).reshape(tau * x.shape[0])
 
 
 def _checked_anchors(anchors, length: int) -> np.ndarray:
@@ -100,82 +132,116 @@ def _checked_anchors(anchors, length: int) -> np.ndarray:
 
 
 def build_alignment(anchors: np.ndarray, length: int, tau1: int,
-                    tau2: int = 0) -> sparse.csr_matrix:
-    """The stacked alignment plan of all anchors, in CSR form.
-
-    Anchor j owns rows ``j * (tau1 + tau2)`` onwards: first the tau1 rows of
-    ``_anchor_weight_rows`` at tau1, over columns [0, length), then the tau2
-    rows at tau2, shifted to columns [length, 2 * length). So the plan has
-    shape (J * (tau1 + tau2), length) when tau2 is 0 and
-    (J * (tau1 + tau2), 2 * length) otherwise. The rows of the anchors (0, d),
-    d = 1 to the longest duration, are built in one pass per tau into a
-    per-duration table, and ``_plan_rows`` copies every anchor's rows from it.
-    """
+                    tau2: int = 0) -> AlignmentPlan:
+    """The alignment plan of an anchor set: the ``DurationRows`` of tau1, and of tau2
+    unless it is 0, for durations 1 to the longest of ``anchors``. Anchor j's
+    feature is its tau1 rows over the features, then its tau2 rows over their
+    neighbour-smoothed copy. Only the tau1 rows read a grid: a grid of the
+    smoothed copy would serve tau2's few durations below 2 * tau2 alone."""
     anchors = _checked_anchors(anchors, length)
-    taus = (tau1, tau2) if tau2 > 0 else (tau1,)
-    per_anchor, parts = sum(taus), []
-    max_d = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
-    for tau, row0, col0 in zip(taus, (0, tau1), (0, length)):
-        rows, cols, vals = _duration_weight_rows(np.arange(1, max_d + 1), tau, per_anchor)
-        parts.append((rows + row0, cols + col0, vals))
-    rows, cols, vals = map(np.concatenate, zip(*parts))
-    table = sparse.csr_matrix((vals, (rows, cols)), shape=(max_d * per_anchor, len(taus) * length))
-    return _plan_rows(table, anchors, per_anchor)
+    longest = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
+    parts = [DurationRows.build(longest, tau1)]
+    if tau2 > 0:
+        parts.append(DurationRows.build(longest, tau2, grid=False))
+    return AlignmentPlan(parts)
 
 
-def _plan_rows(table: sparse.csr_matrix, anchors: np.ndarray,
-               per_anchor: int) -> sparse.csr_matrix:
-    """The plan rows of ``anchors``, in their order, copied from a per-duration table.
+@dataclass
+class DurationRows:
+    """The tau weight rows of the anchors (0, d), d = 1 to the longest duration.
 
-    Rows ``(d - 1) * per_anchor`` to ``d * per_anchor`` of ``table`` are those of the
-    anchor (0, d); the anchor (t_s, t_s + d) has them shifted t_s columns, in both
-    halves. A run of anchors that share a start and have consecutive durations
-    (one run per start of a contiguous range in ``enumerate_anchors`` order) reads
-    one contiguous slice of the table, so the copy takes one slice per run.
+    ``on_grid[d - 1]`` says that each of duration d's rows is one sample at a
+    multiple of 1/tau, whose two weights are those ``_lerp_grid`` uses: row r
+    of the anchor (t_s, t_s + d) is its sample at snippet
+    ``t_s + (r * d) // tau``, phase ``(r * d) % tau``. Every other duration
+    keeps its rows as a dense (tau, longest + 1) matrix over the snippets t_s
+    onwards, zero past t_s + d: ``weights[slot[d - 1]]``. ``nnz`` counts the
+    nonzero weights of all durations' rows.
     """
-    shape = (len(anchors) * per_anchor, table.shape[1])
-    if len(anchors) == 0:
-        return sparse.csr_matrix(shape)
-    t_s, dur = anchors[:, 0], anchors[:, 1] - anchors[:, 0]
-    first = np.flatnonzero((np.diff(t_s, prepend=-1) != 0) | (np.diff(dur, prepend=-1) != 1))
-    stop = np.append(first[1:], len(anchors))
-    # run i copies table rows [q0, q1), entries [lo, hi), to entries [end - (hi - lo), end)
-    q0, q1 = (dur[first] - 1) * per_anchor, dur[stop - 1] * per_anchor
-    lo, hi = table.indptr[q0], table.indptr[q1]
-    end = np.cumsum(hi - lo)
-    itype = np.int32 if end[-1] < np.iinfo(np.int32).max else np.int64
-    # one output array at a time, each temporary freed before the next array: a
-    # plan's build peaks near its own three arrays
-    indptr = np.zeros(shape[0] + 1, itype)
-    np.concatenate([table.indptr[a + 1:b + 1] for a, b in zip(q0.tolist(), q1.tolist())],
-                   out=indptr[1:])
-    indptr[1:] += np.repeat((end - hi).astype(itype), q1 - q0)
-    runs = list(zip(lo.tolist(), hi.tolist()))
-    indices = np.concatenate([table.indices[a:b] for a, b in runs]).astype(itype, copy=False)
-    indices += np.repeat(t_s[first].astype(itype), hi - lo)
-    data = np.concatenate([table.data[a:b] for a, b in runs])
-    return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+    tau: int
+    on_grid: np.ndarray
+    slot: np.ndarray
+    weights: np.ndarray
+    nnz: int
+
+    @classmethod
+    def build(cls, longest: int, tau: int, grid: bool = True) -> "DurationRows":
+        durations = np.arange(1, longest + 1)
+        # a run of one sample holds sample k at k * (d / tau), as _duration_weight_rows
+        # computes it; the grid has it at snippet (k * d) // tau, phase (k * d) % tau
+        k = np.arange(tau)
+        offset = k * (durations / tau)[:, None]
+        whole, m = np.floor(offset), k * durations[:, None]
+        on_grid = grid & (durations < 2 * tau) & np.all(
+            (whole == m // tau) & (offset - whole == m % tau / tau), axis=1)
+        slot = np.cumsum(~on_grid) - 1
+        slot[on_grid] = -1
+        off = durations[~on_grid]
+        weights = np.zeros((len(off), tau, longest + 1))
+        rows, cols, vals = _duration_weight_rows(off, tau, tau)
+        np.add.at(weights, (rows // tau, rows % tau, cols), vals)
+        # a sample on the grid weighs its low snippet, and its high one past phase 0
+        nnz = (np.count_nonzero(weights) + tau * int(on_grid.sum())
+               + int(np.count_nonzero(m[on_grid] % tau)))
+        return cls(tau, on_grid, slot, weights, nnz)
+
+
+@dataclass
+class AlignmentPlan:
+    """One ``DurationRows`` per tau, in feature order."""
+
+    parts: list[DurationRows]
+
+    @property
+    def nnz(self) -> int:
+        return sum(part.nnz for part in self.parts)
+
+
+def _lerp_grid(xt: np.ndarray, tau: int) -> np.ndarray:
+    """The (tau * S, C) samples of the (S, C) snippet rows ``xt`` at every multiple
+    of 1/tau, phase by phase.
+
+    Row ``q * S + i`` is ``(1 - q/tau) * xt[i] + (q/tau) * xt[i + 1]``, the two
+    products formed first and then added; row i of phase 0 is ``xt[i]`` itself. No
+    sample lies past the last snippet, so its rows at other phases are 0.
+    """
+    span, channels = xt.shape
+    frac = np.arange(tau) / tau
+    grid = np.empty((tau, span, channels))
+    grid[0] = xt
+    lerp = grid[1:, :-1]
+    np.multiply((1.0 - frac[1:])[:, None, None], xt[:-1], out=lerp)
+    lerp += frac[1:, None, None] * xt[1:]
+    grid[1:, -1] = 0.0
+    return grid.reshape(tau * span, channels)
+
+
+def _lerp_adjoint(g: np.ndarray, tau: int) -> np.ndarray:
+    """The (S, C) adjoint of ``_lerp_grid`` for its (tau * S, C) gradient."""
+    g = g.reshape(tau, -1, g.shape[-1])
+    frac = np.arange(tau) / tau
+    gx = np.tensordot(1.0 - frac, g, 1)
+    gx[1:] += np.tensordot(frac, g[:, :-1], 1)
+    return gx
 
 
 def semantic_smooth(features: Tensor, edges: np.ndarray) -> Tensor:
     """Replace each node's feature by the mean of its dynamic neighbors."""
-    mean = gather_matrix(edges, features.shape[1], mean=True)
-    return ad.transpose(ad.resample_columns(features, mean))
+    length = features.shape[1]
+    return ad.gather_sum(features, *gather_edges(edges, length, mean=True), length)
 
 
 class SubgraphAligner:
     """Alignment operator for a fixed anchor set.
 
-    ``table`` is the plan of ``build_alignment`` for the anchors (0, d), d = 1
-    to the set's longest duration: per duration, tau1 temporal rows over the
-    features, then tau2 semantic rows over their neighbour-smoothed copy. It
-    is the only plan the aligner keeps, (longest duration) * (tau1 + tau2)
-    rows, whatever the number of anchors. A call places the features and
-    their smoothed copy side by side and returns ``AlignedRows``, which copies
-    a block's plan rows from the table when the block is asked for, so a
-    consumer reading blocks holds one block's rows and features at a time. A
-    subset takes the rows of its own anchors the same way. ``tau2 = 0``
-    leaves out the semantic rows and columns (ablation).
+    ``plan`` is the ``build_alignment`` of the set: per tau, the weight rows of
+    the anchors (0, d), d = 1 to the set's longest duration, whatever the number
+    of anchors. A call smooths the features over their neighbours and returns
+    ``AlignedRows``, which computes a block's rows when the block is asked for,
+    so a consumer reading blocks holds one block's rows at a time. A subset
+    takes the rows of its own anchors the same way. ``tau2 = 0`` leaves out the
+    semantic rows (ablation).
     """
 
     def __init__(self, anchors: np.ndarray, length: int, tau1: int, tau2: int):
@@ -183,10 +249,7 @@ class SubgraphAligner:
         self.length = length
         self.tau1 = tau1
         self.tau2 = tau2
-        longest = int((self.anchors[:, 1] - self.anchors[:, 0]).max(initial=0))
-        durations = np.arange(1, longest + 1)
-        self.table = build_alignment(np.stack([np.zeros_like(durations), durations], axis=1),
-                                     length, tau1, tau2)
+        self.plan = build_alignment(self.anchors, length, tau1, tau2)
 
     def feature_width(self, channels: int) -> int:
         return (self.tau1 + self.tau2) * channels
@@ -196,41 +259,156 @@ class SubgraphAligner:
         """Per-anchor rows: temporal part, then the neighbor-smoothed part."""
         if features.shape[1] != self.length:
             raise ContractError(f"aligner built for L={self.length}, features have {features.shape[1]}")
+        sources = [features]
         if self.tau2 > 0:
             if len(np.asarray(edges).reshape(-1, 2)) == 0:
-                smoothed = features        # semantic context disabled: fall back to raw
+                sources.append(features)   # semantic context disabled: fall back to raw
             else:
-                smoothed = semantic_smooth(features, edges)
-            features = ad.concat([features, smoothed], axis=1)
+                sources.append(semantic_smooth(features, edges))
         anchors = self.anchors if subset is None else self.anchors[subset]
-        return AlignedRows(features, self.table, anchors, self.tau1 + self.tau2)
+        return AlignedRows(list(zip(self.plan.parts, sources)), anchors)
 
 
 class AlignedRows:
     """The (J, F) aligned anchor features, computed per row range on demand.
 
-    ``rows[lo:hi]`` is the Tensor of anchors lo to hi: their plan rows, copied
-    from the per-duration ``table`` by ``_plan_rows``, in one sparse product
-    with the source, whose (count * per_anchor, C) result reshapes without a
-    copy into (count, per_anchor * C). Each plan row is computed on its own,
-    so a row reads the same bits whichever range it is taken in. ``rows[:]``
-    is all J.
+    ``rows[lo:hi]`` is the Tensor of anchors lo to hi: one node over every tau's
+    source, whose (count, per_anchor, C) array reshapes without a copy into
+    (count, per_anchor * C). Its temporal rows on the grid come in one gather
+    from the ``_lerp_grid`` of the features, built once per call, which also
+    fills every other row with a placeholder; the per-duration products then
+    write those rows. Each row is computed on its own, so it reads the same
+    bits whichever range it is taken in. ``rows[:]`` is all J.
     """
 
-    def __init__(self, source: Tensor, table: sparse.csr_matrix, anchors: np.ndarray,
-                 per_anchor: int):
-        self.source = source
-        self.table = table
+    def __init__(self, parts: list[tuple[DurationRows, Tensor]], anchors: np.ndarray):
         self.anchors = anchors
-        self.per_anchor = per_anchor
-        self.shape = (len(anchors), per_anchor * source.shape[0])
+        durations = anchors[:, 1] - anchors[:, 0]
+        self.parts = [_Dense(rows, source, durations) for rows, source in parts]
+        self.cuts = np.cumsum([0] + [rows.tau for rows, _ in parts]).tolist()
+        self.channels = parts[0][1].shape[0]
+        self.shape = (len(anchors), self.cuts[-1] * self.channels)
+        temporal = self.parts[0]
+        self.grid = None
+        if temporal.rows.on_grid[durations - 1].any():
+            self.grid = _lerp_grid(np.ascontiguousarray(temporal.source.data.T),
+                                   temporal.rows.tau)
 
     def __getitem__(self, key: slice) -> Tensor:
         lo, hi, step = key.indices(self.shape[0])
         if step != 1:
             raise ContractError(f"aligned rows take a contiguous row range, got step {step}")
-        rows = _plan_rows(self.table, self.anchors[lo:hi], self.per_anchor)
-        return ad.resample_columns(self.source, rows).reshape(-1, self.shape[1])
+        anchors = self.anchors[lo:hi]
+        t_s, dur = anchors[:, 0], anchors[:, 1] - anchors[:, 0]
+        count, per_anchor = len(anchors), self.cuts[-1]
+        temporal = self.parts[0]
+        tau = temporal.rows.tau
+        at = np.flatnonzero(temporal.rows.on_grid[dur - 1])
+        index = np.zeros((count, per_anchor), dtype=np.int64)
+        if len(at):
+            # row r of the anchor (t_s, t_s + d) is its sample at snippet
+            # t_s + (r * d) // tau, phase (r * d) % tau
+            length = temporal.source.shape[1]
+            offset = np.arange(tau) * dur[at, None]
+            index[at, :tau] = offset % tau * length + offset // tau + t_s[at, None]
+            out = np.take(self.grid, index, axis=0)
+        else:
+            out = np.empty((count, per_anchor, self.channels))
+        spans = list(zip(self.parts, self.cuts, self.cuts[1:]))
+        dense = [part.fill(out[:, a:b], t_s, dur) for part, a, b in spans]
+        spare = 0 if self.grid is None else len(self.grid)     # the adjoint keeps no grid
+
+        def backward(g):
+            g = g.reshape(out.shape)
+            grads = [part.adjoint(g[:, a:b], t_s, dur, off) if part.source.requires_grad
+                     else None for (part, a, b), off in zip(spans, dense)]
+            if len(at) and temporal.source.requires_grad:
+                # every row of g spreads at once, those off the grid into a spare row
+                read = np.zeros(index.shape, dtype=bool)
+                read[at, :tau] = True
+                rows = _spread_rows(g, np.where(read, index, spare), spare + 1)
+                grads[0] += _lerp_adjoint(rows[:-1], tau)
+            for (part, _, _), grad in zip(spans, grads):
+                if grad is not None:
+                    part.source._accumulate(grad.T)
+
+        return ad._make(out.reshape(count, self.shape[1]), "align_rows",
+                        [part.source for part in self.parts], backward)
+
+
+def _spread_rows(values: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
+    """(count, C) sums of the ``values`` rows (..., C) into rows ``at`` (...)."""
+    channels = values.shape[-1]
+    slots = (at.reshape(-1, 1) * channels + np.arange(channels)).reshape(-1)
+    sums = np.bincount(slots, weights=values.reshape(-1), minlength=count * channels)
+    return sums.reshape(count, channels)
+
+
+class _Dense:
+    """One tau's source during a call and its rows off the grid: per duration, one
+    product per anchor. ``windows`` views every window of longest + 1 snippets
+    (zero past the last one) when any anchor reads such rows; a duration-d
+    anchor's snippets are the first d + 1 rows of its window."""
+
+    def __init__(self, rows: DurationRows, source: Tensor, durations: np.ndarray):
+        self.rows = rows
+        self.source = source
+        self.windows = None
+        if not rows.on_grid[durations - 1].all():
+            channels, length = source.shape
+            longest = len(rows.on_grid)
+            padded = np.zeros((length + longest, channels))
+            padded[:length] = source.data.T
+            self.windows = sliding_window_view(padded, longest + 1,
+                                               axis=0)[:length].transpose(0, 2, 1)
+
+    def fill(self, dst: np.ndarray, t_s: np.ndarray, dur: np.ndarray) -> np.ndarray:
+        """Write the (count, tau, C) rows off the grid of the anchors (t_s, t_s + dur)
+        into ``dst``; returns those anchors' positions, which the adjoint reads."""
+        at, groups = _by_duration(np.flatnonzero(~self.rows.on_grid[dur - 1]), t_s, dur)
+        rows = np.empty((len(at), self.rows.tau, dst.shape[2]))
+        for d, a, b, consecutive in groups:
+            # one (tau, d + 1) by (d + 1, C) product per anchor, on a view of its
+            # snippets when the starts run consecutively and on a copy otherwise: the
+            # same product on the same values either way
+            windows = (self.windows[t_s[at[a]]:t_s[at[a]] + b - a, :d + 1] if consecutive
+                       else self.windows[t_s[at[a:b]], :d + 1])
+            np.matmul(self.rows.weights[self.rows.slot[d - 1], :, :d + 1], windows,
+                      out=rows[a:b])
+        dst[at] = rows
+        return at
+
+    def adjoint(self, g: np.ndarray, t_s: np.ndarray, dur: np.ndarray,
+                at: np.ndarray) -> np.ndarray:
+        """The (L, C) adjoint of ``fill`` for its rows' gradient ``g``: the weight rows
+        of its anchors, placed at their starts, transposed, times their gradient
+        rows, in one dense product per ``ADJOINT_ANCHORS`` anchors."""
+        (channels, length), tau = self.source.shape, self.rows.tau
+        width = self.rows.weights.shape[2]
+        grad = np.zeros((length + width, channels))
+        for lo, hi in ad.row_blocks(len(at), ADJOINT_ANCHORS) if len(at) else ():
+            part = at[lo:hi]
+            first = int(t_s[part].min())
+            span = int(t_s[part].max()) - first + width
+            placed = np.zeros((hi - lo) * tau * span)
+            cols = ((np.arange(hi - lo)[:, None, None] * tau + np.arange(tau)[:, None]) * span
+                    + (t_s[part] - first)[:, None, None] + np.arange(width))
+            placed[cols.reshape(-1)] = self.rows.weights[self.rows.slot[dur[part] - 1]].reshape(-1)
+            grad[first:first + span] += (placed.reshape(-1, span).T
+                                         @ g[part].reshape(-1, channels))
+        return grad[:length]
+
+
+def _by_duration(at: np.ndarray, t_s: np.ndarray, dur: np.ndarray):
+    """The positions ``at`` sorted by their duration (stably), and per duration
+    ``(d, a, b, consecutive)``: its positions are sorted ones a to b, and
+    ``consecutive`` says their starts run one apart."""
+    at = at[np.argsort(dur[at], kind="stable")]
+    cuts = [0, *(np.flatnonzero(np.diff(dur[at])) + 1).tolist(), len(at)] if len(at) else [0]
+    # breaks[i]: how many neighbours before position i are not one start apart
+    breaks = np.concatenate([[0], np.cumsum(np.diff(t_s[at]) != 1)]).tolist()
+    return at, [(int(dur[at[a]]), a, b, breaks[b - 1] == breaks[a])
+                for a, b in zip(cuts, cuts[1:])]
 
 
 def sgalign_forward(features: Tensor, edges: np.ndarray, anchors: np.ndarray,

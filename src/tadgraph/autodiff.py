@@ -23,7 +23,9 @@ side through one path; shapes must match, but an operand that needs no gradient
 may be 0-d. Every dense product is one ``_dense`` node with one adjoint:
 ``matmul`` is the case without a bias, ``affine`` adds the bias into the
 product's own array, and ``affine_relu`` also clamps that array in place.
-``concat``, ``tslice`` and ``grouped_conv1d`` keep their own records.
+``concat``, ``tslice`` and ``grouped_conv1d`` keep their own records, and
+``align`` records each block of aligned anchor rows as one ``_make`` node.
+``gather_sum``, the sum of columns over an entry list, is one bincount each way.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, ContractError, ShapeError
 
@@ -253,7 +254,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    """``1 / (1 + exp(-x))``. Below about -709, ``exp(-x)`` overflows to inf, silently,
+    and the value is 0; NaN stays NaN."""
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-x.data))
     return _unary(x, s, "sigmoid", lambda g: g * s * (1.0 - s))
 
 
@@ -380,18 +384,30 @@ def tslice(x: Tensor, key) -> Tensor:
     return _make(x.data[key], "slice", (x,), bwd)
 
 
-def resample_columns(x: Tensor, weights) -> Tensor:
-    """Linear resampling of an (C, L) tensor along its column axis.
+def gather_sum(x: Tensor, src: np.ndarray, dst: np.ndarray, weights: np.ndarray,
+               width: int) -> Tensor:
+    """The (C, width) tensor whose column j sums ``weights[e] * x[:, src[e]]`` over the
+    entries e with ``dst[e] == j``, added one by one in entry order.
 
-    ``weights`` is a constant (rows, L) matrix, dense or scipy-sparse; row i
-    of the output is ``sum_l weights[i, l] * x[:, l]``. The adjoint maps
-    back through the transposed weights, so every column with nonzero
-    weight receives gradient.
+    The adjoint adds ``weights[e] * g[:, dst[e]]`` into column ``src[e]``, in entry
+    order too. With entries sorted by (dst, src) both orders are those of a CSR
+    matrix with rows ``dst`` and its transpose, so the sums match its products bit
+    for bit.
     """
-    if x.data.ndim != 2 or weights.shape[1] != x.shape[1]:
-        raise ShapeError(f"resample_columns: weights {weights.shape} incompatible with {x.shape}")
-    return _unary(x, np.asarray(weights @ x.data.T), "resample_columns",
-                  lambda g: (weights.T @ g).T)
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    if x.data.ndim != 2 or len(src) and (src.min() < 0 or src.max() >= x.shape[1]
+                                         or dst.min() < 0 or dst.max() >= width):
+        raise ShapeError(f"gather_sum: entries outside {x.shape} -> {width} columns")
+    lane = np.arange(x.shape[0])[:, None]
+
+    def spread(values, at, columns):
+        # one bincount over (channel, column) slots: each slot sums its entries in order
+        out = np.bincount((lane * columns + at).reshape(-1), weights=values.reshape(-1),
+                          minlength=x.shape[0] * columns)
+        return out.astype(np.float64, copy=False).reshape(x.shape[0], columns)
+
+    return _unary(x, spread(x.data[:, src] * weights, dst, width), "gather_sum",
+                  lambda g: spread(g[:, dst] * weights, src, x.shape[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, new_param
 from .errors import ConfigError, ShapeError
-from .video_graph import VideoGraph, gather_matrix, temporal_adjacency
+from .video_graph import VideoGraph, gather_edges, temporal_adjacency
 from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
 
 
@@ -77,7 +77,7 @@ def gcnext_forward(x: Tensor, graph: VideoGraph, params: BlockParams) -> Tensor:
 
     if graph.k > 0:
         zs = ad.matmul(params.s_in, x)
-        neighbor_sum = ad.transpose(ad.resample_columns(zs, gather_matrix(edges, graph.length)))
+        neighbor_sum = ad.gather_sum(zs, *gather_edges(edges, graph.length), graph.length)
         agg = (ad.grouped_conv1d(zs, params.s_self, groups=params.cardinality)
                + ad.grouped_conv1d(neighbor_sum, params.s_neigh, groups=params.cardinality))
         out = out + ad.matmul(params.s_out, agg)

@@ -1,8 +1,8 @@
 """Flat binary archive for model parameters.
 
 Layout: magic ``TGCK``, u32 version, u32 entry count, then per entry a
-u16 name length, the utf-8 name, a u8 rank, u32 dimensions, and the
-row-major float64 little-endian payload. Loading reads each payload once,
+u16 name length, the utf-8 name, a u8 rank (0 for a scalar), u32 dimensions,
+and the row-major float64 little-endian payload. Loading reads each payload once,
 straight from the file into its own array, so it never holds the file's bytes
 as well. It rejects a non-finite value, a name that repeats and bytes after the
 last entry.
@@ -29,7 +29,7 @@ def save_checkpoint(path, params: dict[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(params)))
         for name, value in params.items():
-            arr = np.ascontiguousarray(value, dtype="<f8")
+            arr = np.asarray(value, dtype="<f8")   # keeps rank 0; tobytes() is row-major
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)

@@ -81,9 +81,11 @@ def localization_forward(subgraph_features, params: LocalizationParams) -> Tenso
 
 
 def _localization_rows(x: Tensor, params: LocalizationParams) -> Tensor:
-    h = ad.affine_relu(x, params.w1, params.b1)
-    h = ad.affine_relu(h, params.w2, params.b2)
-    return ad.sigmoid(ad.affine(h, params.w3, params.b3))
+    # each layer rebinds x, so without a graph to keep it the block's aligned rows
+    # are freed once the first layer has read them
+    x = ad.affine_relu(x, params.w1, params.b1)
+    x = ad.affine_relu(x, params.w2, params.b2)
+    return ad.sigmoid(ad.affine(x, params.w3, params.b3))
 
 
 def node_branch_forward(block1_features: Tensor, params: NodeParams) -> Tensor:

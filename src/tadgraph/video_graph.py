@@ -2,10 +2,11 @@
 
 Nodes are snippet indices 0..L-1; an edge ``(i, j)`` means node j aggregates
 the feature of node i. The forward path builds no L x L matrix: it runs the
-temporal chain as a convolution and each layer's (k*L, 2) semantic edge list
-through the sparse ``gather_matrix``. The dense adjacencies are test oracles:
-``A[i, j] = 1`` for edge ``(i, j)``, so ``X @ A`` gathers neighbor features per
-column, ``(X @ A_fwd)[:, j] = x_{j+1}`` and ``A_fwd == A_bwd.T``.
+temporal chain as a convolution and sums each layer's (k*L, 2) semantic edge
+list with ``autodiff.gather_sum``, in the order ``gather_edges`` sorts it. The
+dense adjacencies are test oracles: ``A[i, j] = 1`` for edge ``(i, j)``, so
+``X @ A`` gathers neighbor features per column, ``(X @ A_fwd)[:, j] = x_{j+1}``
+and ``A_fwd == A_bwd.T``.
 
 The k-NN screens each node's candidates with a Gram-matrix form
 ``|a|^2 + |b|^2 - 2 a.b`` whose rounding slack is bounded, then ranks only the
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ConfigError, ContractError, DataError
 
@@ -131,18 +131,25 @@ def semantic_adjacency(edges: np.ndarray, length: int) -> np.ndarray:
     return adj
 
 
-def gather_matrix(edges: np.ndarray, length: int, mean: bool = False) -> sparse.csr_matrix:
-    """Sparse (L, L) W whose ``W[j, i]`` counts the edges ``(i, j)``.
+def gather_edges(edges: np.ndarray, length: int,
+                 mean: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges ``(i, j)`` as ``(src, dst, weight)`` arrays sorted by (j, i).
 
-    ``mean`` divides row j by node j's in-degree. ``resample_columns(x, W)``
-    then holds, in row j, the sum (mean) of node j's neighbor columns.
+    The weight is 1, or with ``mean`` 1 / (j's in-degree). ``gather_sum(x, src, dst,
+    weight, length)`` then holds, in column j, the sum (mean) of node j's neighbour
+    columns, added in increasing neighbour order; its adjoint adds into column i in
+    increasing node order. Those are the orders of a CSR matrix with ``W[j, i]``
+    counting the edges ``(i, j)``, and the mean multiplies each term before adding,
+    as that matrix's product does.
     """
     src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    order = np.lexsort((src, dst))
+    src, dst = src[order], dst[order]
     degree = np.bincount(dst, minlength=length)
     if mean and np.any(degree == 0):
-        raise ContractError(f"gather_matrix: node {int(np.argmin(degree))} has no neighbors")
+        raise ContractError(f"gather_edges: node {int(np.argmin(degree))} has no neighbors")
     weights = 1.0 / degree[dst] if mean else np.ones(len(src))
-    return sparse.csr_matrix((weights, (dst, src)), shape=(length, length))
+    return src, dst, weights
 
 
 @dataclass

@@ -213,6 +213,16 @@ def knn_semantic_edges_dense(features: np.ndarray, k: int) -> np.ndarray:
     return np.stack([others[:, :k].reshape(-1), np.repeat(np.arange(length), k)], axis=1)
 
 
+def gather_matrix_csr(edges: np.ndarray, length: int, mean: bool = False) -> sparse.csr_matrix:
+    """The sparse (L, L) W whose ``W[j, i]`` counts the edges ``(i, j)``, row j divided
+    by j's in-degree with ``mean``: ``(W @ x.T).T`` holds, in column j, the sum (mean)
+    of node j's neighbour columns, as ``video_graph.gather_edges`` once built it."""
+    src, dst = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    degree = np.bincount(dst, minlength=length)
+    weights = 1.0 / degree[dst] if mean else np.ones(len(src))
+    return sparse.csr_matrix((weights, (dst, src)), shape=(length, length))
+
+
 def anchor_weight_rows_per_anchor(t_s: int, t_e: int, tau: int) -> tuple:
     """``align._anchor_weight_rows`` for one anchor on its own: T = tau * s samples
     at offsets ``k * d / T``, s = max(1, d // tau), the low snippet of every sample,

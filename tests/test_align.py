@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import anchor_weight_rows_per_anchor, build_alignment_per_duration
 
 from tadgraph import autodiff as ad
-from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, _plan_rows, build_alignment,
+from tadgraph.align import (SubgraphAligner, _anchor_weight_rows, build_alignment,
                             enumerate_anchors, interp_rescale, semantic_smooth,
                             sgalign_forward)
 from tadgraph.autodiff import Tensor
@@ -111,71 +111,142 @@ class TestInterpRescale:
         assert np.all(grad_mass[:2] == 0) and np.all(grad_mass[8:] == 0)
 
 
+def _stacked_plan(anchors, length, tau1, tau2=0):
+    """Every anchor's rows by ``_anchor_weight_rows``, stacked densely: tau1 rows over
+    columns [0, L), then tau2 rows over [L, 2L)."""
+    taus = ((tau1, 0, 0), (tau2, tau1, length)) if tau2 else ((tau1, 0, 0),)
+    plan = np.zeros((len(anchors) * (tau1 + tau2), len(taus) * length))
+    for j, (t_s, t_e) in enumerate(anchors):
+        for tau, row0, col0 in taus:
+            rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
+            np.add.at(plan, (rows + j * (tau1 + tau2) + row0, cols + col0), vals)
+    return plan
+
+
+def _aligned(x, anchors, tau1, tau2, edges=None, subset=None):
+    """``SubgraphAligner`` rows of ``anchors`` over the features ``x`` (smoothed over
+    ``edges``, or the raw features without them), and the aligner."""
+    aligner = SubgraphAligner(anchors, x.shape[1], tau1, tau2)
+    edges = np.zeros((0, 2)) if edges is None else edges
+    return aligner(Tensor(x), edges, subset)[:].data, aligner
+
+
+def _assert_rows_match(got, want, x, aligner, anchors, exact_on_grid=True):
+    """Every entry lies within (longest + 1) units in the last place of the largest
+    |feature|, the rounding a sum of that many weighted snippets can make; with
+    ``exact_on_grid`` (``want`` sums each row's entries in column order, as a CSR
+    product does), the temporal rows on the grid equal ``want`` bit for bit."""
+    assert got.shape == want.shape
+    if exact_on_grid:
+        on_grid = aligner.plan.parts[0].on_grid[anchors[:, 1] - anchors[:, 0] - 1]
+        temporal = aligner.tau1 * x.shape[0]
+        np.testing.assert_array_equal(got[on_grid, :temporal], want[on_grid, :temporal])
+    longest = len(aligner.plan.parts[0].on_grid)
+    bound = (longest + 1) * 2.0**-52 * float(np.abs(x).max(initial=0.0))
+    np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
+
+def _csr_rows(x, smoothed, anchors, tau1, tau2):
+    """The rows of the CSR oracle: its plan times the features and their smoothed copy
+    placed side by side."""
+    plan = build_alignment_per_duration(anchors, x.shape[1], tau1, tau2)
+    source = np.concatenate([x, smoothed], axis=1) if tau2 else x
+    return np.asarray(plan @ source.T).reshape(len(anchors), (tau1 + tau2) * x.shape[0])
+
+
 class TestBuildAlignment:
     @settings(max_examples=150)
     @given(st.integers(3, 40), st.data())
     def test_equals_stacked_anchor_rows(self, length, data):
-        # tau above the shortest durations exercises the oversampling branch (d < tau)
+        # tau above the shortest durations exercises the oversampling branch (d < tau);
+        # the plan counts the nonzero weights of the anchors (0, d), d = 1 to the longest
         anchors = data.draw(_anchor_lists(length))
         tau = data.draw(st.integers(1, 8))
-        plan = build_alignment(anchors, length, tau)
-        expected = np.zeros((len(anchors) * tau, length))
-        for j, (t_s, t_e) in enumerate(anchors):
-            rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
-            np.add.at(expected, (rows + j * tau, cols), vals)
-        np.testing.assert_array_equal(plan.toarray(), expected)
-        assert plan.nnz == np.count_nonzero(expected)
+        x = np.random.default_rng(length).normal(size=(3, length))
+        got, aligner = _aligned(x, anchors, tau, 0)
+        want = (_stacked_plan(anchors, length, tau) @ x.T).reshape(got.shape)
+        _assert_rows_match(got, want, x, aligner, anchors, exact_on_grid=False)
+        longest = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
+        table = _stacked_plan([(0, d) for d in range(1, longest + 1)], length, tau)
+        assert build_alignment(anchors, length, tau).nnz == np.count_nonzero(table)
 
     @settings(max_examples=100)
     @given(st.integers(3, 30), st.data())
     def test_two_taus_stack_per_anchor(self, length, data):
-        # per anchor: tau1 rows over columns [0, L), then tau2 rows over [L, 2L)
+        # per anchor: tau1 rows over the features, then tau2 rows over their smoothed
+        # copy, which is the raw features when there are no edges
         anchors = data.draw(_anchor_lists(length))
         tau1, tau2 = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-        plan = build_alignment(anchors, length, tau1, tau2)
-        expected = np.zeros((len(anchors) * (tau1 + tau2), 2 * length))
-        for j, (t_s, t_e) in enumerate(anchors):
-            for tau, row0, col0 in ((tau1, 0, 0), (tau2, tau1, length)):
-                rows, cols, vals = _anchor_weight_rows(int(t_s), int(t_e), tau, length)
-                np.add.at(expected, (rows + j * (tau1 + tau2) + row0, cols + col0), vals)
-        np.testing.assert_array_equal(plan.toarray(), expected)
-        assert plan.nnz == np.count_nonzero(expected)
+        x = np.random.default_rng(length).normal(size=(2, length))
+        got, aligner = _aligned(x, anchors, tau1, tau2)
+        plan = _stacked_plan(anchors, length, tau1, tau2)
+        want = (plan @ np.concatenate([x, x], axis=1).T).reshape(got.shape)
+        _assert_rows_match(got, want, x, aligner, anchors, exact_on_grid=False)
 
     @settings(max_examples=150)
     @given(_shifted_anchors(), st.integers(1, 40), st.integers(1, 40))
     @example((256, 200, 55), 32, 4)                 # infer_l256's length and taus
     def test_rows_shift_with_the_start(self, drawn, tau1, tau2):
-        # samples sit at offsets within the anchor, so (t_s, t_s + d) has the rows of
-        # (0, d) moved t_s columns right in both halves, bit for bit
+        # the weights depend on the duration alone, so (t_s, t_s + d) reads the features
+        # as (0, d) reads them moved t_s columns left, bit for bit, in both parts
         length, t_s, d = drawn
-        base = build_alignment(np.array([[0, d]]), length, tau1, tau2)
-        moved = build_alignment(np.array([[t_s, t_s + d]]), length, tau1, tau2)
-        np.testing.assert_array_equal(moved.indptr, base.indptr)
-        np.testing.assert_array_equal(moved.indices, base.indices + t_s)
-        np.testing.assert_array_equal(moved.data, base.data)
+        x = np.random.default_rng(d).normal(size=(3, length))
+        base, _ = _aligned(x[:, t_s:], np.array([[0, d]]), tau1, tau2)
+        moved, _ = _aligned(x, np.array([[t_s, t_s + d]]), tau1, tau2)
+        np.testing.assert_array_equal(moved, base)
 
     @settings(max_examples=100)
     @given(st.integers(3, 80), st.data())
     def test_matches_per_duration_build(self, length, data):
-        # one pass per tau lists each row's entries in the order of one call per
-        # duration, so the CSR sums its duplicate columns in the same order
+        # against the CSR plan of the per-duration oracle, with neighbour-smoothed rows
         anchors = data.draw(_anchor_lists(length))
         tau1, tau2 = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
-        self._assert_same_plan(anchors, length, tau1, tau2)
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(3, length)) * 10.0 ** rng.integers(-3, 4)
+        edges = knn_semantic_edges(x, 1)
+        got, aligner = _aligned(x, anchors, tau1, tau2, edges)
+        smoothed = semantic_smooth(Tensor(x), edges).data
+        _assert_rows_match(got, _csr_rows(x, smoothed, anchors, tau1, tau2), x, aligner,
+                           anchors)
 
     @pytest.mark.parametrize("length", [100, 256], ids=["train_l100", "infer_l256"])
     def test_matches_per_duration_build_at_bench_sizes(self, length):
-        self._assert_same_plan(enumerate_anchors(length, 64), length, 32, 4)
+        # the default taus and D: every temporal row is one sample on the grid and equals
+        # the CSR product bit for bit, for the whole window, its 512-row blocks and a
+        # training subset; the semantic rows stay within the rounding bound
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(32, length))
+        edges = knn_semantic_edges(x, 4)
+        anchors = enumerate_anchors(length, 64)
+        aligner = SubgraphAligner(anchors, length, 32, 4)
+        assert aligner.plan.parts[0].on_grid.all()
+        aligned = aligner(Tensor(x), edges)
+        want = _csr_rows(x, semantic_smooth(Tensor(x), edges).data, anchors, 32, 4)
+        whole = aligned[:].data
+        _assert_rows_match(whole, want, x, aligner, anchors)
+        blocks = np.concatenate([aligned[lo:hi].data
+                                 for lo, hi in ad.row_blocks(len(anchors), 512)])
+        np.testing.assert_array_equal(blocks, whole)
+        subset = np.sort(rng.choice(len(anchors), 256, replace=False))
+        picked = aligner(Tensor(x), edges, subset)[:].data
+        _assert_rows_match(picked, want[subset], x, aligner, anchors[subset])
+        np.testing.assert_array_equal(picked, whole[subset])
 
-    @staticmethod
-    def _assert_same_plan(anchors, length, tau1, tau2):
-        plan = build_alignment(anchors, length, tau1, tau2)
-        expected = build_alignment_per_duration(anchors, length, tau1, tau2)
-        assert plan.shape == expected.shape
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(plan, name), getattr(expected, name)
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
+    @pytest.mark.parametrize("tau1, tau2, max_duration", [(8, 2, 32), (32, 0, 64)],
+                             ids=["ci-config", "tau2-zero"])
+    def test_rows_off_the_grid_stay_within_the_bound(self, tau1, tau2, max_duration):
+        # CI's smoke config: durations from 2 * tau1 = 16 average several samples per
+        # row, so their temporal rows are dense products too
+        rng = np.random.default_rng(tau1)
+        x = rng.normal(size=(16, 100))
+        edges = knn_semantic_edges(x, 2)
+        anchors = enumerate_anchors(100, max_duration)
+        got, aligner = _aligned(x, anchors, tau1, tau2, edges)
+        smoothed = semantic_smooth(Tensor(x), edges).data
+        want = _csr_rows(x, smoothed, anchors, tau1, tau2)
+        _assert_rows_match(got, want, x, aligner, anchors)
+        on_grid = aligner.plan.parts[0].on_grid
+        assert on_grid.sum() == min(2 * tau1 - 1, max_duration - 1)
 
     @settings(max_examples=150)
     @given(_shifted_anchors(), st.integers(1, 40))
@@ -188,19 +259,24 @@ class TestBuildAlignment:
             np.testing.assert_array_equal(mine, want)
 
     def test_peak_memory_stays_near_the_plan(self):
-        # infer_l256's plan: 14049 anchors, 1.3M entries, 17.8 MB in its three arrays
+        # infer_l256's anchors: the plan keeps the dense tau2 rows of 63 durations and a
+        # flag per duration, 130 kB, where the CSR plan of all 14049 anchors took 17.8 MB
         anchors = enumerate_anchors(256, 64)
+        build_alignment(anchors[:10], 256, 32, 4)
         tracemalloc.start()
         try:
             plan = build_alignment(anchors, 256, 32, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * (plan.data.nbytes + plan.indices.nbytes + plan.indptr.nbytes)
+        held = sum(p.weights.nbytes + p.on_grid.nbytes + p.slot.nbytes for p in plan.parts)
+        assert held < 140e3 and peak < 3 * held
 
     def test_no_anchors_empty_plan(self):
         plan = build_alignment(np.zeros((0, 2)), 5, 3, 2)
-        assert plan.shape == (0, 10) and plan.nnz == 0
+        assert plan.nnz == 0 and [len(p.on_grid) for p in plan.parts] == [0, 0]
+        out, _ = _aligned(np.ones((4, 5)), np.zeros((0, 2)), 3, 2)
+        assert out.shape == (0, 20)
 
     @pytest.mark.parametrize("anchors, message", [
         ([[1, 2], [3, 3]], r"\(3, 3\) has non-positive duration"),
@@ -312,42 +388,30 @@ class TestSGAlign:
     @settings(max_examples=100)
     @given(st.integers(3, 80), st.data())
     def test_assembled_rows_equal_rows_of_the_plan(self, length, data):
-        # a block's or a subset's rows, copied from the per-duration table, equal
-        # the plan rows of its anchors entry for entry; the plan comes from the
-        # per-duration oracle, which build_alignment equals, since both share
-        # _plan_rows
+        # a block's or a subset's rows, computed on their own, equal the rows of the
+        # whole anchor set bit for bit: on the grid and off it alike
         max_duration = data.draw(st.integers(2, length))
         tau1, tau2 = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 40))
         anchors = enumerate_anchors(length, max_duration)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = Tensor(rng.normal(size=(3, length)))
+        edges = knn_semantic_edges(x.data, 1)
         aligner = SubgraphAligner(anchors, length, tau1, tau2)
-        plan = build_alignment_per_duration(anchors, length, tau1, tau2)
-        per_anchor, count = tau1 + tau2, len(anchors)
-        longest = int((anchors[:, 1] - anchors[:, 0]).max(initial=0))
-        assert aligner.table.shape == (longest * per_anchor, plan.shape[1])
+        aligned = aligner(x, edges)
+        whole, count = aligned[:].data, len(anchors)
         lo = data.draw(st.integers(0, count))
         hi = data.draw(st.integers(lo, count))
         for a, b in ((lo, hi), (lo, lo), (lo, min(lo + 1, count))):   # also empty and one
-            self._assert_same_rows(_plan_rows(aligner.table, aligner.anchors[a:b], per_anchor),
-                                   plan[a * per_anchor:b * per_anchor])
+            np.testing.assert_array_equal(aligned[a:b].data, whole[a:b])
         if count > 1:
-            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
             subset = sample_anchor_subset(rng.random(count), data.draw(st.integers(1, count - 1)),
                                           rng)
-            rows = (subset[:, None] * per_anchor + np.arange(per_anchor)).reshape(-1)
-            self._assert_same_rows(_plan_rows(aligner.table, aligner.anchors[subset], per_anchor),
-                                   plan[rows])
-
-    @staticmethod
-    def _assert_same_rows(got, want):
-        assert got.shape == want.shape
-        for name in ("data", "indices", "indptr"):
-            mine, theirs = getattr(got, name), getattr(want, name)
-            assert mine.dtype == theirs.dtype, name
-            np.testing.assert_array_equal(mine, theirs, err_msg=name)
+            np.testing.assert_array_equal(aligner(x, edges, subset)[:].data, whole[subset])
 
     def test_aligner_keeps_only_the_per_duration_table(self):
-        # infer_l256's anchor set: a table of the 63 durations, 5982 entries, where
-        # the plan of all 14049 anchors has 1.3M entries in 17.8 MB
+        # infer_l256's anchor set: per duration, a grid flag for the tau1 rows and the
+        # dense tau2 rows, 5982 nonzero weights in all, where the plan of all 14049
+        # anchors had 1.3M entries in 17.8 MB
         anchors = enumerate_anchors(256, 64)
         tracemalloc.start()
         try:
@@ -356,14 +420,18 @@ class TestSGAlign:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
-        assert aligner.table.shape == (63 * 36, 512) and aligner.table.nnz == 5982
+        temporal, semantic = aligner.plan.parts
+        assert aligner.plan.nnz == 5982
+        assert temporal.on_grid.all() and temporal.weights.shape == (0, 32, 64)
+        assert not semantic.on_grid.any() and semantic.weights.shape == (63, 4, 64)
 
     @pytest.mark.parametrize("tau2", [0, 3])
     @pytest.mark.parametrize("edge_kind", ["knn", "empty"])
     @pytest.mark.parametrize("subset", [None, [0, 5, 6, 40, -1]], ids=["all", "subset"])
     def test_rows_equal_per_anchor_oracle(self, tau2, edge_kind, subset):
         # each row: interp_rescale of the features at tau1, then of their
-        # neighbour-smoothed copy (the raw features without edges) at tau2
+        # neighbour-smoothed copy (the raw features without edges) at tau2; a
+        # temporal row on the grid equals it bit for bit, any other within rounding
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(3, 24)))
         edges = knn_semantic_edges(x.data, 3) if edge_kind == "knn" else np.zeros((0, 2))
@@ -373,11 +441,34 @@ class TestSGAlign:
         out = aligner(x, edges, None if subset is None else picked)[:].data
         smoothed = semantic_smooth(x, edges) if edge_kind == "knn" else x
         assert out.shape == (len(picked), (5 + tau2) * 3)
-        for row, j in zip(out, picked):
-            parts = [interp_rescale(x, anchors[j], 5).data]
-            if tau2:
-                parts.append(interp_rescale(smoothed, anchors[j], tau2).data)
-            np.testing.assert_array_equal(row, np.concatenate(parts))
+        want = np.stack([np.concatenate([interp_rescale(x, anchors[j], 5).data]
+                                        + ([interp_rescale(smoothed, anchors[j], tau2).data]
+                                           if tau2 else [])) for j in picked])
+        # d = 5 is the one duration whose offsets k * (d / 5) come out exact
+        assert aligner.plan.parts[0].on_grid.tolist() == [False] * 4 + [True] + [False] * 3
+        _assert_rows_match(out, want, x.data, aligner, anchors[picked])
+
+    def test_gradients_on_and_off_the_grid_pass_grad_check(self):
+        # tau1 = 3 puts durations 1 and 3 on the grid and the rest off it; blocks of
+        # 4 anchors each add their adjoint into the features and the smoothed copy
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+            edges = knn_semantic_edges(x.data, 2)
+            anchors = enumerate_anchors(12, 7)
+            aligner = SubgraphAligner(anchors, 12, 3, 2)
+            assert aligner.plan.parts[0].on_grid.tolist() == [True, False, True, False, False,
+                                                             False]
+            weights = rng.normal(size=(len(anchors), 5 * 2))
+
+            def f():
+                rows = aligner(x, edges)
+                return ad.tsum(ad.concat([ad.mul(ad.square(rows[lo:hi]), weights[lo:hi])
+                                          for lo, hi in ad.row_blocks(len(anchors), 4)]))
+
+            assert {"align_rows", "gather_sum"} <= {n.op for n in ad.graph_nodes(f())}
+            assert ad.grad_check(f, x) < 1e-6
+            break
 
     def test_alignment_gradients_flow_to_features(self):
         rng = np.random.default_rng(11)

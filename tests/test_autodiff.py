@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,43 @@ def test_grad_check_affine_relu_away_from_kink():
 
 def test_sigmoid_at_zero():
     assert ad.sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
+
+
+def test_sigmoid_saturates_without_warning_and_keeps_nan():
+    # exp(1000) overflows to inf, which gives exactly 0; a NaN input stays NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.sigmoid(Tensor([-1000.0, 1000.0, np.nan, -np.inf, np.inf])).data
+    np.testing.assert_array_equal(out[[0, 1, 3, 4]], [0.0, 1.0, 0.0, 1.0])
+    assert np.isnan(out[2])
+
+
+def test_sigmoid_matches_its_formula_and_gradient():
+    x = np.linspace(-40.0, 40.0, 801)
+    np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)))
+    t = Tensor(x, requires_grad=True)
+    ad.tsum(ad.sigmoid(t)).backward()
+    s = 1.0 / (1.0 + np.exp(-x))
+    np.testing.assert_array_equal(t.grad, s * (1.0 - s))
+
+
+def test_gather_sum_adds_entries_in_order():
+    # column j sums weight * x[:, src] over the entries with dst == j, in entry order;
+    # the adjoint adds weight * g[:, dst] into column src in entry order too
+    x = Tensor(np.array([[1.0, 1e16, -1e16]]), requires_grad=True)
+    src, dst = np.array([1, 2, 0, 0]), np.array([0, 0, 0, 1])
+    weights = np.ones(4)
+    out = ad.gather_sum(x, src, dst, weights, 3)
+    np.testing.assert_array_equal(out.data, [[1.0, 1.0, 0.0]])    # (1e16 - 1e16) + 1
+    ad.tsum(ad.mul(out, np.array([[2.0, 3.0, 5.0]]))).backward()
+    np.testing.assert_array_equal(x.grad, [[5.0, 2.0, 2.0]])
+
+
+def test_gather_sum_refuses_entries_outside_its_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    for src, dst in (([3], [0]), ([0], [4]), ([-1], [0])):
+        with pytest.raises(ShapeError, match="gather_sum"):
+            ad.gather_sum(x, np.array(src), np.array(dst), np.ones(1), 4)
 
 
 def test_mean_of_constant_is_constant():
@@ -320,7 +358,8 @@ def _op_cases(rng):
     bias = mk((3,))
     conv_x = mk((4, 5))
     conv_w = mk((3, 2, 4))
-    weights = rng.normal(size=(3, 3))
+    # entries (src, dst, weight) into 4 columns: column 2 sums two, column 3 none
+    src, dst, weights = np.array([2, 0, 1, 2]), np.array([0, 1, 2, 2]), rng.normal(size=4)
 
     return [
         ("add", lambda: ad.tsum(ad.square(ad.add(a, b))), [a, b]),
@@ -339,7 +378,7 @@ def _op_cases(rng):
         ("reshape", lambda: ad.tsum(ad.square(a.reshape(3, 2))), [a]),
         ("concat", lambda: ad.tsum(ad.square(ad.concat([a, b], axis=1))), [a, b]),
         ("slice", lambda: ad.tsum(ad.square(a[0:1, 1:])), [a]),
-        ("resample", lambda: ad.tsum(ad.square(ad.resample_columns(a, weights))), [a]),
+        ("gather_sum", lambda: ad.tsum(ad.square(ad.gather_sum(a, src, dst, weights, 4))), [a]),
         ("grouped_conv1d", lambda: ad.tsum(ad.square(
             ad.grouped_conv1d(conv_x, conv_w, groups=2))), [conv_x, conv_w]),
     ]

@@ -204,9 +204,11 @@ def test_load_holds_one_copy_of_the_payload(tmp_path):
 
 
 def test_zero_size_parameters_round_trip(tmp_path):
-    # an empty payload reads no bytes, between, before and after other entries
+    # an empty payload reads no bytes, between, before and after other entries; a 0-d
+    # parameter keeps rank 0, apart from shapes (1,) and (0,)
     params = {"none": np.zeros(0), "w": np.arange(6.0).reshape(2, 3), "rows": np.zeros((0, 3)),
-              "cols": np.zeros((2, 0, 4)), "last": np.zeros((3, 0))}
+              "cols": np.zeros((2, 0, 4)), "scalar": np.array(2.5), "one": np.array([-1.5]),
+              "last": np.zeros((3, 0))}
     path = tmp_path / "model.tgck"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)

@@ -498,10 +498,15 @@ def test_console_script_help_runs():
     assert "synth" in result.stdout + result.stderr
 
 
-def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
-    # the workflow's console-script smoke run, as `python -m tadgraph` processes: L=100
-    # with durations under 32 gives 2573 anchors, so infer runs the localization head
-    # over three row blocks; a numpy overflow or invalid-value warning is an error
+# runs the CLI with every scipy import refused: ``import scipy`` (or any submodule)
+# raises ImportError once ``sys.modules["scipy"]`` is None
+WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from tadgraph.cli import main; main()"
+
+
+def _run_smoke_pipeline(tmp_path, launcher):
+    """The workflow's console-script smoke run, each command a process started as
+    ``python <launcher> <args>``; a numpy overflow or invalid-value warning is an
+    error. Returns the last command's result."""
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
@@ -522,11 +527,34 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
          "--class-agnostic"],
     ]
     for args in commands:
-        result = subprocess.run([sys.executable, "-m", "tadgraph", *map(str, args)], env=env,
+        result = subprocess.run([sys.executable, *launcher, *map(str, args)], env=env,
                                 capture_output=True, text=True)
         assert result.returncode == 0 and result.stderr == "", (args[0], result.stderr)
-    assert "average  " in result.stdout
     assert json.loads(graph.read_text())["L"] == 100 and dot.read_text().strip()
+    return result
+
+
+def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
+    # L=100 with durations under 32 gives 2573 anchors, so infer runs the localization
+    # head over three row blocks
+    result = _run_smoke_pipeline(tmp_path, ["-m", "tadgraph"])
+    assert "average  " in result.stdout
+
+
+def test_smoke_pipeline_runs_with_scipy_refused(tmp_path):
+    # the same run with scipy unimportable: the package needs numpy alone
+    result = _run_smoke_pipeline(tmp_path, ["-c", WITHOUT_SCIPY])
+    assert "average  " in result.stdout
+
+
+def test_cli_import_loads_no_scipy_module():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, tadgraph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class _Built(Exception):

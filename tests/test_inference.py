@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 from conftest import small_model_config
 from helpers import relu_margin
 
@@ -40,8 +39,9 @@ def test_long_window_peak_memory():
 
 def test_long_window_head_equals_numpy_composition():
     # each layer as a product, then a separate bias add, then relu as
-    # np.where over a mask: the fused bias and np.maximum give the same bits
-    # on all 14049 anchors of L=256, block by block as the head reads them
+    # np.where over a mask, then the package's sigmoid: the fused bias and
+    # np.maximum give the same bits on all 14049 anchors of L=256, block by
+    # block as the head reads them
     rng = np.random.default_rng(4)
     model = Detector(ModelConfig(window_length=256), rng)
     p = model.loc_head
@@ -57,7 +57,7 @@ def test_long_window_head_equals_numpy_composition():
         h = np.where(h > 0, h, 0.0)
         h = h @ p.w2.data + p.b2.data
         h = np.where(h > 0, h, 0.0)
-        blocks.append(expit(h @ p.w3.data + p.b3.data))
+        blocks.append(ad.sigmoid(Tensor(h @ p.w3.data + p.b3.data)).data)
     assert scores.shape == (14049, 2)
     np.testing.assert_array_equal(scores, np.concatenate(blocks))
 
@@ -121,7 +121,7 @@ class TestFusedAlignment:
 
     def test_gradients_accumulate_across_blocks(self, monkeypatch):
         # 27 anchors in 9 blocks of 3: every block's alignment adjoint adds
-        # into the one (C, 2L) source of features and their smoothed copy
+        # into the features and into their smoothed copy
         config = small_model_config(width=4, cardinality=2, window_length=12, max_duration=4,
                                     tau1=3, tau2=2, head_hidden=(5, 3))
         for seed in range(30):
@@ -145,7 +145,8 @@ class TestFusedAlignment:
             if relu_margin(f()) < 1e-3:
                 continue
             assert len(model.anchors) == 27
-            assert [n.op for n in ad.graph_nodes(f())].count("resample_columns") == 9 + 1
+            ops = [n.op for n in ad.graph_nodes(f())]
+            assert ops.count("align_rows") == 9 and ops.count("gather_sum") == 1
             for one_block, blocked in zip(grads[10 ** 6], grads[3]):
                 np.testing.assert_allclose(blocked, one_block, rtol=0, atol=1e-12)
             assert ad.grad_check(f, [final, w1]) < 1e-3

@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import knn_semantic_edges_dense
+from helpers import gather_matrix_csr, knn_semantic_edges_dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tadgraph import autodiff as ad
+from tadgraph.autodiff import Tensor
 from tadgraph.errors import ConfigError, ContractError, DataError
-from tadgraph.video_graph import (VideoGraph, gather_matrix, knn_semantic_edges,
+from tadgraph.video_graph import (VideoGraph, gather_edges, knn_semantic_edges,
                                   semantic_adjacency, temporal_adjacency)
 
 
@@ -242,11 +244,35 @@ class TestKnnSemanticEdges:
         assert peak < 6e6
 
 
-class TestGatherMatrix:
+class TestGatherEdges:
     def test_mean_divides_by_in_degree(self):
         edges = np.array([[1, 0], [2, 0], [0, 1], [0, 2], [0, 2]])
-        mean = gather_matrix(edges, 3, mean=True).toarray()
+        src, dst, weights = gather_edges(edges, 3, mean=True)
+        mean = np.zeros((3, 3))
+        np.add.at(mean, (dst, src), weights)
         np.testing.assert_array_equal(mean, [[0, 0.5, 0.5], [1, 0, 0], [1, 0, 0]])
+        assert (dst.tolist(), src.tolist()) == ([0, 0, 1, 2, 2], [1, 2, 0, 0, 0])
+
+    def test_node_without_neighbours_refused_for_the_mean(self):
+        with pytest.raises(ContractError, match="node 2 has no neighbors"):
+            gather_edges(np.array([[1, 0], [0, 1]]), 3, mean=True)
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+    def test_sums_equal_the_csr_product_bit_for_bit(self, length, channels, seed, mean):
+        # gather_sum over the sorted edges adds, forward and adjoint, in the order a
+        # CSR matrix of the edges does, so both products agree to the last bit
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, length))
+        x = Tensor(rng.normal(size=(channels, length)) * 10.0 ** rng.integers(-3, 4, length),
+                   requires_grad=True)
+        edges = knn_semantic_edges(x.data, k)
+        out = ad.gather_sum(x, *gather_edges(edges, length, mean), length)
+        matrix = gather_matrix_csr(edges, length, mean)
+        np.testing.assert_array_equal(out.data, (matrix @ x.data.T).T)
+        g = rng.normal(size=(channels, length))
+        ad.tsum(ad.mul(out, g)).backward()
+        np.testing.assert_array_equal(x.grad, (matrix.T @ g.T).T)
 
 
 class TestSemanticAdjacency:
