@@ -5,6 +5,12 @@ checkpoint's sidecar ``config.json`` (architecture options and window length of
 ``infer`` and ``export-graph`` only) > the default of the dataclass or function the
 option feeds. Exit codes: 0 success, 1 usage, 2 data/format error,
 3 numeric failure.
+
+Each subparser carries its handler, and a flag feeds the config that has a field
+of its name: ``--batch-size`` sets ``TrainConfig.batch_size``, ``--seed`` the
+``SynthConfig`` or ``TrainConfig`` seed. ``--lr``/``--lr2``, the fusion and
+Soft-NMS options and the windowing options are read by hand, because they feed
+functions or fields of other names.
 """
 
 from __future__ import annotations
@@ -12,22 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import SynthConfig, load_annotations, load_dataset, prepare_windows, synth_dataset
-from .errors import ConfigError, DataError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError, exact_cast
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
 from .inference import read_raw_scores, score_windows, write_raw_scores
 from .model import Detector, ModelConfig
 from .postprocess import finalize_detections, read_detections, write_detections
 from .training import TrainConfig, init_params, train
 
-_ARCH_KEYS = ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
-              "max_duration")
 _NMS_KEYS = ("alpha", "nms_method", "nms_threshold", "nms_sigma", "top_m")
 _NMS_RULES = {"alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
               "nms_threshold": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
@@ -55,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Sub-graph temporal action detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    def command(name, help):
+    def command(name, handler, help):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help="JSON object of options; a flag beats the file, "
                        "the file beats a checkpoint's config.json and the built-in defaults")
         return p
@@ -64,36 +69,32 @@ def build_parser() -> argparse.ArgumentParser:
     def add_data(p, annotations_required):
         p.add_argument("--manifest", required=True)
         p.add_argument("--annotations", required=annotations_required)
-        p.add_argument("--rescale-length", type=int, dest="rescale_length")
-        p.add_argument("--window-size", type=int, dest="window_size")
+        p.add_argument("--rescale-length", type=int)
+        p.add_argument("--window-size", type=int)
         p.add_argument("--stride", type=int)
 
     def add_arch(p):
-        p.add_argument("--width", type=int)
-        p.add_argument("--blocks", type=int)
-        p.add_argument("--cardinality", type=int)
-        p.add_argument("--k-neighbors", type=int, dest="k_neighbors")
-        p.add_argument("--tau1", type=int)
-        p.add_argument("--tau2", type=int)
-        p.add_argument("--max-duration", type=int, dest="max_duration")
+        for name in ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
+                     "max_duration"):
+            p.add_argument("--" + name.replace("_", "-"), type=int)
 
     def add_nms(p):
         p.add_argument("--alpha", type=float)
-        p.add_argument("--nms-method", choices=["linear", "gaussian"], dest="nms_method")
-        p.add_argument("--nms-threshold", type=float, dest="nms_threshold")
-        p.add_argument("--nms-sigma", type=float, dest="nms_sigma")
-        p.add_argument("--top-m", type=int, dest="top_m")
+        p.add_argument("--nms-method", choices=["linear", "gaussian"])
+        p.add_argument("--nms-threshold", type=float)
+        p.add_argument("--nms-sigma", type=float)
+        p.add_argument("--top-m", type=int)
 
-    p = command("synth", help="generate a synthetic dataset")
+    p = command("synth", _cmd_synth, help="generate a synthetic dataset")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--num-videos", type=int, dest="num_videos")
+    p.add_argument("--num-videos", type=int)
     p.add_argument("--length", type=int)
-    p.add_argument("--c-raw", type=int, dest="c_raw")
-    p.add_argument("--num-classes", type=int, dest="num_classes")
+    p.add_argument("--c-raw", type=int)
+    p.add_argument("--num-classes", type=int)
     p.add_argument("--noise", type=float)
 
-    p = command("train", help="train a detector")
+    p = command("train", _cmd_train, help="train a detector")
     p.add_argument("--seed", type=int)
     add_data(p, annotations_required=True)
     add_arch(p)
@@ -101,38 +102,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, help="total epochs; lr drops after epochs // 2")
     p.add_argument("--lr", type=float, help="phase-1 learning rate")
     p.add_argument("--lr2", type=float, help="phase-2 learning rate (default lr/10)")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--lambda1", type=float)
     p.add_argument("--lambda2", type=float)
-    p.add_argument("--anchors-per-window", type=int, dest="anchors_per_window")
+    p.add_argument("--anchors-per-window", type=int)
     p.add_argument("--quiet", action="store_true")
 
-    p = command("infer", help="score a dataset with a checkpoint")
+    p = command("infer", _cmd_infer, help="score a dataset with a checkpoint")
     add_data(p, annotations_required=False)
     add_arch(p)
     add_nms(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="detection JSON path")
-    p.add_argument("--save-raw", dest="save_raw", help="also write raw anchor scores here")
+    p.add_argument("--save-raw", help="also write raw anchor scores here")
 
-    p = command("eval", help="evaluate detections against annotations")
+    p = command("eval", _cmd_eval, help="evaluate detections against annotations")
     add_nms(p)
     p.add_argument("--detections")
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", help="report JSON path")
     p.add_argument("--thresholds", type=str,
                    help="comma list or start:step:stop, e.g. 0.5:0.05:0.95")
-    p.add_argument("--class-agnostic", action="store_true", dest="class_agnostic")
-    p.add_argument("--grid-alpha", action="store_true", dest="grid_alpha",
+    p.add_argument("--class-agnostic", action="store_true")
+    p.add_argument("--grid-alpha", action="store_true",
                    help="sweep the fusion exponent over 0.1..0.9 (needs --raw-scores)")
-    p.add_argument("--raw-scores", dest="raw_scores")
+    p.add_argument("--raw-scores")
 
-    p = command("export-graph", help="write per-layer semantic edges of one video")
+    p = command("export-graph", _cmd_export_graph,
+                help="write per-layer semantic edges of one video")
     p.add_argument("--seed", type=int)
     add_data(p, annotations_required=False)
     add_arch(p)
     p.add_argument("--checkpoint")
-    p.add_argument("--video-id", dest="video_id")
+    p.add_argument("--video-id")
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
     return parser
@@ -159,21 +161,23 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             if not isinstance(value, kind):
                 raise DataError(f"{bad}: {json.dumps(value)} is not a JSON {name}")
         try:
-            parsed = value if cast is None else cast(value)
+            parsed = value if cast is None else exact_cast(value, cast)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"{bad}: {exc}") from exc
-        # a number must reach its option unchanged: no bool, no real cut to an int
-        if (isinstance(value, bool) and cast in (int, float)) or \
-                (isinstance(value, float) and cast is int and parsed != value):
-            raise DataError(f"{bad}: {json.dumps(value)} would be read as {parsed!r}")
         if action.choices is not None and parsed not in action.choices:
             raise DataError(f"{bad}: {json.dumps(value)} is not one of {action.choices}")
         setattr(args, key, parsed)
 
 
 def _given(args: argparse.Namespace, *keys: str) -> dict:
-    """The named options that a flag or the config file set."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    """The named options that a flag or the config file set; the subcommand need
+    not have them all."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+
+
+def _fields_given(args: argparse.Namespace, config_type) -> dict:
+    """The options that a flag or the config file set for fields of ``config_type``."""
+    return _given(args, *(f.name for f in fields(config_type)))
 
 
 def _sidecar_model(args: argparse.Namespace) -> ModelConfig | None:
@@ -225,8 +229,7 @@ def _parse_thresholds(spec: str | None):
 # ---------------------------------------------------------------------------
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(**_given(args, "num_videos", "length", "c_raw", "num_classes",
-                                  "noise", "seed"))
+    config = SynthConfig(**_fields_given(args, SynthConfig))
     manifest, annotations = synth_dataset(config, args.out)
     print(f"wrote {manifest} and {annotations}")
     return 0
@@ -269,7 +272,7 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
         raise DataError("no training windows contain an action")
     c_raw, window_length = windows[0].features.shape
     return windows, replace(base or ModelConfig(), c_raw=c_raw, window_length=window_length,
-                            **_given(args, *_ARCH_KEYS))
+                            **_fields_given(args, ModelConfig))
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -279,9 +282,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         schedule.update(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
     if args.lr2 is not None:
         schedule["lr_phase2"] = args.lr2
-    config = TrainConfig(model=model_config, **schedule,
-                         **_given(args, "epochs", "batch_size", "lambda1", "lambda2",
-                                  "anchors_per_window", "seed"))
+    config = TrainConfig(model=model_config, **schedule, **_fields_given(args, TrainConfig))
     model = init_params(config)
     train(model, windows, config, out_dir=args.out, log=None if args.quiet else print)
     print(f"checkpoint written to {Path(args.out) / 'checkpoint.tgck'}")
@@ -352,6 +353,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
+    if args.checkpoint and args.seed is not None:
+        raise ConfigError("--seed: export-graph draws no weights when it reads them "
+                          "from --checkpoint; pass one of them")
     windows, model_config = _windows_and_model(args, training=False)
     video_id = args.video_id or windows[0].video_id
     matching = [w for w in windows if w.video_id == video_id]
@@ -360,7 +364,7 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
     if args.checkpoint:
         model = Detector.from_checkpoint(model_config, args.checkpoint)
     else:
-        model = init_params(TrainConfig(model=model_config, **_given(args, "seed")))
+        model = init_params(TrainConfig(model=model_config, **_fields_given(args, TrainConfig)))
 
     with ad.no_grad():
         _, _, graph = model.forward_features(matching[0].features)
@@ -369,15 +373,6 @@ def _cmd_export_graph(args: argparse.Namespace) -> int:
         Path(args.dot).write_text(graph.to_dot())
     print(f"wrote {len(graph.semantic_layers)} semantic layers to {args.out}")
     return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "export-graph": _cmd_export_graph,
-}
 
 
 def dispatch(argv=None) -> int:
@@ -389,7 +384,7 @@ def dispatch(argv=None) -> int:
     try:
         if args.config:
             _apply_config_file(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -119,7 +119,7 @@ def load_annotations(path) -> AnnotationSet:
 def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequence], AnnotationSet]:
     """Read the manifest's feature files and, when given, the annotations. Each
     video needs its own id, a finite positive duration and sampling rate, at least
-    one snippet and the first video's channels."""
+    one snippet, at least one feature channel and the first video's channels."""
     manifest_path = Path(manifest_path)
     try:
         entries = json.loads(manifest_path.read_text())
@@ -148,8 +148,9 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
                                 f"which must be finite and above 0")
         seq = FeatureSequence(video_id, read_feature_file(feature_path), duration_seconds,
                               sampling_rate)
-        if seq.length == 0:
-            raise DataError(f"{manifest_path}: video '{video_id}' has no snippets")
+        if seq.length == 0 or seq.c_raw == 0:
+            raise DataError(f"{manifest_path}: video '{video_id}' has no "
+                            f"{'feature channels' if seq.length else 'snippets'}")
         if sequences and seq.c_raw != sequences[0].c_raw:
             raise DataError(f"{manifest_path}: video '{video_id}' has {seq.c_raw} feature "
                             f"channels, video '{sequences[0].video_id}' has "

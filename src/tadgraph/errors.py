@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: data/format problems exit with 2,
 numeric failures with 3.
 """
 
+import json
 import math
 import numbers
 
@@ -35,6 +36,16 @@ class NumericError(RuntimeError):
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer, numpy's included, and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def exact_cast(value, cast):
+    """``cast(value)``, which must not change a number: a bool read as an int or a
+    float, or a real that ``int`` would cut, raises ``ValueError``."""
+    parsed = cast(value)
+    if (isinstance(value, bool) and cast in (int, float)) or \
+            (isinstance(value, float) and cast is int and parsed != value):
+        raise ValueError(f"{json.dumps(value)} would be read as {parsed!r}")
+    return parsed
 
 
 def check_lows(config, kind: str, lows: dict, above: tuple = ()) -> None:

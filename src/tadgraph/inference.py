@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import FormatError, NumericError
+from .errors import FormatError, NumericError, exact_cast
 from .model import Detector
 from .postprocess import WindowScores
 
@@ -59,41 +59,53 @@ def write_raw_scores(path, window_scores: list[WindowScores]) -> None:
 
 
 def read_raw_scores(path) -> list[WindowScores]:
-    """The windows of a ``write_raw_scores`` file; a malformed file, a negative
-    offset, a valid length below 1, an anchor other than 0 <= t_s < t_e, a
-    non-finite scale or a score outside [0, 1] raises ``FormatError``."""
+    """The windows of a ``write_raw_scores`` file. A malformed file raises
+    ``FormatError``, and so does a window, named in the message, with an offset,
+    valid length or anchor time that is not an integer (a bool, or a real with a
+    fraction), a negative offset, a valid length below 1, an anchor other than
+    0 <= t_s < t_e, a non-finite scale or a score outside [0, 1]."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
         if payload.get("version") != RAW_VERSION:
             raise KeyError("version")
-        windows = [WindowScores(
-            video_id=str(w["video_id"]),
-            anchors=np.asarray(w["anchors"], dtype=np.int64),
-            p_cls=np.asarray(w["p_cls"], dtype=np.float64),
-            p_reg=np.asarray(w["p_reg"], dtype=np.float64),
-            offset=int(w["offset"]),
-            scale=float(w["scale"]),
-            valid_length=int(w["valid_length"]),
-        ) for w in payload["windows"]]
+        named = [(f"{path}: window of '{w['video_id']}' at offset {w['offset']}", w)
+                 for w in payload["windows"]]
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a raw score file: {exc!r}") from exc
-    for ws in windows:
-        rows = ws.anchors.shape[:1]
-        if ws.anchors.shape != rows + (2,) or ws.p_cls.shape != rows or ws.p_reg.shape != rows:
-            raise FormatError(f"{path}: window of '{ws.video_id}' needs (J, 2) anchors and "
-                              "J values in each of p_cls and p_reg")
-        where = f"{path}: window of '{ws.video_id}' at offset {ws.offset}"
-        if ws.offset < 0 or ws.valid_length < 1:
-            raise FormatError(f"{where} needs offset >= 0 and valid_length >= 1, "
-                              f"got valid_length {ws.valid_length}")
-        if not ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all():
-            raise FormatError(f"{where} has an anchor other than 0 <= t_s < t_e")
-        if not np.isfinite(ws.scale):
-            raise FormatError(f"{where} has a non-finite scale")
-        # sigmoid outputs; fusion raises each to a fractional power, which is NaN
-        # for a negative score
-        for name, scores in (("p_cls", ws.p_cls), ("p_reg", ws.p_reg)):
-            if not ((scores >= 0) & (scores <= 1)).all():
-                raise FormatError(f"{where} has a {name} score that is not in [0, 1]")
-    return windows
+    return [_read_window(where, w) for where, w in named]
+
+
+def _read_window(where: str, w: dict) -> WindowScores:
+    """One window of a raw score file, checked; ``where`` names it in an error."""
+    try:
+        times = np.asarray(w["anchors"], dtype=object)
+        ws = WindowScores(
+            video_id=str(w["video_id"]),
+            anchors=np.array([exact_cast(t, int) for t in times.flat],
+                             dtype=np.int64).reshape(times.shape),
+            p_cls=np.asarray(w["p_cls"], dtype=np.float64),
+            p_reg=np.asarray(w["p_reg"], dtype=np.float64),
+            offset=exact_cast(w["offset"], int),
+            scale=float(w["scale"]),
+            valid_length=exact_cast(w["valid_length"], int),
+        )
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise FormatError(f"{where} is malformed: {exc!r}") from exc
+    rows = ws.anchors.shape[:1]
+    if ws.anchors.shape != rows + (2,) or ws.p_cls.shape != rows or ws.p_reg.shape != rows:
+        raise FormatError(f"{where} needs (J, 2) anchors and J values in each of "
+                          "p_cls and p_reg")
+    if ws.offset < 0 or ws.valid_length < 1:
+        raise FormatError(f"{where} needs offset >= 0 and valid_length >= 1, "
+                          f"got valid_length {ws.valid_length}")
+    if not ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all():
+        raise FormatError(f"{where} has an anchor other than 0 <= t_s < t_e")
+    if not np.isfinite(ws.scale):
+        raise FormatError(f"{where} has a non-finite scale")
+    # sigmoid outputs; fusion raises each to a fractional power, which is NaN
+    # for a negative score
+    for name, scores in (("p_cls", ws.p_cls), ("p_reg", ws.p_reg)):
+        if not ((scores >= 0) & (scores <= 1)).all():
+            raise FormatError(f"{where} has a {name} score that is not in [0, 1]")
+    return ws

@@ -16,7 +16,7 @@ from tadgraph import cli
 from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.cli import dispatch
 from tadgraph.data import SynthConfig, load_annotations, write_feature_file
-from tadgraph.inference import RAW_VERSION
+from tadgraph.inference import RAW_VERSION, read_raw_scores
 from tadgraph.model import Detector, ModelConfig
 from tadgraph.training import TrainConfig
 
@@ -147,7 +147,11 @@ class TestPipeline:
         (lambda w: w.update(valid_length=0), "valid_length 0"),
         (lambda w: w["anchors"][-1].reverse(), "anchor other than 0 <= t_s < t_e"),
         (lambda w: w["anchors"][0].__setitem__(0, -1), "anchor other than 0 <= t_s < t_e"),
-    ], ids=["negative-offset", "empty-window", "end-before-start", "negative-start"])
+        (lambda w: w.update(offset=3.7), "3.7 would be read as 3"),
+        (lambda w: w.update(valid_length=True), "true would be read as 1"),
+        (lambda w: w["anchors"].__setitem__(0, [1.5, 4.2]), "1.5 would be read as 1"),
+    ], ids=["negative-offset", "empty-window", "end-before-start", "negative-start",
+            "real-offset", "bool-valid-length", "real-anchor"])
     def test_raw_scores_outside_the_window_are_data_error(self, pipeline, tmp_path, capsys,
                                                           edit, message):
         payload = json.loads(pipeline["raw"].read_text())
@@ -443,7 +447,8 @@ def test_window_size_below_two_is_usage_error(small_synth, tmp_path, capsys, com
 @pytest.mark.parametrize("shapes, named", [
     ([(0, 6)], "'v0' has no snippets"),
     ([(10, 4), (10, 6)], "'v1' has 6 feature channels, video 'v0' has 4"),
-], ids=["empty", "mixed"])
+    ([(10, 0)], "'v0' has no feature channels"),
+], ids=["empty", "mixed", "no-channels"])
 def test_unusable_manifest_is_data_error_naming_the_video(tmp_path, capsys, shapes, named):
     # the annotations match the manifest, so only the video itself can be refused
     entries, database = [], {}
@@ -510,7 +515,7 @@ def _run_smoke_pipeline(tmp_path, launcher):
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    data, run, det = tmp_path / "d", tmp_path / "run", tmp_path / "det.json"
+    data, run, det, raw = (tmp_path / name for name in ("d", "run", "det.json", "raw.json"))
     graph, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
     commands = [
         ["synth", "--out", data, "--num-videos", "4", "--length", "50", "--c-raw", "6"],
@@ -520,11 +525,13 @@ def _run_smoke_pipeline(tmp_path, launcher):
          "--max-duration", "32", "--epochs", "2", "--batch-size", "4",
          "--anchors-per-window", "64", "--quiet"],
         ["infer", "--manifest", data / "manifest.json", "--checkpoint",
-         run / "checkpoint.tgck", "--rescale-length", "100", "--out", det],
+         run / "checkpoint.tgck", "--rescale-length", "100", "--out", det, "--save-raw", raw],
         ["export-graph", "--manifest", data / "manifest.json", "--checkpoint",
          run / "checkpoint.tgck", "--out", graph, "--dot", dot],
         ["eval", "--detections", det, "--annotations", data / "annotations.json",
          "--class-agnostic"],
+        ["eval", "--grid-alpha", "--raw-scores", raw, "--annotations",
+         data / "annotations.json", "--class-agnostic"],
     ]
     for args in commands:
         result = subprocess.run([sys.executable, *launcher, *map(str, args)], env=env,
@@ -564,6 +571,15 @@ class _Built(Exception):
 def _data_args(small_synth):
     return ["--manifest", str(small_synth["manifest"]),
             "--annotations", str(small_synth["annotations"])]
+
+
+# each pass-through flag with a value other than its field's default
+_SYNTH_FLAGS = [("--seed", 3), ("--num-videos", 5), ("--length", 60), ("--c-raw", 7),
+                ("--num-classes", 2), ("--noise", 0.25)]
+_TRAIN_FLAGS = [("--seed", 3), ("--epochs", 3), ("--batch-size", 5), ("--lambda1", 2.5),
+                ("--lambda2", 0.5), ("--anchors-per-window", 32)]
+_ARCH_FLAGS = [("--width", 16), ("--blocks", 2), ("--cardinality", 4), ("--k-neighbors", 3),
+               ("--tau1", 16), ("--tau2", 2), ("--max-duration", 32)]
 
 
 class TestOptionResolution:
@@ -703,6 +719,44 @@ class TestOptionResolution:
     def test_seed_is_not_an_option_where_nothing_reads_it(self, args):
         assert dispatch([*args, "--seed", "1"]) == 1
 
+    @pytest.mark.parametrize("seed", ["1", "-5"])
+    def test_export_graph_refuses_a_seed_with_a_checkpoint(self, pipeline, tmp_path, capsys,
+                                                            seed):
+        # the weights come from the checkpoint, so the seed would draw nothing
+        out = tmp_path / "graph.json"
+        assert dispatch(["export-graph", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out), "--seed", seed]) == 1
+        assert capsys.readouterr().err.startswith("error: --seed")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *(("synth", flag, value) for flag, value in _SYNTH_FLAGS),
+        *(("train", flag, value) for flag, value in _TRAIN_FLAGS),
+        *((command, flag, value) for command in ("train", "infer", "export-graph")
+          for flag, value in _ARCH_FLAGS),
+    ])
+    def test_each_pass_through_flag_reaches_its_field(self, monkeypatch, small_synth, tmp_path,
+                                                      command, flag, value):
+        def stop(config, *args):
+            raise _Built(config)
+
+        monkeypatch.setattr(cli, "synth_dataset", stop)
+        monkeypatch.setattr(cli, "init_params", stop)
+        monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
+        inputs = {"synth": [], "train": _data_args(small_synth),
+                  "infer": ["--manifest", str(small_synth["manifest"]),
+                            "--checkpoint", str(tmp_path / "checkpoint.tgck")],
+                  "export-graph": ["--manifest", str(small_synth["manifest"])]}
+        with pytest.raises(_Built) as built:
+            dispatch([command, *inputs[command], "--out", str(tmp_path / "out"),
+                      flag, str(value)])
+        config = built.value.args[0]
+        if isinstance(config, TrainConfig) and flag in dict(_ARCH_FLAGS):
+            config = config.model
+        field = flag.removeprefix("--").replace("-", "_")
+        assert getattr(config, field) == value != getattr(type(config)(), field)
+
 
 def test_synth_places_every_action_in_short_videos(tmp_path):
     assert dispatch(["synth", "--out", str(tmp_path), "--num-videos", "2", "--length", "30"]) == 0
@@ -788,6 +842,17 @@ class TestMalformedEvalInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'v' at offset 7" in err
         assert ("p_cls" if p_cls < 0 else "p_reg") in err
+
+    def test_integral_reals_in_raw_scores_read_as_integers(self, tmp_path):
+        # as in a --config file, a real reads as an integer when no fraction is lost
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
+            {"video_id": "v", "anchors": [[0.0, 2.0]], "p_cls": [0.5], "p_reg": [0.5],
+             "offset": 3.0, "scale": 1.0, "valid_length": 10.0}]}))
+        (window,) = read_raw_scores(raw)
+        assert (window.offset, window.valid_length) == (3, 10)
+        assert type(window.offset) is type(window.valid_length) is int
+        assert window.anchors.tolist() == [[0, 2]] and window.anchors.dtype == np.int64
 
     def test_raw_scores_shorter_than_anchors_are_data_errors(self, files, tmp_path, capsys):
         raw = tmp_path / "raw.json"
