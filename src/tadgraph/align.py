@@ -20,7 +20,9 @@ computed from it when the block is needed, in one of two ways:
   1/tau1 and is built once per call. The gather is exact: the sample's row
   holds the same two weights, and the grid forms the same two products and
   adds them in column order, as a sum over the row's entries does; phase 0
-  is the snippet itself.
+  is the snippet itself. The grid ends in one zero row, which every other
+  row gathers before the products below overwrite it, and whose gradient
+  the adjoint drops.
 - Per duration. Every other row (the semantic rows, and temporal rows that
   average several samples) takes one dense product per anchor: the
   duration's (tau, d + 1) weight rows times the anchor's d + 1 snippets, all
@@ -199,27 +201,36 @@ class AlignmentPlan:
 
 
 def _lerp_grid(xt: np.ndarray, tau: int) -> np.ndarray:
-    """The (tau * S, C) samples of the (S, C) snippet rows ``xt`` at every multiple
-    of 1/tau, phase by phase.
+    """The (tau * S + 1, C) samples of the (S, C) snippet rows ``xt`` at every
+    multiple of 1/tau, phase by phase, then one zero row.
 
     Row ``q * S + i`` is ``(1 - q/tau) * xt[i] + (q/tau) * xt[i + 1]``, the two
     products formed first and then added; row i of phase 0 is ``xt[i]`` itself. No
-    sample lies past the last snippet, so its rows at other phases are 0.
+    sample lies past the last snippet, so its rows at other phases are 0. Row
+    ``tau * S`` is the zero row that a row off the grid gathers.
     """
     span, channels = xt.shape
     frac = np.arange(tau) / tau
-    grid = np.empty((tau, span, channels))
-    grid[0] = xt
-    lerp = grid[1:, :-1]
+    grid = np.empty((tau * span + 1, channels))
+    phases = grid[:-1].reshape(tau, span, channels)
+    phases[0] = xt
+    lerp = phases[1:, :-1]
     np.multiply((1.0 - frac[1:])[:, None, None], xt[:-1], out=lerp)
     lerp += frac[1:, None, None] * xt[1:]
-    grid[1:, -1] = 0.0
-    return grid.reshape(tau * span, channels)
+    phases[1:, -1] = 0.0
+    grid[-1] = 0.0
+    return grid
 
 
-def _lerp_adjoint(g: np.ndarray, tau: int) -> np.ndarray:
-    """The (S, C) adjoint of ``_lerp_grid`` for its (tau * S, C) gradient."""
-    g = g.reshape(tau, -1, g.shape[-1])
+def _lerp_adjoint(g: np.ndarray, index: np.ndarray, tau: int, span: int) -> np.ndarray:
+    """The (S, C) adjoint of gathering rows ``index`` (...) of the ``_lerp_grid`` of S
+    snippets, for the gathered rows' gradient ``g`` (..., C): the rows of ``g`` sum
+    into their grid rows, the zero row's sum is dropped, and the phases fold back
+    onto the snippets."""
+    channels = g.shape[-1]
+    slots = (index.reshape(-1, 1) * channels + np.arange(channels)).reshape(-1)
+    g = np.bincount(slots, weights=g.reshape(-1), minlength=(tau * span + 1) * channels)
+    g = g[:-channels].reshape(tau, span, channels)
     frac = np.arange(tau) / tau
     gx = np.tensordot(1.0 - frac, g, 1)
     gx[1:] += np.tensordot(frac, g[:, :-1], 1)
@@ -274,11 +285,11 @@ class AlignedRows:
 
     ``rows[lo:hi]`` is the Tensor of anchors lo to hi: one node over every tau's
     source, whose (count, per_anchor, C) array reshapes without a copy into
-    (count, per_anchor * C). Its temporal rows on the grid come in one gather
-    from the ``_lerp_grid`` of the features, built once per call, which also
-    fills every other row with a placeholder; the per-duration products then
-    write those rows. Each row is computed on its own, so it reads the same
-    bits whichever range it is taken in. ``rows[:]`` is all J.
+    (count, per_anchor * C). All its rows come in one gather from the
+    ``_lerp_grid`` of the features, built once per call: a temporal row on the
+    grid from its sample, every other row from the grid's zero row, which the
+    per-duration products then overwrite. Each row is computed on its own, so it
+    reads the same bits whichever range it is taken in. ``rows[:]`` is all J.
     """
 
     def __init__(self, parts: list[tuple[DurationRows, Tensor]], anchors: np.ndarray):
@@ -289,10 +300,7 @@ class AlignedRows:
         self.channels = parts[0][1].shape[0]
         self.shape = (len(anchors), self.cuts[-1] * self.channels)
         temporal = self.parts[0]
-        self.grid = None
-        if temporal.rows.on_grid[durations - 1].any():
-            self.grid = _lerp_grid(np.ascontiguousarray(temporal.source.data.T),
-                                   temporal.rows.tau)
+        self.grid = _lerp_grid(np.ascontiguousarray(temporal.source.data.T), temporal.rows.tau)
 
     def __getitem__(self, key: slice) -> Tensor:
         lo, hi, step = key.indices(self.shape[0])
@@ -303,45 +311,29 @@ class AlignedRows:
         count, per_anchor = len(anchors), self.cuts[-1]
         temporal = self.parts[0]
         tau = temporal.rows.tau
+        length = temporal.source.shape[1]
         at = np.flatnonzero(temporal.rows.on_grid[dur - 1])
-        index = np.zeros((count, per_anchor), dtype=np.int64)
-        if len(at):
-            # row r of the anchor (t_s, t_s + d) is its sample at snippet
-            # t_s + (r * d) // tau, phase (r * d) % tau
-            length = temporal.source.shape[1]
-            offset = np.arange(tau) * dur[at, None]
-            index[at, :tau] = offset % tau * length + offset // tau + t_s[at, None]
-            out = np.take(self.grid, index, axis=0)
-        else:
-            out = np.empty((count, per_anchor, self.channels))
+        index = np.full((count, per_anchor), len(self.grid) - 1)
+        # row r of the anchor (t_s, t_s + d) is its sample at snippet
+        # t_s + (r * d) // tau, phase (r * d) % tau
+        offset = np.arange(tau) * dur[at, None]
+        index[at, :tau] = offset % tau * length + offset // tau + t_s[at, None]
+        out = np.take(self.grid, index, axis=0)
         spans = list(zip(self.parts, self.cuts, self.cuts[1:]))
         dense = [part.fill(out[:, a:b], t_s, dur) for part, a, b in spans]
-        spare = 0 if self.grid is None else len(self.grid)     # the adjoint keeps no grid
 
         def backward(g):
             g = g.reshape(out.shape)
             grads = [part.adjoint(g[:, a:b], t_s, dur, off) if part.source.requires_grad
                      else None for (part, a, b), off in zip(spans, dense)]
-            if len(at) and temporal.source.requires_grad:
-                # every row of g spreads at once, those off the grid into a spare row
-                read = np.zeros(index.shape, dtype=bool)
-                read[at, :tau] = True
-                rows = _spread_rows(g, np.where(read, index, spare), spare + 1)
-                grads[0] += _lerp_adjoint(rows[:-1], tau)
+            if temporal.source.requires_grad:
+                grads[0] += _lerp_adjoint(g, index, tau, length)
             for (part, _, _), grad in zip(spans, grads):
                 if grad is not None:
                     part.source._accumulate(grad.T)
 
         return ad._make(out.reshape(count, self.shape[1]), "align_rows",
                         [part.source for part in self.parts], backward)
-
-
-def _spread_rows(values: np.ndarray, at: np.ndarray, count: int) -> np.ndarray:
-    """(count, C) sums of the ``values`` rows (..., C) into rows ``at`` (...)."""
-    channels = values.shape[-1]
-    slots = (at.reshape(-1, 1) * channels + np.arange(channels)).reshape(-1)
-    sums = np.bincount(slots, weights=values.reshape(-1), minlength=count * channels)
-    return sums.reshape(count, channels)
 
 
 class _Dense:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, new_param
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .video_graph import VideoGraph, gather_edges, temporal_adjacency
 from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
 
@@ -126,11 +126,24 @@ def backbone_forward(x_raw: Tensor, params: BackboneParams,
 
     Returns the output of the first block (node-classifier tap), the final
     features, and the graph whose ``semantic_layers`` holds each block's
-    freshly computed edge list (last entry feeds sub-graph alignment).
+    freshly computed edge list (last entry feeds sub-graph alignment). The
+    projection or the first block whose output is not finite raises
+    ``NumericError`` naming it; numpy's overflow and invalid-value warnings are
+    silenced here, so that check reports them.
     """
     length = x_raw.shape[1]
     graph = VideoGraph.build(length, k_neighbors)
-    block1 = x = gcnext_forward(ad.matmul(params.proj, x_raw), graph, params.blocks[0])
-    for block in params.blocks[1:]:
-        x = gcnext_forward(x, graph, block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _finite(ad.matmul(params.proj, x_raw), "proj")
+        block1 = x = _finite(gcnext_forward(x, graph, params.blocks[0]), "block0")
+        for i, block in enumerate(params.blocks[1:], 1):
+            x = _finite(gcnext_forward(x, graph, block), f"block{i}")
     return block1, x, graph
+
+
+def _finite(x: Tensor, layer: str) -> Tensor:
+    """``x``, the output of the backbone layer whose parameters are named ``layer``
+    in a checkpoint; a non-finite value raises ``NumericError``."""
+    if not np.isfinite(x.data).all():
+        raise NumericError(f"backbone layer '{layer}' gave a non-finite output")
+    return x

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, check_lows
+from .errors import ConfigError, DataError, FormatError, check_lows, exact_cast, exact_name
 
 FEATURE_MAGIC = b"FSEQ"
 FEATURE_VERSION = 1
@@ -100,11 +100,11 @@ def load_annotations(path) -> AnnotationSet:
     out = AnnotationSet()
     for video_id, entry in videos:
         try:
-            duration = float(entry["duration"])
+            duration = exact_cast(entry["duration"], float, "duration")
             segments = []
             for ann in entry.get("annotations", []):
-                start, end = (float(v) for v in ann["segment"])
-                segments.append((start, end, str(ann["label"])))
+                start, end = (exact_cast(v, float, "segment") for v in ann["segment"])
+                segments.append((start, end, exact_name(ann["label"], "label")))
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed entry for video '{video_id}': {exc!r}") from exc
         for start, end, _ in segments:
@@ -131,9 +131,9 @@ def load_dataset(manifest_path, annotations_path=None) -> tuple[list[FeatureSequ
     for entry in entries:
         try:
             feature_path = manifest_path.parent / entry["feature_file"]
-            video_id = str(entry["video_id"])
-            duration_seconds = float(entry["duration_seconds"])
-            sampling_rate = float(entry["sampling_rate"])
+            video_id = exact_name(entry["video_id"], "video_id")
+            duration_seconds = exact_cast(entry["duration_seconds"], float, "duration_seconds")
+            sampling_rate = exact_cast(entry["sampling_rate"], float, "sampling_rate")
         except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise FormatError(f"{manifest_path}: malformed manifest entry: {exc!r}") from exc
         if not feature_path.is_file():

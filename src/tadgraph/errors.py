@@ -38,14 +38,28 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def exact_cast(value, cast):
+def exact_cast(value, cast, field: str = ""):
     """``cast(value)``, which must not change a number: a bool read as an int or a
-    float, or a real that ``int`` would cut, raises ``ValueError``."""
-    parsed = cast(value)
-    if (isinstance(value, bool) and cast in (int, float)) or \
-            (isinstance(value, float) and cast is int and parsed != value):
-        raise ValueError(f"{json.dumps(value)} would be read as {parsed!r}")
+    float, or a real that ``int`` would cut, raises ``ValueError``. With a ``field``,
+    that error and any that ``cast`` raises become a ``ValueError`` led by it."""
+    try:
+        parsed = cast(value)
+        if (isinstance(value, bool) and cast in (int, float)) or \
+                (isinstance(value, float) and cast is int and parsed != value):
+            raise ValueError(f"{json.dumps(value)} would be read as {parsed!r}")
+    except (OverflowError, TypeError, ValueError) as exc:
+        if not field:
+            raise
+        raise ValueError(f"{field}: {exc}") from exc
     return parsed
+
+
+def exact_name(value, field: str) -> str:
+    """``str(value)`` of a JSON string or number; null, a bool, a list or an object
+    raises ``ValueError`` naming ``field``."""
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"{field}: {json.dumps(value)} is not a name")
+    return str(value)
 
 
 def check_lows(config, kind: str, lows: dict, above: tuple = ()) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import FormatError, NumericError, exact_cast
+from .errors import FormatError, NumericError, exact_cast, exact_name
 from .model import Detector
 from .postprocess import WindowScores
 
@@ -60,10 +60,12 @@ def write_raw_scores(path, window_scores: list[WindowScores]) -> None:
 
 def read_raw_scores(path) -> list[WindowScores]:
     """The windows of a ``write_raw_scores`` file. A malformed file raises
-    ``FormatError``, and so does a window, named in the message, with an offset,
-    valid length or anchor time that is not an integer (a bool, or a real with a
-    fraction), a negative offset, a valid length below 1, an anchor other than
-    0 <= t_s < t_e, a non-finite scale or a score outside [0, 1]."""
+    ``FormatError``, and so does a window, named in the message, with a video id
+    that is not a string or a number, an offset, valid length or anchor time that
+    is not an integer (a bool, or a real with a fraction), a scale or score that is
+    a bool, a negative offset, a valid length below 1, an anchor other than
+    0 <= t_s < t_e, a non-finite scale or a score outside [0, 1]. The message names
+    the field."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -81,14 +83,14 @@ def _read_window(where: str, w: dict) -> WindowScores:
     try:
         times = np.asarray(w["anchors"], dtype=object)
         ws = WindowScores(
-            video_id=str(w["video_id"]),
-            anchors=np.array([exact_cast(t, int) for t in times.flat],
+            video_id=exact_name(w["video_id"], "video_id"),
+            anchors=np.array([exact_cast(t, int, "anchors") for t in times.flat],
                              dtype=np.int64).reshape(times.shape),
-            p_cls=np.asarray(w["p_cls"], dtype=np.float64),
-            p_reg=np.asarray(w["p_reg"], dtype=np.float64),
-            offset=exact_cast(w["offset"], int),
-            scale=float(w["scale"]),
-            valid_length=exact_cast(w["valid_length"], int),
+            p_cls=_scores(w, "p_cls"),
+            p_reg=_scores(w, "p_reg"),
+            offset=exact_cast(w["offset"], int, "offset"),
+            scale=exact_cast(w["scale"], float, "scale"),
+            valid_length=exact_cast(w["valid_length"], int, "valid_length"),
         )
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{where} is malformed: {exc!r}") from exc
@@ -109,3 +111,10 @@ def _read_window(where: str, w: dict) -> WindowScores:
         if not ((scores >= 0) & (scores <= 1)).all():
             raise FormatError(f"{where} has a {name} score that is not in [0, 1]")
     return ws
+
+
+def _scores(w: dict, key: str) -> np.ndarray:
+    """The scores ``w[key]`` as float64; a boolean among them raises ``ValueError``."""
+    if bool in map(type, w[key]):
+        raise ValueError(f"{key}: a boolean is not a score")
+    return np.asarray(w[key], dtype=np.float64)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, exact_cast, exact_name
 from .heads import interval_iou
 
 OUTPUT_VERSION = "tadgraph-detections-1"
@@ -157,10 +157,7 @@ def read_detections(path) -> dict[str, list[Detection]]:
     path = Path(path)
     try:
         results = json.loads(path.read_text())["results"]
-        detections = {video_id: [Detection(start=float(i["segment"][0]),
-                                           end=float(i["segment"][1]),
-                                           label=str(i.get("label", "action")),
-                                           score=float(i["score"])) for i in items]
+        detections = {video_id: [_read_detection(item) for item in items]
                       for video_id, items in results.items()}
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: not a detection file: {exc!r}") from exc
@@ -170,3 +167,13 @@ def read_detections(path) -> dict[str, list[Detection]]:
                 raise FormatError(f"{path}: detection {d} of '{video_id}' needs finite "
                                   "numbers and start < end")
     return detections
+
+
+def _read_detection(item: dict) -> Detection:
+    """One detection of a detection file; a value of the wrong JSON kind raises
+    ``ValueError`` naming its field."""
+    segment = item["segment"]
+    return Detection(start=exact_cast(segment[0], float, "segment"),
+                     end=exact_cast(segment[1], float, "segment"),
+                     label=exact_name(item.get("label", "action"), "label"),
+                     score=exact_cast(item["score"], float, "score"))

@@ -450,25 +450,31 @@ class TestSGAlign:
 
     def test_gradients_on_and_off_the_grid_pass_grad_check(self):
         # tau1 = 3 puts durations 1 and 3 on the grid and the rest off it; blocks of
-        # 4 anchors each add their adjoint into the features and the smoothed copy
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            x = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
-            edges = knn_semantic_edges(x.data, 2)
-            anchors = enumerate_anchors(12, 7)
-            aligner = SubgraphAligner(anchors, 12, 3, 2)
-            assert aligner.plan.parts[0].on_grid.tolist() == [True, False, True, False, False,
-                                                             False]
-            weights = rng.normal(size=(len(anchors), 5 * 2))
+        # 4 anchors each add their adjoint into the features and the smoothed copy.
+        # Each of those blocks holds an anchor on the grid; a one-anchor slice off it
+        # gathers every row from the grid's zero row and spreads its gradient there
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+        edges = knn_semantic_edges(x.data, 2)
+        anchors = enumerate_anchors(12, 7)
+        aligner = SubgraphAligner(anchors, 12, 3, 2)
+        on_grid = aligner.plan.parts[0].on_grid
+        assert on_grid.tolist() == [True, False, True, False, False, False]
+        weights = rng.normal(size=(len(anchors), 5 * 2))
+        dur = anchors[:, 1] - anchors[:, 0]
+        blocks = list(ad.row_blocks(len(anchors), 4))
+        assert all(on_grid[dur[lo:hi] - 1].any() for lo, hi in blocks)
+        singles = [(j, j + 1) for j in np.flatnonzero(~on_grid[dur - 1]).tolist()]
+        assert sorted({int(dur[lo]) for lo, _ in singles}) == [2, 4, 5, 6]
 
+        for cut in (blocks, singles):
             def f():
                 rows = aligner(x, edges)
                 return ad.tsum(ad.concat([ad.mul(ad.square(rows[lo:hi]), weights[lo:hi])
-                                          for lo, hi in ad.row_blocks(len(anchors), 4)]))
+                                          for lo, hi in cut]))
 
             assert {"align_rows", "gather_sum"} <= {n.op for n in ad.graph_nodes(f())}
             assert ad.grad_check(f, x) < 1e-6
-            break
 
     def test_alignment_gradients_flow_to_features(self):
         rng = np.random.default_rng(11)

@@ -150,8 +150,13 @@ class TestPipeline:
         (lambda w: w.update(offset=3.7), "3.7 would be read as 3"),
         (lambda w: w.update(valid_length=True), "true would be read as 1"),
         (lambda w: w["anchors"].__setitem__(0, [1.5, 4.2]), "1.5 would be read as 1"),
+        (lambda w: w.update(video_id=None), "video_id: null is not a name"),
+        (lambda w: w.update(scale=True), "scale: true would be read as 1.0"),
+        (lambda w: w["p_cls"].__setitem__(0, True), "p_cls: a boolean is not a score"),
+        (lambda w: w["p_reg"].__setitem__(0, False), "p_reg: a boolean is not a score"),
     ], ids=["negative-offset", "empty-window", "end-before-start", "negative-start",
-            "real-offset", "bool-valid-length", "real-anchor"])
+            "real-offset", "bool-valid-length", "real-anchor", "null-video-id", "bool-scale",
+            "bool-p-cls", "bool-p-reg"])
     def test_raw_scores_outside_the_window_are_data_error(self, pipeline, tmp_path, capsys,
                                                           edit, message):
         payload = json.loads(pipeline["raw"].read_text())
@@ -508,13 +513,19 @@ def test_console_script_help_runs():
 WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from tadgraph.cli import main; main()"
 
 
+def _warnings_as_errors_env():
+    """The environment of a package process in which a numpy overflow or
+    invalid-value warning is an error, as in the workflow's console-script step."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_smoke_pipeline(tmp_path, launcher):
     """The workflow's console-script smoke run, each command a process started as
     ``python <launcher> <args>``; a numpy overflow or invalid-value warning is an
     error. Returns the last command's result."""
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _warnings_as_errors_env()
     data, run, det, raw = (tmp_path / name for name in ("d", "run", "det.json", "raw.json"))
     graph, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
     commands = [
@@ -546,6 +557,27 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
     # head over three row blocks
     result = _run_smoke_pipeline(tmp_path, ["-m", "tadgraph"])
     assert "average  " in result.stdout
+
+
+@pytest.mark.parametrize("command, param, layer", [("infer", "proj", "proj"),
+                                                   ("export-graph", "block1.t_in", "block1")])
+def test_overflowing_backbone_is_numeric_error_naming_its_layer(tmp_path, command, param,
+                                                                layer):
+    # finite weights whose backbone overflows: exit 3 naming the layer, not a numpy
+    # warning's traceback, nor a data error from the k-NN of the next block. Block 0's
+    # output is a ReLU's, so every block1.t_in product overflows to +inf
+    data, checkpoint = tmp_path / "d", tmp_path / "c.tgck"
+    assert dispatch(["synth", "--out", str(data), "--num-videos", "2", "--length", "100"]) == 0
+    model = Detector(ModelConfig(), np.random.default_rng(0))
+    model.named_params()[param].data[:] = 1e308
+    model.save(checkpoint)
+    result = subprocess.run([sys.executable, "-m", "tadgraph", command, "--manifest",
+                             str(data / "manifest.json"), "--checkpoint", str(checkpoint),
+                             "--out", str(tmp_path / "out.json")],
+                            env=_warnings_as_errors_env(), capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == (f"numeric failure: backbone layer '{layer}' gave a "
+                             "non-finite output\n")
 
 
 def test_smoke_pipeline_runs_with_scipy_refused(tmp_path):
@@ -820,11 +852,13 @@ class TestMalformedEvalInputs:
                          "--config", str(tmp_path / "opts.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("segment, score", [([3.0, 2.0], 0.5), ([1.0, 4.0], float("nan"))],
-                             ids=["end-before-start", "nan-score"])
-    def test_bad_detections_are_data_errors(self, files, capsys, segment, score):
+    @pytest.mark.parametrize("segment, score, label", [
+        ([3.0, 2.0], 0.5, "a"), ([1.0, 4.0], float("nan"), "a"), ([True, 5.0], 0.5, "a"),
+        ([1.0, 4.0], True, "a"), ([1.0, 4.0], 0.5, None),
+    ], ids=["end-before-start", "nan-score", "bool-start", "bool-score", "null-label"])
+    def test_bad_detections_are_data_errors(self, files, capsys, segment, score, label):
         files["detections"].write_text(json.dumps(
-            {"results": {"v": [{"segment": segment, "score": score, "label": "a"}]}}))
+            {"results": {"v": [{"segment": segment, "score": score, "label": label}]}}))
         assert dispatch(["eval", "--detections", str(files["detections"]),
                          "--annotations", str(files["annotations"]), "--class-agnostic"]) == 2
         assert capsys.readouterr().err.startswith("error:")

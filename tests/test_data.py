@@ -14,6 +14,16 @@ from tadgraph.errors import ConfigError, DataError, FormatError
 from tadgraph.heads import assign_anchor_labels
 
 
+MISSING = object()
+
+
+def _set_or_delete(entry: dict, key: str, value) -> None:
+    if value is MISSING:
+        del entry[key]
+    else:
+        entry[key] = value
+
+
 def _seq(features, duration=None, rate=1.0, video_id="v0"):
     features = np.asarray(features, dtype=np.float64)
     duration = duration if duration is not None else features.shape[0] * rate
@@ -99,15 +109,25 @@ class TestLoadDataset:
         with pytest.raises(DataError):
             load_annotations(tmp_path / "ann.json")
 
-    @pytest.mark.parametrize("key", ["feature_file", "video_id", "duration_seconds",
-                                     "sampling_rate"])
-    def test_manifest_entry_missing_key_is_format_error(self, tmp_path, key):
+    @pytest.mark.parametrize("key, value", [
+        *(pytest.param(key, MISSING, id=key) for key in ("feature_file", "video_id",
+                                                          "duration_seconds", "sampling_rate")),
+        pytest.param("video_id", None, id="null-video_id"),
+        pytest.param("video_id", False, id="bool-video_id"),
+        pytest.param("video_id", ["v"], id="list-video_id"),
+        pytest.param("video_id", {"v": 1}, id="object-video_id"),
+        pytest.param("duration_seconds", True, id="bool-duration_seconds"),
+        pytest.param("sampling_rate", True, id="bool-sampling_rate"),
+    ])
+    def test_manifest_entry_missing_key_is_format_error(self, tmp_path, key, value):
+        # so is a value of the wrong JSON kind: a name is a string or a number, and a
+        # bool is no number
         write_feature_file(tmp_path / "v.fseq", np.zeros((10, 2), dtype=np.float32))
         entry = {"video_id": "v", "feature_file": "v.fseq",
                  "duration_seconds": 10, "sampling_rate": 1}
-        del entry[key]
+        _set_or_delete(entry, key, value)
         (tmp_path / "manifest.json").write_text(json.dumps([entry]))
-        with pytest.raises(FormatError, match=key):
+        with pytest.raises(FormatError, match=f"manifest.json: .*{key}"):
             load_dataset(tmp_path / "manifest.json")
 
     @pytest.mark.parametrize("text", ["{", "[]", '{"database": []}'])
@@ -116,13 +136,20 @@ class TestLoadDataset:
         with pytest.raises(FormatError, match="not an annotation database"):
             load_annotations(tmp_path / "ann.json")
 
-    @pytest.mark.parametrize("key", ["duration", "segment", "label"])
-    def test_annotation_entry_missing_key_is_format_error(self, tmp_path, key):
+    @pytest.mark.parametrize("key, value", [
+        *(pytest.param(key, MISSING, id=key) for key in ("duration", "segment", "label")),
+        pytest.param("duration", True, id="bool-duration"),
+        pytest.param("segment", [2, True], id="bool-segment"),
+        pytest.param("label", None, id="null-label"),
+        pytest.param("label", False, id="bool-label"),
+    ])
+    def test_annotation_entry_missing_key_is_format_error(self, tmp_path, key, value):
+        # so is a value of the wrong JSON kind, as in a manifest entry
         video = {"duration": 10, "subset": "training",
                  "annotations": [{"segment": [2, 5], "label": "a"}]}
-        del (video if key == "duration" else video["annotations"][0])[key]
+        _set_or_delete(video if key == "duration" else video["annotations"][0], key, value)
         (tmp_path / "ann.json").write_text(json.dumps({"database": {"v": video}}))
-        with pytest.raises(FormatError, match=key):
+        with pytest.raises(FormatError, match=f"ann.json: .*'v'.*{key}"):
             load_annotations(tmp_path / "ann.json")
 
 
