@@ -11,10 +11,17 @@ gradient. The learning rate drops once, halfway through the epochs.
 ``Adam.step`` updates every parameter and its moments in place, chunk by
 chunk, bit-identical to the whole-array formula, so a step holds no
 parameter-sized temporary; parameters must therefore be C-contiguous.
+
+Each epoch starts by handing the C heap's free pages back to the operating
+system (glibc's ``malloc_trim``; nothing happens where the C library has
+none), so the epoch's resident memory is what it holds, not what earlier
+work freed into holes that its arrays may not fit.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -195,9 +202,30 @@ def sample_anchor_subset(labels: np.ndarray, count: int,
     return np.sort(np.concatenate([head, chosen_rest]).astype(np.int64))
 
 
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):
+        return None
+
+
+def release_free_heap() -> None:
+    """Return the C heap's free pages to the operating system. Numpy arrays
+    freed in the middle of the heap stay resident otherwise, and whether a later
+    array fits into those holes or grows the heap depends on the order of every
+    earlier allocation."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def train_epoch(model: Detector, examples: list[WindowExample], optimizer: Adam,
                 config: TrainConfig, lr: float, rng: np.random.Generator) -> dict:
-    """One pass over the shuffled examples; returns mean loss components."""
+    """One pass over the shuffled examples; returns mean loss components. The
+    C heap's free pages go back to the operating system first."""
+    release_free_heap()
     order = rng.permutation(len(examples))
     params = model.params()
     totals = np.zeros(3)

@@ -134,6 +134,36 @@ class TestTrainEpoch:
             train_epoch(model, examples, Adam(model.params()), config, 4e-3,
                         np.random.default_rng(0))
 
+    def test_each_epoch_first_releases_the_free_heap(self, small_synth, monkeypatch):
+        calls = []
+        monkeypatch.setattr(training, "release_free_heap", lambda: calls.append("release"))
+        real_window_loss = training.window_loss
+        monkeypatch.setattr(training, "window_loss",
+                            lambda *a: calls.append("window") or real_window_loss(*a))
+        config = _config(batch_size=2)
+        model = init_params(config)
+        examples = build_examples(model, small_synth["windows"][:3])
+        optimizer = Adam(model.params())
+        for _ in range(2):
+            train_epoch(model, examples, optimizer, config, 4e-3, np.random.default_rng(0))
+        assert calls == ["release"] + ["window"] * 3 + ["release"] + ["window"] * 3
+
+    @pytest.mark.skipif(training._malloc_trim() is None, reason="no malloc_trim in this C library")
+    def test_released_heap_holes_leave_resident_memory(self):
+        def resident_mb():
+            with open("/proc/self/statm") as fh:
+                return int(fh.read().split()[1]) * 4096 / 2**20
+
+        # 64 KB blocks sit below glibc's smallest mmap threshold, so they come from
+        # the heap; the small array after each one keeps its hole from merging
+        pairs = [(np.ones(1 << 13), np.ones(300)) for _ in range(256)]
+        keep = [small for _, small in pairs]
+        del pairs
+        held = resident_mb()
+        training.release_free_heap()
+        assert held - resident_mb() > 8, "16 MB of freed blocks stayed resident"
+        del keep
+
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_config_error(self, batch_size):
         with pytest.raises(ConfigError, match="'batch_size'"):
