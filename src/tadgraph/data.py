@@ -276,25 +276,25 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse, naming the field, a setting that cannot write a loadable dataset;
-        ``length`` must fit one action of ``duration_min`` snippets and its margins."""
+        """Refuse, naming the field, a setting that cannot write a loadable dataset.
+        ``length`` must hold ``actions_max`` actions of ``duration_min`` snippets, each
+        followed by a one-snippet gap, between its first and last snippet."""
         check_lows(self, "synth", dict(num_videos=1, c_raw=1, num_classes=1, actions_min=1,
                                        duration_min=1, noise=0.0, seconds_per_snippet=0.0,
                                        seed=0), above=("seconds_per_snippet",))
-        check_lows(self, "synth", dict(actions_max=self.actions_min,
-                                       length=self.duration_min + 3))
+        check_lows(self, "synth", dict(actions_max=self.actions_min))
+        check_lows(self, "synth", dict(length=self.actions_max * (self.duration_min + 2) + 1))
 
 
-def _pack_actions(video_id: str, length: int,
-                  actions: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+def _pack_actions(actions: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     """Lay (start, end, class) actions out from snippet 1, two snippets apart,
-    keeping each duration and class."""
+    keeping each duration and class. The last ends at sum(d + 2) - 1 <= length - 2:
+    ``synth_dataset`` caps each of ``count`` durations at (length - 2) // count - 2,
+    or draws ``duration_min``, for which ``SynthConfig``'s bound on ``length`` holds."""
     packed, start = [], 1
     for s, e, cls in sorted(actions):
         packed.append((start, start + e - s, cls))
         start += e - s + 2
-    if packed[-1][1] > length - 2:
-        raise DataError(f"the actions drawn for '{video_id}' do not fit its {length} snippets")
     return packed
 
 
@@ -324,8 +324,6 @@ def synth_dataset(config: SynthConfig, out_dir) -> tuple[Path, Path]:
         for _ in range(count):
             for attempt in range(200):
                 duration = int(rng.integers(config.duration_min, cap + 1))
-                if config.length - 1 - duration <= 1:
-                    continue
                 start = int(rng.integers(1, config.length - 1 - duration))
                 end = start + duration
                 if all(end + 2 <= s or e + 2 <= start for s, e, _ in placed):
@@ -333,7 +331,7 @@ def synth_dataset(config: SynthConfig, out_dir) -> tuple[Path, Path]:
                     break
             else:
                 # random placement fragmented the free space; pack what was drawn
-                placed = _pack_actions(video_id, config.length, placed + [
+                placed = _pack_actions(placed + [
                     (0, duration, int(rng.integers(0, config.num_classes)))])
         annotations = []
         for start, end, cls in sorted(placed):

@@ -414,6 +414,8 @@ def test_impossible_training_flag_is_usage_error(small_synth, tmp_path, capsys, 
     ("--noise", "-1", "noise"), ("--noise", "nan", "noise"),
     ("--num-classes", "0", "num_classes"), ("--num-videos", "0", "num_videos"),
     ("--c-raw", "0", "c_raw"), ("--seed", "-1", "seed"), ("--length", "8", "length"),
+    # the default up to 3 actions of at least 6 snippets need 25 snippets
+    ("--length", "9", "length"), ("--length", "20", "length"), ("--length", "24", "length"),
 ])
 def test_impossible_synth_flag_is_usage_error(tmp_path, capsys, flag, value, field):
     out = tmp_path / "data"

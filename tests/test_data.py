@@ -336,16 +336,28 @@ class TestSynthDataset:
             assert all(1 <= s and e <= length - 2 for s, e in segments)
             assert all(e + 2 <= s for (_, e), (s, _) in zip(segments, segments[1:]))
 
-    @pytest.mark.parametrize("field, value", [
-        ("num_videos", 2.5), ("num_videos", 0), ("c_raw", True), ("noise", "0.5"),
-        ("seconds_per_snippet", 0.0), ("duration_min", "6"), ("length", 8),
-        ("actions_max", 0),
-    ])
-    def test_impossible_synth_config_names_the_field(self, field, value):
-        with pytest.raises(ConfigError, match=f"'{field}'"):
-            SynthConfig(**{field: value})
+    # each row is refused naming its first field; the defaults' up to 3 actions of
+    # at least 6 snippets need a length of 3 * (6 + 2) + 1 = 25, and 2 actions 17
+    IMPOSSIBLE_SYNTH = [
+        dict(num_videos=2.5), dict(num_videos=0), dict(c_raw=True), dict(noise="0.5"),
+        dict(seconds_per_snippet=0.0), dict(duration_min="6"), dict(length=8),
+        dict(actions_max=0), dict(length=24), dict(length=16, actions_max=2),
+    ]
 
-    def test_actions_that_cannot_fit_are_data_error(self, tmp_path):
-        config = SynthConfig(num_videos=1, length=20, c_raw=2, actions_min=3)
-        with pytest.raises(DataError, match="do not fit"):
-            synth_dataset(config, tmp_path)
+    @pytest.mark.parametrize("fields", IMPOSSIBLE_SYNTH, ids=[
+        "-".join(f"{name}-{value}" for name, value in row.items()) for row in IMPOSSIBLE_SYNTH])
+    def test_impossible_synth_config_names_the_field(self, fields):
+        with pytest.raises(ConfigError, match=f"'{next(iter(fields))}'"):
+            SynthConfig(**fields)
+
+    def test_actions_that_cannot_fit_are_config_error(self, tmp_path):
+        # three actions of at least 6 snippets need 3 * (6 + 2) + 1 = 25 snippets: fewer
+        # are refused before anything is written, and 25 hold all three in every video
+        with pytest.raises(ConfigError, match="'length'"):
+            SynthConfig(num_videos=1, length=20, c_raw=2, actions_min=3)
+        config = SynthConfig(num_videos=20, length=25, c_raw=2, actions_min=3)
+        _, annotations = synth_dataset(config, tmp_path)
+        for entry in json.loads(annotations.read_text())["database"].values():
+            segments = [a["segment"] for a in entry["annotations"]]
+            assert len(segments) == 3 and segments[-1][1] <= 25 - 2
+        SynthConfig(length=17, actions_max=2)

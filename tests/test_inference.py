@@ -1,6 +1,7 @@
 """Scoring of whole windows."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,39 @@ def test_non_finite_scores_raise_numeric_error_naming_the_window():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match=r"localization head.*'v7' at offset 32"):
             score_windows(model, [window])
+
+
+_PADDING_MOVES = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 3: zero padding moves real snippets through the k-NN's semantic edges "
+    "and the last real snippet's temporal edge"))
+
+
+@pytest.mark.parametrize("n", [pytest.param(n, marks=_PADDING_MOVES) for n in (30, 40, 49)]
+                         + [50])
+def test_padding_leaves_real_snippets_unchanged(n):
+    # n real snippets zero-padded to L = 50 must score as a model of the same
+    # weights at window length n scores them unpadded: equal final features and
+    # equal scores for every anchor the two share, within a rounding bound for
+    # products of another width. n = L is the control
+    config = small_model_config()
+    padded_model = Detector(config, np.random.default_rng(5))
+    model = Detector(replace(config, window_length=n), None)
+    params = padded_model.named_params()
+    for name, tensor in model.named_params().items():
+        tensor.data = params[name].data
+    real = np.random.default_rng(6).normal(size=(config.c_raw, n))
+    padded = np.zeros((config.c_raw, config.window_length))
+    padded[:, :n] = real
+    outputs = []
+    with ad.no_grad():
+        for detector, features in ((padded_model, padded), (model, real)):
+            _, final, graph = detector.forward_features(features)
+            outputs.append((final.data, detector.forward_scores(final, graph.semantic_layers[-1])))
+    (padded_final, padded_scores), (final, scores) = outputs
+    row = {tuple(anchor): i for i, anchor in enumerate(padded_model.anchors.tolist())}
+    shared = [row[tuple(anchor)] for anchor in model.anchors.tolist()]
+    np.testing.assert_allclose(padded_final[:, :n], final, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(padded_scores.data[shared], scores.data, rtol=0, atol=1e-9)
 
 
 class TestFusedAlignment:
