@@ -66,9 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "the file beats a checkpoint's config.json and the built-in defaults")
         return p
 
-    def add_data(p, annotations_required):
+    def add_data(p):
         p.add_argument("--manifest", required=True)
-        p.add_argument("--annotations", required=annotations_required)
         p.add_argument("--rescale-length", type=int)
         p.add_argument("--window-size", type=int)
         p.add_argument("--stride", type=int)
@@ -79,10 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + name.replace("_", "-"), type=int)
 
     def add_nms(p):
-        p.add_argument("--alpha", type=float)
         p.add_argument("--nms-method", choices=["linear", "gaussian"])
         p.add_argument("--nms-threshold", type=float)
-        p.add_argument("--nms-sigma", type=float)
+        p.add_argument("--nms-sigma", type=float, help="needs --nms-method gaussian")
         p.add_argument("--top-m", type=int)
 
     p = command("synth", _cmd_synth, help="generate a synthetic dataset")
@@ -96,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, help="train a detector")
     p.add_argument("--seed", type=int)
-    add_data(p, annotations_required=True)
+    add_data(p)
+    p.add_argument("--annotations", required=True)
     add_arch(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--epochs", type=int, help="total epochs; lr drops after epochs // 2")
@@ -109,8 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
 
     p = command("infer", _cmd_infer, help="score a dataset with a checkpoint")
-    add_data(p, annotations_required=False)
+    add_data(p)
     add_arch(p)
+    p.add_argument("--alpha", type=float)
     add_nms(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="detection JSON path")
@@ -124,14 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds", type=str,
                    help="comma list or start:step:stop, e.g. 0.5:0.05:0.95")
     p.add_argument("--class-agnostic", action="store_true")
-    p.add_argument("--grid-alpha", action="store_true",
-                   help="sweep the fusion exponent over 0.1..0.9 (needs --raw-scores)")
-    p.add_argument("--raw-scores")
+    p.add_argument("--raw-scores", help="scores of `infer --save-raw`: sweep the fusion "
+                   "exponent over 0.1..0.9")
 
     p = command("export-graph", _cmd_export_graph,
                 help="write per-layer semantic edges of one video")
     p.add_argument("--seed", type=int)
-    add_data(p, annotations_required=False)
+    add_data(p)
     add_arch(p)
     p.add_argument("--checkpoint")
     p.add_argument("--video-id")
@@ -150,10 +149,9 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         raise DataError(f"{args.config}: cannot read config file") from exc
     if not isinstance(values, dict):
         raise DataError(f"{args.config}: config file must hold a JSON object")
-    unset = [key for key, value in vars(args).items() if value is None or value is False]
+    unset = [key for key, value in vars(args).items()
+             if key in values and (value is None or value is False)]
     for key in unset:
-        if key not in values:
-            continue
         value, action = values[key], args.option_actions[key]
         bad, cast = f"{args.config}: bad value for '{key}'", action.type
         if cast is None:
@@ -194,11 +192,14 @@ def _sidecar_model(args: argparse.Namespace) -> ModelConfig | None:
 
 def _nms_options(args: argparse.Namespace) -> dict:
     """``finalize_detections`` keywords; the ``nms_`` flags drop their prefix.
-    A value outside its flag's range is a usage error."""
+    A value outside its flag's range, or a sigma that the method in effect does
+    not read, is a usage error."""
     given = _given(args, *_NMS_KEYS)
     for key, (rule, ok) in _NMS_RULES.items():
         if key in given and not ok(given[key]):
             raise ConfigError(f"--{key.replace('_', '-')} {given[key]} must be {rule}")
+    if "nms_sigma" in given and given.get("nms_method") != "gaussian":
+        raise ConfigError("--nms-sigma: only --nms-method gaussian reads it (default linear)")
     return {key.removeprefix("nms_"): value for key, value in given.items()}
 
 
@@ -241,8 +242,9 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
     checkpoint's sidecar, else the ModelConfig default.
 
     Without a windowing flag, videos are rescaled to the sidecar's window length
-    (100 without a sidecar). A flag that asks for another length than the sidecar's,
-    or a flag of the windowing mode not chosen, is a usage error.
+    (100 without a sidecar). A flag of the windowing mode not chosen, or one that
+    asks for another window length, tau1 or tau2 than the sidecar's, is a usage
+    error: a re-split tau still fits the head's (tau1 + tau2) * width input rows.
     """
     if args.window_size is None and args.stride is not None:
         raise ConfigError("--stride needs --window-size; without it every video "
@@ -256,15 +258,19 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
     if args.window_size is not None:
         windowing["window_length"] = args.window_size
         windowing.setdefault("stride", args.window_size // 2)
-    base = _sidecar_model(args)
+    base, arch = _sidecar_model(args), _fields_given(args, ModelConfig)
     if base is not None:
         key, flag = (("window_length", "--window-size") if args.window_size is not None
                      else ("rescale_length", "--rescale-length"))
-        length = windowing.setdefault(key, base.window_length)
-        if length != base.window_length:
-            raise ConfigError(f"{flag} {length} differs from the window length "
-                              f"{base.window_length} that the checkpoint was trained at")
-    sequences, annotations = load_dataset(args.manifest, args.annotations)
+        windowing.setdefault(key, base.window_length)
+        for flag, value, name, trained in [
+                (flag, windowing[key], "window length", base.window_length),
+                ("--tau1", arch.get("tau1", base.tau1), "tau1", base.tau1),
+                ("--tau2", arch.get("tau2", base.tau2), "tau2", base.tau2)]:
+            if value != trained:
+                raise ConfigError(f"{flag} {value} differs from the {name} {trained} "
+                                  "that the checkpoint was trained at")
+    sequences, annotations = load_dataset(args.manifest, args.annotations if training else None)
     if not sequences:
         raise DataError(f"{args.manifest}: dataset is empty")
     windows = prepare_windows(sequences, annotations, training=training, **windowing)
@@ -272,7 +278,7 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
         raise DataError("no training windows contain an action")
     c_raw, window_length = windows[0].features.shape
     return windows, replace(base or ModelConfig(), c_raw=c_raw, window_length=window_length,
-                            **_fields_given(args, ModelConfig))
+                            **arch)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -290,12 +296,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
+    nms = _nms_options(args)
     windows, model_config = _windows_and_model(args, training=False)
     model = Detector.from_checkpoint(model_config, args.checkpoint)
     window_scores = score_windows(model, windows)
     if args.save_raw:
         write_raw_scores(args.save_raw, window_scores)
-    detections = finalize_detections(window_scores, **_nms_options(args))
+    detections = finalize_detections(window_scores, **nms)
     write_detections(args.out, detections)
     total = sum(len(d) for d in detections.values())
     print(f"wrote {total} detections for {len(detections)} videos to {args.out}")
@@ -316,18 +323,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.detections and (unread := _given(args, "raw_scores", *_NMS_KEYS)):
         flags = ", ".join(f"--{key.replace('_', '-')}" for key in unread)
         raise ConfigError(f"{flags}: eval scores --detections as written and reads "
-                          "no raw scores or fusion and Soft-NMS options with them")
-    if args.grid_alpha and args.alpha is not None:
-        raise ConfigError("--alpha: --grid-alpha sweeps the fusion exponent over "
-                          "0.1..0.9; pass one of them")
+                          "no raw scores or Soft-NMS options with them")
+    if not (args.detections or args.raw_scores):
+        raise ConfigError("eval needs --detections or --raw-scores")
+    nms = _nms_options(args)
     annotations = load_annotations(args.annotations)
     thresholds = _parse_thresholds(args.thresholds)
 
-    if args.grid_alpha:
-        if not args.raw_scores:
-            raise ConfigError("--grid-alpha needs --raw-scores from `infer --save-raw`")
+    if args.raw_scores:
         raw = read_raw_scores(args.raw_scores)
-        nms = _nms_options(args)
         best = None
         for alpha in np.round(np.arange(0.1, 0.95, 0.1), 2):
             nms["alpha"] = float(alpha)
@@ -340,8 +344,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         alpha, report = best
         print(f"best alpha={alpha:.1f}")
     else:
-        if not args.detections:
-            raise ConfigError("eval needs --detections (or --grid-alpha with --raw-scores)")
         detections = read_detections(args.detections)
         _check_labels(detections, annotations, args)
         report = map_suite(detections, annotations.by_video, thresholds, args.class_agnostic)
@@ -385,12 +387,9 @@ def dispatch(argv=None) -> int:
         if args.config:
             _apply_config_file(args)
         return args.handler(args)
-    except (ConfigError,) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

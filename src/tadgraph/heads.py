@@ -80,12 +80,34 @@ def localization_forward(subgraph_features, params: LocalizationParams) -> Tenso
                       for lo, hi in ad.row_blocks(subgraph_features.shape[0], LOC_BLOCK_ROWS)])
 
 
+# the head's layers in order: layer i has the weight w{i + 1}
+_LOC_LAYERS = (lambda x, p: ad.affine_relu(x, p.w1, p.b1),
+               lambda x, p: ad.affine_relu(x, p.w2, p.b2),
+               lambda x, p: ad.sigmoid(ad.affine(x, p.w3, p.b3)))
+
+
 def _localization_rows(x: Tensor, params: LocalizationParams) -> Tensor:
     # each layer rebinds x, so without a graph to keep it the block's aligned rows
     # are freed once the first layer has read them
-    x = ad.affine_relu(x, params.w1, params.b1)
-    x = ad.affine_relu(x, params.w2, params.b2)
-    return ad.sigmoid(ad.affine(x, params.w3, params.b3))
+    for layer in _LOC_LAYERS:
+        x = layer(x, params)
+    return x
+
+
+def first_nonfinite_layer(subgraph_features, params: LocalizationParams) -> str:
+    """The weight name (``w1``, ``w2`` or ``w3``) of the first head layer whose
+    output is not finite in some row block. It re-runs the head layer by layer, to
+    report a ``localization_forward`` that gave a non-finite score; so when no
+    earlier layer is at fault, the last one is."""
+    first = len(_LOC_LAYERS) - 1
+    for lo, hi in ad.row_blocks(subgraph_features.shape[0], LOC_BLOCK_ROWS):
+        x = subgraph_features[lo:hi]
+        for i, layer in enumerate(_LOC_LAYERS[:first]):
+            x = layer(x, params)
+            if not np.isfinite(x.data).all():
+                first = i
+                break
+    return f"w{first + 1}"
 
 
 def node_branch_forward(block1_features: Tensor, params: NodeParams) -> Tensor:

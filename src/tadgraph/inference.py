@@ -10,6 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Window
 from .errors import FormatError, NumericError, exact_cast, exact_name
+from .heads import first_nonfinite_layer
 from .model import Detector
 from .postprocess import WindowScores
 
@@ -17,15 +18,20 @@ from .postprocess import WindowScores
 def score_windows(model: Detector, windows: list[Window]) -> list[WindowScores]:
     """Score every anchor of every window; node branch is not evaluated.
 
-    A window with a non-finite score raises ``NumericError``."""
+    A window with a non-finite score raises ``NumericError`` naming the window and
+    the checkpoint name of the first head layer whose output is not finite; numpy's
+    overflow and invalid-value warnings are silenced here, so that check reports them."""
     out = []
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         for window in windows:
             _, final, graph = model.forward_features(window.features)
-            scores = model.forward_scores(final, graph.semantic_layers[-1])
+            edges = graph.semantic_layers[-1]
+            scores = model.forward_scores(final, edges)
             if not np.isfinite(scores.data).all():
-                raise NumericError(f"localization head gave a non-finite score in the window "
-                                   f"of video '{window.video_id}' at offset {window.offset}")
+                layer = first_nonfinite_layer(model.aligner(final, edges), model.loc_head)
+                raise NumericError(f"localization head layer 'loc.{layer}' gave a non-finite "
+                                   f"output in the window of video '{window.video_id}' "
+                                   f"at offset {window.offset}")
             out.append(WindowScores(
                 video_id=window.video_id,
                 anchors=model.anchors,

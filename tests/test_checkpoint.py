@@ -135,6 +135,18 @@ def test_model_mismatch_replaces_no_parameter(tmp_path):
         np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
 
 
+def test_model_missing_a_parameter_replaces_no_parameter(tmp_path):
+    # block1.t_in is the first parameter that a one-block checkpoint lacks
+    path = tmp_path / "model.tgck"
+    Detector(small_model_config(blocks=1), np.random.default_rng(0)).save(path)
+    model = Detector(small_model_config(blocks=2), np.random.default_rng(1))
+    before = {name: t.data.copy() for name, t in model.named_params().items()}
+    with pytest.raises(FormatError, match="checkpoint missing parameter 'block1.t_in'"):
+        model.load(path)
+    for name, tensor in model.named_params().items():
+        np.testing.assert_array_equal(tensor.data, before[name], err_msg=name)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_model_rejects_non_finite_parameter_by_name(tmp_path, bad):
     path = tmp_path / "model.tgck"

@@ -77,7 +77,7 @@ class TestPipeline:
         assert 0.0 <= report["average_mAP"] <= 1.0
 
     def test_grid_alpha_sweep(self, pipeline, tmp_path):
-        code = dispatch(["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+        code = dispatch(["eval", "--raw-scores", str(pipeline["raw"]),
                          "--annotations", str(pipeline["data"] / "annotations.json"),
                          "--class-agnostic", "--thresholds", "0.5",
                          "--out", str(tmp_path / "grid.json")])
@@ -90,7 +90,7 @@ class TestPipeline:
         assert "--class-agnostic" in capsys.readouterr().err
 
     def test_grid_alpha_default_flags_refuse_infer_labels(self, pipeline, capsys):
-        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+        assert dispatch(["eval", "--raw-scores", str(pipeline["raw"]),
                          "--annotations", str(pipeline["data"] / "annotations.json"),
                          "--thresholds", "0.5"]) == 1
         assert "--class-agnostic" in capsys.readouterr().err
@@ -165,7 +165,7 @@ class TestPipeline:
         raw = tmp_path / "raw.json"
         raw.write_text(json.dumps(payload))
         out = tmp_path / "report.json"
-        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+        assert dispatch(["eval", "--raw-scores", str(raw),
                          "--annotations", str(pipeline["data"] / "annotations.json"),
                          "--class-agnostic", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -196,8 +196,13 @@ class TestPipeline:
         ("infer", ["--nms-sigma", "0", "--nms-method", "gaussian"]),
         ("infer", ["--nms-threshold", "1.5"]), ("infer", ["--alpha", "-0.1"]),
         ("infer", ["--alpha", "nan"]), ("eval", ["--top-m", "0"]),
+        # linear decay reads no sigma, so the flag would change nothing
+        ("infer", ["--nms-sigma", "0.05"]),
+        ("infer", ["--nms-sigma", "0.05", "--nms-method", "linear"]),
+        ("eval", ["--nms-sigma", "0.05"]),
     ], ids=["top-m-0", "top-m-negative", "sigma-0", "threshold-above-1", "alpha-negative",
-            "alpha-nan", "grid-alpha-top-m-0"])
+            "alpha-nan", "grid-alpha-top-m-0", "sigma-without-method",
+            "sigma-with-linear", "grid-alpha-sigma-without-method"])
     def test_nms_flag_out_of_range_is_usage_error(self, pipeline, tmp_path, capsys,
                                                   command, flags):
         out = tmp_path / "d.json"
@@ -206,7 +211,7 @@ class TestPipeline:
                     "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
                     "--rescale-length", "50", "--out", str(out)]
         else:
-            args = ["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+            args = ["eval", "--raw-scores", str(pipeline["raw"]),
                     "--annotations", str(pipeline["data"] / "annotations.json"),
                     "--class-agnostic", "--out", str(out)]
         assert dispatch([*args, *flags]) == 1
@@ -255,10 +260,31 @@ class TestPipeline:
         assert err.startswith("error:") and " ".join(flags) in err and "length 50" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--tau1", "6", "--tau2", "4"], "--tau1 6 differs from the tau1 8"),
+        (["--tau2", "3"], "--tau2 3 differs from the tau2 2"),
+        ({"tau1": 6, "tau2": 4}, "--tau1 6 differs from the tau1 8"),
+    ], ids=["re-split", "tau2", "config-file"])
+    @pytest.mark.parametrize("command", ["infer", "export-graph"])
+    def test_tau_other_than_the_trained_one_is_usage_error(self, pipeline, tmp_path, capsys,
+                                                           command, flags, named):
+        # the head's first layer has (tau1 + tau2) * width rows, so a re-split
+        # checkpoint would load and score every anchor from rows it was not trained on
+        if isinstance(flags, dict):
+            (tmp_path / "opts.json").write_text(json.dumps(flags))
+            flags = ["--config", str(tmp_path / "opts.json")]
+        out = tmp_path / "out.json"
+        assert dispatch([command, "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [
-        ["--alpha", "0.5"], ["--nms-method", "gaussian"], ["--nms-threshold", "0.5"],
+        ["--nms-method", "gaussian"], ["--nms-threshold", "0.5"],
         ["--nms-sigma", "0.5"], ["--top-m", "5"], ["--raw-scores", "RAW"],
-    ], ids=["alpha", "nms-method", "nms-threshold", "nms-sigma", "top-m", "raw-scores"])
+    ], ids=["nms-method", "nms-threshold", "nms-sigma", "top-m", "raw-scores"])
     def test_detections_with_a_flag_eval_would_not_read_is_usage_error(self, pipeline,
                                                                         tmp_path, capsys, flags):
         flags = [str(pipeline["raw"]) if flag == "RAW" else flag for flag in flags]
@@ -271,13 +297,34 @@ class TestPipeline:
         assert not out.exists()
 
     def test_grid_alpha_with_alpha_is_usage_error(self, pipeline, tmp_path, capsys):
+        # the sweep sets the fusion exponent itself, and eval has no --alpha
         out = tmp_path / "report.json"
-        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(pipeline["raw"]),
+        assert dispatch(["eval", "--raw-scores", str(pipeline["raw"]),
                          "--annotations", str(pipeline["data"] / "annotations.json"),
                          "--class-agnostic", "--alpha", "0.3", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "--alpha" in err
+        assert "error: unrecognized arguments: --alpha 0.3" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", ["--alpha", "0.5"]), ("eval", ["--grid-alpha"]),
+        ("infer", ["--annotations", "ANN"]), ("export-graph", ["--annotations", "ANN"]),
+    ], ids=["eval-alpha", "eval-grid-alpha", "infer-annotations", "export-graph-annotations"])
+    def test_removed_option_is_usage_error(self, pipeline, tmp_path, capsys, command, flag):
+        # eval's detections take no fusion exponent and --raw-scores alone runs the
+        # sweep; infer and export-graph read no annotations
+        annotations = str(pipeline["data"] / "annotations.json")
+        inputs = {"eval": ["--detections", str(pipeline["detections"]), "--annotations",
+                           annotations, "--class-agnostic"],
+                  "infer": ["--manifest", str(pipeline["data"] / "manifest.json"),
+                            "--checkpoint", str(pipeline["run"] / "checkpoint.tgck")],
+                  "export-graph": ["--manifest", str(pipeline["data"] / "manifest.json")]}
+        flag = [annotations if f == "ANN" else f for f in flag]
+        out = tmp_path / "out.json"
+        assert dispatch([command, *inputs[command], "--out", str(out), *flag]) == 1
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(flag)}" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_eval_perfect_predictions_reach_map_one(tmp_path):
@@ -330,10 +377,18 @@ class TestExitCodes:
         assert dispatch(["eval", "--detections", str(tmp_path / "none.json"),
                          "--annotations", str(tmp_path / "none2.json")]) == 2
 
-    def test_grid_alpha_without_raw_scores_is_usage_error(self, tmp_path):
+    def test_eval_without_detections_or_raw_scores_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "ann.json").write_text(json.dumps({"database": {}}))
-        assert dispatch(["eval", "--grid-alpha",
-                         "--annotations", str(tmp_path / "ann.json")]) == 1
+        assert dispatch(["eval", "--annotations", str(tmp_path / "ann.json")]) == 1
+        assert capsys.readouterr().err == "error: eval needs --detections or --raw-scores\n"
+
+    def test_export_graph_of_a_video_not_in_the_manifest_is_data_error(self, small_synth,
+                                                                        tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                         "--video-id", "nope", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: video 'nope' not found in the manifest\n"
+        assert not out.exists()
 
     def test_corrupt_feature_file_is_data_error(self, tmp_path):
         (tmp_path / "v.fseq").write_bytes(b"garbage")
@@ -433,7 +488,8 @@ def test_impossible_synth_flag_is_usage_error(tmp_path, capsys, flag, value, fie
 def test_flag_of_the_other_windowing_mode_is_usage_error(small_synth, tmp_path, capsys,
                                                          command, flags, named):
     out = tmp_path / "out"
-    assert dispatch([command, *_data_args(small_synth), "--out", str(out), *flags]) == 1
+    assert dispatch([command, *_data_args(small_synth, command), "--out", str(out),
+                     *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and all(flag in err for flag in named)
     assert not out.exists()
@@ -444,7 +500,7 @@ def test_flag_of_the_other_windowing_mode_is_usage_error(small_synth, tmp_path, 
 def test_window_size_below_two_is_usage_error(small_synth, tmp_path, capsys, command, size):
     # prepare_windows reads a window length of 0 or less as rescale mode
     out = tmp_path / "out"
-    assert dispatch([command, *_data_args(small_synth), "--out", str(out),
+    assert dispatch([command, *_data_args(small_synth, command), "--out", str(out),
                      "--window-size", size]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"--window-size {size}" in err
@@ -473,6 +529,20 @@ def test_unusable_manifest_is_data_error_naming_the_video(tmp_path, capsys, shap
                      "--rescale-length", "20", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, inputs", [
+    ("train", ["--annotations", "ANN"]), ("infer", ["--checkpoint", "c.tgck"]),
+], ids=["train", "infer"])
+def test_manifest_without_videos_is_data_error(tmp_path, capsys, command, inputs):
+    (tmp_path / "manifest.json").write_text("[]")
+    (tmp_path / "annotations.json").write_text(json.dumps({"database": {}}))
+    inputs = [str(tmp_path / "annotations.json") if i == "ANN" else i for i in inputs]
+    out = tmp_path / "out"
+    assert dispatch([command, "--manifest", str(tmp_path / "manifest.json"), *inputs,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'manifest.json'}: dataset is empty\n"
     assert not out.exists()
 
 
@@ -516,19 +586,21 @@ WITHOUT_SCIPY = "import sys; sys.modules['scipy'] = None; from tadgraph.cli impo
 
 
 def _warnings_as_errors_env():
-    """The environment of a package process in which a numpy overflow or
-    invalid-value warning is an error, as in the workflow's console-script step."""
+    """The environment of a package process in which any warning, such as a numpy
+    overflow or invalid-value warning, is an error, as in the workflow's
+    console-script step."""
     src = Path(cli.__file__).resolve().parents[1]
-    return {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning",
+    return {**os.environ, "PYTHONWARNINGS": "error",
             "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
 
 def _run_smoke_pipeline(tmp_path, launcher):
     """The workflow's console-script smoke run, each command a process started as
-    ``python <launcher> <args>``; a numpy overflow or invalid-value warning is an
-    error. Returns the last command's result."""
+    ``python <launcher> <args>``; any warning is an error. Returns the last
+    command's result."""
     env = _warnings_as_errors_env()
     data, run, det, raw = (tmp_path / name for name in ("d", "run", "det.json", "raw.json"))
+    strided_det, strided_raw = tmp_path / "strided_det.json", tmp_path / "strided_raw.json"
     graph, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
     commands = [
         ["synth", "--out", data, "--num-videos", "4", "--length", "50", "--c-raw", "6"],
@@ -543,8 +615,14 @@ def _run_smoke_pipeline(tmp_path, launcher):
          run / "checkpoint.tgck", "--out", graph, "--dot", dot],
         ["eval", "--detections", det, "--annotations", data / "annotations.json",
          "--class-agnostic"],
-        ["eval", "--grid-alpha", "--raw-scores", raw, "--annotations",
-         data / "annotations.json", "--class-agnostic"],
+        ["eval", "--raw-scores", raw, "--annotations", data / "annotations.json",
+         "--class-agnostic"],
+        # 50-snippet videos in windows of 100: the zero-padded strided path
+        ["infer", "--manifest", data / "manifest.json", "--checkpoint",
+         run / "checkpoint.tgck", "--window-size", "100", "--stride", "50",
+         "--out", strided_det, "--save-raw", strided_raw],
+        ["eval", "--raw-scores", strided_raw, "--annotations", data / "annotations.json",
+         "--class-agnostic"],
     ]
     for args in commands:
         result = subprocess.run([sys.executable, *launcher, *map(str, args)], env=env,
@@ -561,13 +639,16 @@ def test_smoke_pipeline_runs_as_processes_without_a_runtime_warning(tmp_path):
     assert "average  " in result.stdout
 
 
-@pytest.mark.parametrize("command, param, layer", [("infer", "proj", "proj"),
-                                                   ("export-graph", "block1.t_in", "block1")])
-def test_overflowing_backbone_is_numeric_error_naming_its_layer(tmp_path, command, param,
-                                                                layer):
-    # finite weights whose backbone overflows: exit 3 naming the layer, not a numpy
-    # warning's traceback, nor a data error from the k-NN of the next block. Block 0's
-    # output is a ReLU's, so every block1.t_in product overflows to +inf
+@pytest.mark.parametrize("command, param, failure", [
+    ("infer", "proj", "backbone layer 'proj' gave a non-finite output"),
+    ("export-graph", "block1.t_in", "backbone layer 'block1' gave a non-finite output"),
+    ("infer", "loc.w1", "localization head layer 'loc.w1' gave a non-finite output in the "
+                        "window of video 'synth_0000' at offset 0"),
+], ids=["infer-proj", "export-graph-block1", "infer-loc.w1"])
+def test_overflowing_layer_is_numeric_error_naming_it(tmp_path, command, param, failure):
+    # finite weights whose backbone or head overflows: exit 3 naming the layer, not a
+    # numpy warning's traceback, nor a data error from the k-NN of the next block.
+    # Block 0's output is a ReLU's, so every block1.t_in product overflows to +inf
     data, checkpoint = tmp_path / "d", tmp_path / "c.tgck"
     assert dispatch(["synth", "--out", str(data), "--num-videos", "2", "--length", "100"]) == 0
     model = Detector(ModelConfig(), np.random.default_rng(0))
@@ -578,8 +659,7 @@ def test_overflowing_backbone_is_numeric_error_naming_its_layer(tmp_path, comman
                              "--out", str(tmp_path / "out.json")],
                             env=_warnings_as_errors_env(), capture_output=True, text=True)
     assert result.returncode == 3, result.stderr
-    assert result.stderr == (f"numeric failure: backbone layer '{layer}' gave a "
-                             "non-finite output\n")
+    assert result.stderr == f"numeric failure: {failure}\n"
 
 
 def test_smoke_pipeline_runs_with_scipy_refused(tmp_path):
@@ -602,9 +682,12 @@ class _Built(Exception):
     """Raised by a stand-in for model construction to hand back the config it got."""
 
 
-def _data_args(small_synth):
-    return ["--manifest", str(small_synth["manifest"]),
-            "--annotations", str(small_synth["annotations"])]
+def _data_args(small_synth, command="train"):
+    """The input flags of ``command`` on the small synth set; only train reads annotations."""
+    manifest = ["--manifest", str(small_synth["manifest"])]
+    if command != "train":
+        return manifest
+    return [*manifest, "--annotations", str(small_synth["annotations"])]
 
 
 # each pass-through flag with a value other than its field's default
@@ -873,11 +956,25 @@ class TestMalformedEvalInputs:
         raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
             {"video_id": "v", "anchors": [[0, 2], [1, 3]], "p_cls": [0.5, p_cls],
              "p_reg": [0.5, p_reg], "offset": 7, "scale": 1.0, "valid_length": 10}]}))
-        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+        assert dispatch(["eval", "--raw-scores", str(raw),
                          "--annotations", str(files["annotations"])]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'v' at offset 7" in err
         assert ("p_cls" if p_cls < 0 else "p_reg") in err
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0], ids=["zero", "negative"])
+    def test_raw_scores_with_non_positive_scale_are_data_error(self, files, tmp_path, capsys,
+                                                               scale):
+        # the reader checks only that the scale is finite; fusion refuses the rest
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
+            {"video_id": "v", "anchors": [[0, 2]], "p_cls": [0.5], "p_reg": [0.5],
+             "offset": 0, "scale": scale, "valid_length": 10}]}))
+        out = tmp_path / "report.json"
+        assert dispatch(["eval", "--raw-scores", str(raw), "--annotations",
+                         str(files["annotations"]), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: window of 'v' has non-positive scale\n"
+        assert not out.exists()
 
     def test_integral_reals_in_raw_scores_read_as_integers(self, tmp_path):
         # as in a --config file, a real reads as an integer when no fraction is lost
@@ -895,6 +992,6 @@ class TestMalformedEvalInputs:
         raw.write_text(json.dumps({"version": RAW_VERSION, "windows": [
             {"video_id": "v", "anchors": [[0, 2], [1, 3]], "p_cls": [0.5], "p_reg": [0.5],
              "offset": 0, "scale": 1.0, "valid_length": 10}]}))
-        assert dispatch(["eval", "--grid-alpha", "--raw-scores", str(raw),
+        assert dispatch(["eval", "--raw-scores", str(raw),
                          "--annotations", str(files["annotations"])]) == 2
         assert capsys.readouterr().err.startswith("error:")

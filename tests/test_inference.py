@@ -76,6 +76,19 @@ def test_non_finite_scores_raise_numeric_error_naming_the_window():
             score_windows(model, [window])
 
 
+
+@pytest.mark.parametrize("layer", ["w1", "w2"])
+def test_non_finite_score_names_the_first_head_layer_at_fault(layer):
+    # every weight of the layer at 1e308: w1 meets features of both signs, and w2 the
+    # nonnegative ReLU output of w1, so that layer's output is the first not finite
+    model = Detector(ModelConfig(window_length=64, max_duration=16), np.random.default_rng(0))
+    getattr(model.loc_head, layer).data[:] = 1e308
+    window = Window("v7", np.random.default_rng(1).normal(size=(32, 64)), offset=32,
+                    valid_length=64, scale=1.0)
+    with pytest.raises(NumericError, match=f"localization head layer 'loc.{layer}' gave a "
+                                           "non-finite output in the window of video 'v7'"):
+        score_windows(model, [window])
+
 _PADDING_MOVES = pytest.mark.xfail(strict=True, reason=(
     "ROADMAP item 3: zero padding moves real snippets through the k-NN's semantic edges "
     "and the last real snippet's temporal edge"))

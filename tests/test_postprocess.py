@@ -199,6 +199,10 @@ class TestSoftNMS:
         with pytest.raises(DataError, match="sigma"):
             soft_nms(np.array([[0.0, 1.0]]), np.array([0.5]), method="gaussian", sigma=sigma)
 
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(DataError, match="unknown method 'bogus'"):
+            soft_nms(np.array([[0.0, 1.0]]), np.array([0.5]), method="bogus")
+
     def test_tie_at_top_m_cut_keeps_earlier_start(self):
         kept, scores = soft_nms(np.array([[10.0, 20.0], [0.0, 5.0]]), np.array([0.5, 0.5]),
                                 top_m=1)
