@@ -1,6 +1,6 @@
 """Command-line pipeline: synth, train, infer, eval, export-graph.
 
-Each option resolves as: explicit flag > ``--config`` JSON file > the
+Options come from flags alone. Each resolves as: explicit flag > the
 checkpoint's sidecar ``config.json`` (architecture options and window length of
 ``infer`` and ``export-graph`` only) > the default of the dataclass or function the
 option feeds. Exit codes: 0 success, 1 usage, 2 data/format error,
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import SynthConfig, load_annotations, load_dataset, prepare_windows, synth_dataset
-from .errors import ConfigError, DataError, FormatError, NumericError, exact_cast
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
 from .inference import read_raw_scores, score_windows, write_raw_scores
 from .model import Detector, ModelConfig
@@ -39,31 +39,14 @@ _NMS_RULES = {"alpha": ("in [0, 1]", lambda v: 0.0 <= v <= 1.0),
               "top_m": ("at least 1", lambda v: v >= 1)}
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """Subcommand parser that hands each option's action to the parsed namespace,
-    so values read from a ``--config`` file are checked and cast like flag values."""
-
-    def __init__(self, **kwargs):
-        self.option_actions = {}
-        super().__init__(**kwargs)
-        self.set_defaults(option_actions=self.option_actions)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        self.option_actions[action.dest] = action
-        return action
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tadgraph",
                                      description="Sub-graph temporal action detection pipeline")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", help="JSON object of options; a flag beats the file, "
-                       "the file beats a checkpoint's config.json and the built-in defaults")
         return p
 
     def add_data(p):
@@ -139,42 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill each option still None or False from the ``--config`` file. A switch
-    takes a JSON boolean, an option without a type a JSON string, and an option
-    with choices one of them."""
-    try:
-        values = json.loads(Path(args.config).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{args.config}: cannot read config file") from exc
-    if not isinstance(values, dict):
-        raise DataError(f"{args.config}: config file must hold a JSON object")
-    unset = [key for key, value in vars(args).items()
-             if key in values and (value is None or value is False)]
-    for key in unset:
-        value, action = values[key], args.option_actions[key]
-        bad, cast = f"{args.config}: bad value for '{key}'", action.type
-        if cast is None:
-            kind, name = (bool, "boolean") if action.nargs == 0 else (str, "string")
-            if not isinstance(value, kind):
-                raise DataError(f"{bad}: {json.dumps(value)} is not a JSON {name}")
-        try:
-            parsed = value if cast is None else exact_cast(value, cast)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"{bad}: {exc}") from exc
-        if action.choices is not None and parsed not in action.choices:
-            raise DataError(f"{bad}: {json.dumps(value)} is not one of {action.choices}")
-        setattr(args, key, parsed)
-
-
 def _given(args: argparse.Namespace, *keys: str) -> dict:
-    """The named options that a flag or the config file set; the subcommand need
-    not have them all."""
+    """The named options that a flag set; the subcommand need not have them all."""
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _fields_given(args: argparse.Namespace, config_type) -> dict:
-    """The options that a flag or the config file set for fields of ``config_type``."""
+    """The options that a flag set for fields of ``config_type``."""
     return _given(args, *(f.name for f in fields(config_type)))
 
 
@@ -192,13 +146,16 @@ def _sidecar_model(args: argparse.Namespace) -> ModelConfig | None:
 
 def _nms_options(args: argparse.Namespace) -> dict:
     """``finalize_detections`` keywords; the ``nms_`` flags drop their prefix.
-    A value outside its flag's range, or a sigma that the method in effect does
-    not read, is a usage error."""
+    A value outside its flag's range, or a threshold or sigma that the method in
+    effect does not read, is a usage error."""
     given = _given(args, *_NMS_KEYS)
     for key, (rule, ok) in _NMS_RULES.items():
         if key in given and not ok(given[key]):
             raise ConfigError(f"--{key.replace('_', '-')} {given[key]} must be {rule}")
-    if "nms_sigma" in given and given.get("nms_method") != "gaussian":
+    method = given.get("nms_method", "linear")
+    if "nms_threshold" in given and method != "linear":
+        raise ConfigError("--nms-threshold: only --nms-method linear (the default) reads it")
+    if "nms_sigma" in given and method != "gaussian":
         raise ConfigError("--nms-sigma: only --nms-method gaussian reads it (default linear)")
     return {key.removeprefix("nms_"): value for key, value in given.items()}
 
@@ -238,8 +195,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _windows_and_model(args: argparse.Namespace, training: bool):
     """The dataset's model windows, all of one (C_raw, L) shape, and the model config
-    for them: each architecture option from a flag or the config file, else the
-    checkpoint's sidecar, else the ModelConfig default.
+    for them: each architecture option from a flag, else the checkpoint's sidecar,
+    else the ModelConfig default.
 
     Without a windowing flag, videos are rescaled to the sidecar's window length
     (100 without a sidecar). A flag of the windowing mode not chosen, or one that
@@ -384,8 +341,6 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.config:
-            _apply_config_file(args)
         return args.handler(args)
     except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

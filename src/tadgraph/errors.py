@@ -38,18 +38,16 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def exact_cast(value, cast, field: str = ""):
-    """``cast(value)``, which must not change a number: a bool read as an int or a
-    float, or a real that ``int`` would cut, raises ``ValueError``. With a ``field``,
-    that error and any that ``cast`` raises become a ``ValueError`` led by it."""
+def exact_cast(value, cast, field: str):
+    """``cast(value)`` for ``cast`` ``int`` or ``float``, which must not change a
+    number: a bool, or a real that ``int`` would cut, raises ``ValueError``. That
+    error and any that ``cast`` raises become a ``ValueError`` led by ``field``."""
     try:
         parsed = cast(value)
-        if (isinstance(value, bool) and cast in (int, float)) or \
+        if isinstance(value, bool) or \
                 (isinstance(value, float) and cast is int and parsed != value):
             raise ValueError(f"{json.dumps(value)} would be read as {parsed!r}")
     except (OverflowError, TypeError, ValueError) as exc:
-        if not field:
-            raise
         raise ValueError(f"{field}: {exc}") from exc
     return parsed
 

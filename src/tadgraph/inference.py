@@ -70,8 +70,8 @@ def read_raw_scores(path) -> list[WindowScores]:
     that is not a string or a number, an offset, valid length or anchor time that
     is not an integer (a bool, or a real with a fraction), a scale or score that is
     a bool, a negative offset, a valid length below 1, an anchor other than
-    0 <= t_s < t_e, a non-finite scale or a score outside [0, 1]. The message names
-    the field."""
+    0 <= t_s < t_e, a scale that is not finite and above 0 or a score outside
+    [0, 1]. The message names the field."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text())
@@ -109,8 +109,8 @@ def _read_window(where: str, w: dict) -> WindowScores:
                           f"got valid_length {ws.valid_length}")
     if not ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all():
         raise FormatError(f"{where} has an anchor other than 0 <= t_s < t_e")
-    if not np.isfinite(ws.scale):
-        raise FormatError(f"{where} has a non-finite scale")
+    if not 0.0 < ws.scale < np.inf:
+        raise FormatError(f"{where} needs a finite scale above 0, got {ws.scale}")
     # sigmoid outputs; fusion raises each to a fractional power, which is NaN
     # for a negative score
     for name, scores in (("p_cls", ws.p_cls), ("p_reg", ws.p_reg)):

@@ -6,8 +6,8 @@ arbitrary values. The explicit examples are inputs that once escaped as
 ``struct.error``, ``UnicodeDecodeError``, ``KeyError``, ``AttributeError``,
 ``OverflowError`` or ``IsADirectoryError``, or that were once accepted
 although later stages cannot use them: a detection ending before it starts,
-a NaN score, a raw-score window with fewer scores than anchors, a NaN
-scale, or a video whose sampling rate or duration is zero or NaN.
+a NaN score, a raw-score window with fewer scores than anchors, a NaN or
+zero scale, or a video whose sampling rate or duration is zero or NaN.
 """
 
 import json
@@ -172,12 +172,15 @@ _window = _record({
 @example(json.dumps({"version": RAW_VERSION, "windows": [
     {"video_id": "v", "anchors": [[0, 2]], "p_cls": [0.5], "p_reg": [0.5],
      "offset": 0, "scale": float("nan"), "valid_length": 4}]}).encode())
+@example(json.dumps({"version": RAW_VERSION, "windows": [
+    {"video_id": "v", "anchors": [[0, 2]], "p_cls": [0.5], "p_reg": [0.5],
+     "offset": 0, "scale": 0.0, "valid_length": 4}]}).encode())
 def test_read_raw_scores(workdir, payload):
     for ws in _accepts_or_rejects(read_raw_scores, workdir / "raw.json", payload) or []:
         assert ws.anchors.shape == (len(ws.anchors), 2)
         assert ws.p_cls.shape == ws.p_reg.shape == (len(ws.anchors),)
         for scores in (ws.p_cls, ws.p_reg):
             assert ((scores >= 0) & (scores <= 1)).all()
-        assert np.isfinite(ws.scale)
+        assert 0 < ws.scale < np.inf
         assert ws.offset >= 0 and ws.valid_length >= 1
         assert ((ws.anchors[:, 0] >= 0) & (ws.anchors[:, 1] > ws.anchors[:, 0])).all()

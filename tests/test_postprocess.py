@@ -263,6 +263,12 @@ class TestFinalizeDetections:
         assert len(dets) == 1
         assert dets[0].end == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0], ids=["zero", "negative"])
+    def test_non_positive_scale_is_refused(self, scale):
+        # read_raw_scores refuses such a window first; this guard serves API callers
+        with pytest.raises(DataError, match="window of 'v' has non-positive scale"):
+            finalize_detections([self._scores([[2, 6]], [0.9], scale=scale)])
+
     def test_round_trip_json(self, tmp_path):
         detections = {"vid": [Detection(1.5, 3.25, "action", 0.75)]}
         path = tmp_path / "det.json"
