@@ -117,7 +117,7 @@ def interp_rescale(features: Tensor | np.ndarray, anchor, tau: int) -> Tensor:
     x = features if isinstance(features, Tensor) else Tensor(features)
     t_s, t_e = int(anchor[0]), int(anchor[1])
     rows, cols, vals = _summed(*_anchor_weight_rows(t_s, t_e, tau, x.shape[1]), x.shape[1])
-    return ad.transpose(ad.gather_sum(x, cols, rows, vals, tau)).reshape(tau * x.shape[0])
+    return ad.reshape(ad.transpose(ad.gather_sum(x, cols, rows, vals, tau)), tau * x.shape[0])
 
 
 def _checked_anchors(anchors, length: int) -> np.ndarray:
@@ -261,9 +261,6 @@ class SubgraphAligner:
         self.tau1 = tau1
         self.tau2 = tau2
         self.plan = build_alignment(self.anchors, length, tau1, tau2)
-
-    def feature_width(self, channels: int) -> int:
-        return (self.tau1 + self.tau2) * channels
 
     def __call__(self, features: Tensor, edges: np.ndarray,
                  subset: np.ndarray | None = None) -> AlignedRows:

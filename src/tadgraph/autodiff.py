@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError
 
 _grad_enabled = True
 
@@ -133,14 +133,6 @@ class Tensor:
     def __getitem__(self, key):
         return tslice(self, key)
 
-    # -- shaping as methods for readability ------------------------------------
-
-    def transpose(self):
-        return transpose(self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape)
-
 
 def uniform_param(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     """Trainable leaf drawn from U(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
@@ -206,7 +198,7 @@ def _operands(a, b, opname: str) -> tuple[Tensor, Tensor]:
     needs no gradient may be 0-d."""
     a, b = _wrap(a), _wrap(b)
     if a.shape != b.shape and not any(t.data.ndim == 0 and not t.requires_grad for t in (a, b)):
-        raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not match")
+        raise ContractError(f"{opname}: shapes {a.shape} and {b.shape} do not match")
     return a, b
 
 
@@ -319,7 +311,7 @@ def _dense(x: Tensor, w: Tensor, b: Tensor | None, op: str) -> Tensor:
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or b is not None and (b.data.ndim != 1 or w.shape[1] != b.shape[0])):
         bias = "" if b is None else f" plus bias {b.shape}"
-        raise ShapeError(f"{op}: cannot map {x.shape} through {w.shape}{bias}")
+        raise ContractError(f"{op}: cannot map {x.shape} through {w.shape}{bias}")
     out = x.data @ w.data
     if b is not None:
         out += b.data
@@ -357,7 +349,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     ndim = tensors[0].data.ndim
     if not (-ndim <= axis < ndim):
-        raise ShapeError(f"concat: axis {axis} invalid for ndim {ndim}")
+        raise ContractError(f"concat: axis {axis} invalid for ndim {ndim}")
     if len(tensors) == 1:
         return tensors[0]
     cuts = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
@@ -397,7 +389,7 @@ def gather_sum(x: Tensor, src: np.ndarray, dst: np.ndarray, weights: np.ndarray,
     src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
     if x.data.ndim != 2 or len(src) and (src.min() < 0 or src.max() >= x.shape[1]
                                          or dst.min() < 0 or dst.max() >= width):
-        raise ShapeError(f"gather_sum: entries outside {x.shape} -> {width} columns")
+        raise ContractError(f"gather_sum: entries outside {x.shape} -> {width} columns")
     lane = np.arange(x.shape[0])[:, None]
 
     def spread(values, at, columns):
@@ -422,7 +414,7 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     the usual grouped-convolution wiring.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
-        raise ShapeError(f"grouped_conv1d: expected (C,L) and (k,C_in/g,C_out), got {x.shape}, {w.shape}")
+        raise ContractError(f"grouped_conv1d: expected (C,L) and (k,C_in/g,C_out), got {x.shape}, {w.shape}")
     c_in, length = x.shape
     k, c_in_g, c_out = w.shape
     if k % 2 != 1:
@@ -430,7 +422,7 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     if c_in % groups != 0 or c_out % groups != 0:
         raise ConfigError(f"grouped_conv1d: channels ({c_in} in, {c_out} out) not divisible by {groups} groups")
     if c_in // groups != c_in_g:
-        raise ShapeError(f"grouped_conv1d: weight expects {c_in_g} channels/group, input provides {c_in // groups}")
+        raise ContractError(f"grouped_conv1d: weight expects {c_in_g} channels/group, input provides {c_in // groups}")
     pad = (k - 1) // 2
     c_out_g = c_out // groups
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, new_param
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError
 from .video_graph import VideoGraph, gather_edges, temporal_adjacency
 from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
 
@@ -30,7 +30,7 @@ def edge_aggregate(x: Tensor, adjacency: np.ndarray, w0: Tensor, w1: Tensor,
                    activate: bool = True) -> Tensor:
     """Single-layer edge convolution ``w0 @ x + w1 @ (x @ A)``."""
     if w0.shape[1] != x.shape[0] or w1.shape[1] != x.shape[0]:
-        raise ShapeError(f"edge_aggregate: weights {w0.shape}/{w1.shape} do not fit features {x.shape}")
+        raise ContractError(f"edge_aggregate: weights {w0.shape}/{w1.shape} do not fit features {x.shape}")
     out = ad.matmul(w0, x) + ad.matmul(w1, ad.matmul(x, Tensor(adjacency)))
     return ad.relu(out) if activate else out
 

@@ -51,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_data(p):
         p.add_argument("--manifest", required=True)
-        p.add_argument("--rescale-length", type=int)
-        p.add_argument("--window-size", type=int)
-        p.add_argument("--stride", type=int)
+        p.add_argument("--rescale-length", type=int, help="excludes --window-size")
+        p.add_argument("--window-size", type=int, help="excludes --rescale-length")
+        p.add_argument("--stride", type=int, help="needs --window-size; defaults to half of it")
 
     def add_arch(p):
         for name in ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_nms(p):
         p.add_argument("--nms-method", choices=["linear", "gaussian"])
-        p.add_argument("--nms-threshold", type=float)
+        p.add_argument("--nms-threshold", type=float, help="needs --nms-method linear (the default)")
         p.add_argument("--nms-sigma", type=float, help="needs --nms-method gaussian")
         p.add_argument("--top-m", type=int)
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the kind and range check of configs.
 
-The CLI maps these onto exit codes: data/format problems exit with 2,
-numeric failures with 3.
+The CLI maps these onto exit codes: ``ConfigError`` exits 1, ``DataError`` and
+``FormatError`` exit 2 and ``NumericError`` exits 3. ``ContractError`` is never
+mapped, so its traceback means a caller bug.
 """
 
 import json
@@ -9,16 +10,12 @@ import math
 import numbers
 
 
-class ShapeError(ValueError):
-    """Operands have incompatible shapes or an invalid axis."""
-
-
 class ConfigError(ValueError):
     """A configuration value violates a structural requirement."""
 
 
 class ContractError(ValueError):
-    """An argument violates an operation's contract."""
+    """An argument violates an operation's contract, e.g. mismatched shapes or a bad axis."""
 
 
 class DataError(ValueError):

@@ -112,7 +112,7 @@ def first_nonfinite_layer(subgraph_features, params: LocalizationParams) -> str:
 
 def node_branch_forward(block1_features: Tensor, params: NodeParams) -> Tensor:
     """(C, L) block-1 features -> (L, 2) start/end probabilities."""
-    return ad.sigmoid(ad.affine(block1_features.transpose(), params.w, params.b))
+    return ad.sigmoid(ad.affine(ad.transpose(block1_features), params.w, params.b))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from .autodiff import Tensor
 from .backbone import BackboneParams, backbone_forward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, FormatError, check_lows, is_integer
-from .heads import LocalizationParams, NodeParams, localization_forward, node_branch_forward
+from .heads import LocalizationParams, NodeParams, localization_forward
 
 
 @dataclass
@@ -80,8 +80,8 @@ class Detector:
         self.anchors = enumerate_anchors(config.window_length, config.max_duration)
         self.aligner = SubgraphAligner(self.anchors, config.window_length,
                                        config.tau1, config.tau2)
-        feature_width = self.aligner.feature_width(config.width)
-        self.loc_head = LocalizationParams.create(feature_width, config.head_hidden, rng)
+        self.loc_head = LocalizationParams.create((config.tau1 + config.tau2) * config.width,
+                                                  config.head_hidden, rng)
         self.node_head = NodeParams.create(config.width, rng)
 
     @classmethod
@@ -136,6 +136,3 @@ class Detector:
         The head aligns each of its row blocks as it reaches it."""
         aligned = self.aligner(final, edges, subset)
         return localization_forward(aligned, self.loc_head)
-
-    def forward_nodes(self, block1: Tensor) -> Tensor:
-        return node_branch_forward(block1, self.node_head)

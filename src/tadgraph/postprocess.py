@@ -115,18 +115,18 @@ def finalize_detections(window_scores: list[WindowScores], alpha: float = 0.5,
                         **nms) -> dict[str, list[Detection]]:
     """Map anchors to seconds, merge windows per video, suppress, keep top-M.
 
-    ``nms`` holds ``soft_nms`` keywords. Anchors that overlap only zero
-    padding are dropped. Every detection is labelled "action"
-    (classification happens outside this model).
+    ``nms`` holds ``soft_nms`` keywords. Each end is clipped to the last real snippet,
+    and an anchor must still end after its start, so one that starts at or past that
+    snippet is dropped. Every detection is labelled "action" (classification happens
+    outside this model).
     """
     per_video: dict[str, list[np.ndarray]] = {}
     for ws in window_scores:
         if ws.scale <= 0:
             raise DataError(f"window of '{ws.video_id}' has non-positive scale")
-        inside = ws.anchors[:, 0] < ws.valid_length
-        starts = (ws.anchors[inside, 0] + ws.offset) * ws.scale
-        ends = (np.minimum(ws.anchors[inside, 1], ws.valid_length - 1) + ws.offset) * ws.scale
-        fused = fuse_scores(ws.p_cls[inside], ws.p_reg[inside], alpha)
+        starts = (ws.anchors[:, 0] + ws.offset) * ws.scale
+        ends = (np.minimum(ws.anchors[:, 1], ws.valid_length - 1) + ws.offset) * ws.scale
+        fused = fuse_scores(ws.p_cls, ws.p_reg, alpha)
         rows = np.column_stack([starts, ends, fused])
         per_video.setdefault(ws.video_id, []).append(rows[rows[:, 1] > rows[:, 0]])
 

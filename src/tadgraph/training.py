@@ -31,8 +31,8 @@ import numpy as np
 from . import autodiff as ad
 from .data import Window
 from .errors import ContractError, NumericError, check_lows
-from .heads import (DEFAULT_LAMBDA1, assign_anchor_labels, assign_node_labels, node_loss,
-                    subgraph_loss, total_loss)
+from .heads import (DEFAULT_LAMBDA1, assign_anchor_labels, assign_node_labels,
+                    node_branch_forward, node_loss, subgraph_loss, total_loss)
 from .model import Detector, ModelConfig
 
 DEFAULT_LAMBDA2 = 1e-4
@@ -168,7 +168,7 @@ def window_loss(model: Detector, example: WindowExample, config: TrainConfig,
     scores = model.forward_scores(final, graph.semantic_layers[-1], subset)
     labels = example.anchor_labels if subset is None else example.anchor_labels[subset]
     loss_g = subgraph_loss(scores[:, 0], scores[:, 1], labels, config.lambda1)
-    node_probs = model.forward_nodes(block1)
+    node_probs = node_branch_forward(block1, model.node_head)
     loss_n = node_loss(node_probs, example.node_labels)
     loss = total_loss(loss_g, loss_n, weight_term)
     return loss, loss_g, loss_n

@@ -4,7 +4,7 @@ import numpy as np
 from scipy import sparse
 
 from tadgraph import autodiff as ad
-from tadgraph.errors import ShapeError
+from tadgraph.errors import ContractError
 from tadgraph.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -86,7 +86,7 @@ def add_with_constant_branch(a, b) -> ad.Tensor:
         t, s = (a, b) if isinstance(a, ad.Tensor) else (b, a)
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 0 and s.shape != t.shape:
-            raise ShapeError(f"add: shapes {t.shape} and {s.shape} do not match")
+            raise ContractError(f"add: shapes {t.shape} and {s.shape} do not match")
         out_data = t.data + s
 
         def bwd(g, t=t):
@@ -94,7 +94,7 @@ def add_with_constant_branch(a, b) -> ad.Tensor:
 
         return ad._make(out_data, "add", (t,), bwd)
     if a.shape != b.shape:
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not match")
+        raise ContractError(f"add: shapes {a.shape} and {b.shape} do not match")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
@@ -111,7 +111,7 @@ def mul_with_constant_branch(a, b) -> ad.Tensor:
         t, s = (a, b) if isinstance(a, ad.Tensor) else (b, a)
         s = np.asarray(s, dtype=np.float64)
         if s.ndim != 0 and s.shape != t.shape:
-            raise ShapeError(f"mul: shapes {t.shape} and {s.shape} do not match")
+            raise ContractError(f"mul: shapes {t.shape} and {s.shape} do not match")
         out_data = t.data * s
 
         def bwd(g, t=t, s=s):
@@ -119,7 +119,7 @@ def mul_with_constant_branch(a, b) -> ad.Tensor:
 
         return ad._make(out_data, "mul", (t,), bwd)
     if a.shape != b.shape:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not match")
+        raise ContractError(f"mul: shapes {a.shape} and {b.shape} do not match")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
@@ -135,7 +135,7 @@ def matmul_own_adjoint(a, b) -> ad.Tensor:
     that adds a later gradient of ``b`` as one whole product."""
     a, b = ad._wrap(a), ad._wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}")
+        raise ContractError(f"matmul: cannot multiply {a.shape} by {b.shape}")
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -297,16 +298,6 @@ class TestPipeline:
         assert err.startswith("error:") and flags[0] in err
         assert not out.exists()
 
-    def test_grid_alpha_with_alpha_is_usage_error(self, pipeline, tmp_path, capsys):
-        # the sweep sets the fusion exponent itself, and eval has no --alpha
-        out = tmp_path / "report.json"
-        assert dispatch(["eval", "--raw-scores", str(pipeline["raw"]),
-                         "--annotations", str(pipeline["data"] / "annotations.json"),
-                         "--class-agnostic", "--alpha", "0.3", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "error: unrecognized arguments: --alpha 0.3" in err and "Traceback" not in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, flag", [
         ("eval", ["--alpha", "0.5"]), ("eval", ["--grid-alpha"]),
         ("infer", ["--annotations", "ANN"]), ("export-graph", ["--annotations", "ANN"]),
@@ -316,14 +307,14 @@ class TestPipeline:
             "synth-config", "train-config", "infer-config", "eval-config",
             "export-graph-config"])
     def test_removed_option_is_usage_error(self, pipeline, tmp_path, capsys, command, flag):
-        # eval's detections take no fusion exponent and --raw-scores alone runs the
-        # sweep; infer and export-graph read no annotations; options come from flags
-        # alone, not from a JSON file
+        # the sweep over --raw-scores sets the fusion exponent itself, and eval
+        # has no --alpha; infer and export-graph read no annotations; options come
+        # from flags alone, not from a JSON file
         annotations = str(pipeline["data"] / "annotations.json")
         inputs = {"synth": [],
                   "train": ["--manifest", str(pipeline["data"] / "manifest.json"),
                             "--annotations", annotations],
-                  "eval": ["--detections", str(pipeline["detections"]), "--annotations",
+                  "eval": ["--raw-scores", str(pipeline["raw"]), "--annotations",
                            annotations, "--class-agnostic"],
                   "infer": ["--manifest", str(pipeline["data"] / "manifest.json"),
                             "--checkpoint", str(pipeline["run"] / "checkpoint.tgck")],
@@ -601,6 +592,14 @@ def test_each_subcommand_has_exactly_its_options():
     assert options == {name: spec.split() for name, spec in _OPTIONS.items()}
     assert {name: len(o) for name, o in options.items()} == {
         "synth": 7, "train": 22, "infer": 19, "eval": 10, "export-graph": 16}
+
+
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_nms_threshold_help_names_the_method_that_reads_it(capsys, command):
+    assert dispatch([command, "--help"]) == 0
+    entries = re.split(r"\n  (?=-)", capsys.readouterr().out)
+    (entry,) = [e for e in entries if e.startswith("--nms-threshold")]
+    assert "linear" in entry
 
 
 # runs the CLI with every scipy import refused: ``import scipy`` (or any submodule)

@@ -15,6 +15,9 @@ same 20 videos. A floor of 0.3 sits well above "does not learn" and leaves
 This size gates learning only: it cannot rank ablations. At it, k=0 semantic
 neighbours beat k=4 on seed 1 (0.564 against 0.459), the reverse of the full
 protocol. Rank variants with ``tests/quality_protocol.py`` on three seeds.
+
+The strided mode, the path the infer_l256 benchmark times, gets a structure test
+without a floor: no strided size of about 10 s separated trained from untrained.
 """
 
 from quality_protocol import learning_report
@@ -27,3 +30,12 @@ def test_training_lifts_average_map_above_the_floor(tmp_path):
                              workdir=tmp_path)
     assert report.num_ground_truths > 0
     assert report.average_map > FLOOR
+
+
+def test_strided_protocol_scores_padded_windows(tmp_path):
+    # windows of 40 every 20 snippets: each 70-snippet video's last window, at
+    # offset 40, holds 30 real snippets and 10 of zero padding
+    report = learning_report(seed=1, num_videos=4, train_videos=2, epochs=1, batch_size=2,
+                             length=70, window_length=40, stride=20, workdir=tmp_path)
+    assert report.num_ground_truths > 0 and report.num_predictions > 0
+    assert 0.0 <= report.average_map <= 1.0

@@ -258,7 +258,8 @@ class TestFinalizeDetections:
         assert dets[1].score < 0.8       # duplicate decayed
 
     def test_padding_only_anchors_dropped(self):
-        ws = self._scores([[2, 6], [12, 18]], [0.9, 0.95], valid=10)
+        # [9, 12] starts at the last real snippet: clipped to it, it ends at its start
+        ws = self._scores([[2, 6], [12, 18], [9, 12]], [0.9, 0.95, 0.97], valid=10)
         dets = finalize_detections([ws])["v"]
         assert len(dets) == 1
         assert dets[0].end == pytest.approx(6.0)

@@ -19,6 +19,7 @@ from tadgraph import backbone, training, video_graph
 from tadgraph.autodiff import Tensor
 from tadgraph.data import SynthConfig, Window, load_dataset, prepare_windows, synth_dataset
 from tadgraph.errors import ConfigError, ContractError, NumericError
+from tadgraph.heads import node_branch_forward
 from tadgraph.model import ModelConfig
 from tadgraph.training import (ADAM_BETA1, Adam, TrainConfig, build_examples, init_params,
                                sample_anchor_subset, train, train_epoch, window_loss)
@@ -556,6 +557,6 @@ def test_production_path_builds_no_dense_adjacency(small_synth, monkeypatch):
     with ad.no_grad():
         block1, final, graph = model.forward_features(examples[0].window.features)
         model.forward_scores(final, graph.semantic_layers[-1])
-        model.forward_nodes(block1)
+        node_branch_forward(block1, model.node_head)
     train_epoch(model, examples, Adam(model.params()), config, lr=1e-3,
                 rng=np.random.default_rng(0))
