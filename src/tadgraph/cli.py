@@ -1,16 +1,15 @@
 """Command-line pipeline: synth, train, infer, eval, export-graph.
 
-Options come from flags alone. Each resolves as: explicit flag > the
-checkpoint's sidecar ``config.json`` (architecture options and window length of
-``infer`` and ``export-graph`` only) > the default of the dataclass or function the
-option feeds. Exit codes: 0 success, 1 usage, 2 data/format error,
+Options come from flags alone, and a flag feeds the config field of its name:
+``--batch-size`` sets ``TrainConfig.batch_size``, ``--seed`` the ``SynthConfig``
+or ``TrainConfig`` seed, ``--window-length`` ``ModelConfig.window_length``; an
+option without a flag keeps its field's default. A run with ``--checkpoint`` takes
+its whole model, window length included, from the ``config.json`` that ``train``
+writes beside the checkpoint. ``--stride`` selects strided windows of the window
+length; without it every video is rescaled to that length. ``--lr``/``--lr2`` and
+the fusion and Soft-NMS options are read by hand, because they feed functions or
+fields of other names. Exit codes: 0 success, 1 usage, 2 data/format error,
 3 numeric failure.
-
-Each subparser carries its handler, and a flag feeds the config that has a field
-of its name: ``--batch-size`` sets ``TrainConfig.batch_size``, ``--seed`` the
-``SynthConfig`` or ``TrainConfig`` seed. ``--lr``/``--lr2``, the fusion and
-Soft-NMS options and the windowing options are read by hand, because they feed
-functions or fields of other names.
 """
 
 from __future__ import annotations
@@ -49,16 +48,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    def add_data(p):
+    def add_data(p, *model_fields):
+        # infer has no --window-length: its checkpoint's config.json gives the length
+        length = ("--window-length" if "window_length" in model_fields
+                  else "the checkpoint's length")
         p.add_argument("--manifest", required=True)
-        p.add_argument("--rescale-length", type=int, help="excludes --window-size")
-        p.add_argument("--window-size", type=int, help="excludes --rescale-length")
-        p.add_argument("--stride", type=int, help="needs --window-size; defaults to half of it")
-
-    def add_arch(p):
-        for name in ("width", "blocks", "cardinality", "k_neighbors", "tau1", "tau2",
-                     "max_duration"):
-            p.add_argument("--" + name.replace("_", "-"), type=int)
+        p.add_argument("--stride", type=int, help=f"cut windows of {length} at this stride; "
+                       "without it every video is rescaled to that length")
+        for name in model_fields:
+            p.add_argument(_flag(name), type=int, help="snippets per window (default 100)"
+                           if name == "window_length" else None)
 
     def add_nms(p):
         p.add_argument("--nms-method", choices=["linear", "gaussian"])
@@ -77,9 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, help="train a detector")
     p.add_argument("--seed", type=int)
-    add_data(p)
+    add_data(p, "window_length", "width", "blocks", "cardinality", "k_neighbors", "tau1",
+             "tau2", "max_duration")
     p.add_argument("--annotations", required=True)
-    add_arch(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--epochs", type=int, help="total epochs; lr drops after epochs // 2")
     p.add_argument("--lr", type=float, help="phase-1 learning rate")
@@ -91,11 +90,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true")
 
     p = command("infer", _cmd_infer, help="score a dataset with a checkpoint")
-    add_data(p)
-    add_arch(p)
+    add_data(p, "k_neighbors", "max_duration")
     p.add_argument("--alpha", type=float)
     add_nms(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True,
+                   help="checkpoint file; its model, window length included, comes from "
+                   "the config.json beside it")
     p.add_argument("--out", required=True, help="detection JSON path")
     p.add_argument("--save-raw", help="also write raw anchor scores here")
 
@@ -113,9 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("export-graph", _cmd_export_graph,
                 help="write per-layer semantic edges of one video")
     p.add_argument("--seed", type=int)
-    add_data(p)
-    add_arch(p)
-    p.add_argument("--checkpoint")
+    add_data(p, "window_length", "width", "blocks", "cardinality", "k_neighbors")
+    p.add_argument("--checkpoint", help="read the weights, and the model from the "
+                   "config.json beside them, instead of drawing them; excludes --seed, "
+                   "--width, --blocks, --cardinality and --window-length")
     p.add_argument("--video-id")
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
@@ -132,15 +133,16 @@ def _fields_given(args: argparse.Namespace, config_type) -> dict:
     return _given(args, *(f.name for f in fields(config_type)))
 
 
-def _sidecar_model(args: argparse.Namespace) -> ModelConfig | None:
-    """The model config in the checkpoint's sidecar ``config.json``, if it has one."""
-    checkpoint = getattr(args, "checkpoint", None)
-    sidecar_path = Path(checkpoint).parent / "config.json" if checkpoint else None
-    if sidecar_path is None or not sidecar_path.exists():
-        return None
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _checkpoint_model(checkpoint) -> ModelConfig:
+    """The model config in the ``config.json`` beside a checkpoint."""
+    sidecar_path = Path(checkpoint).parent / "config.json"
     try:
-        return ModelConfig(**json.loads(sidecar_path.read_text()).get("model", {}))
-    except (AttributeError, TypeError, ValueError) as exc:
+        return ModelConfig(**json.loads(sidecar_path.read_text())["model"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
 
 
@@ -151,7 +153,7 @@ def _nms_options(args: argparse.Namespace) -> dict:
     given = _given(args, *_NMS_KEYS)
     for key, (rule, ok) in _NMS_RULES.items():
         if key in given and not ok(given[key]):
-            raise ConfigError(f"--{key.replace('_', '-')} {given[key]} must be {rule}")
+            raise ConfigError(f"{_flag(key)} {given[key]} must be {rule}")
     method = given.get("nms_method", "linear")
     if "nms_threshold" in given and method != "linear":
         raise ConfigError("--nms-threshold: only --nms-method linear (the default) reads it")
@@ -195,47 +197,22 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _windows_and_model(args: argparse.Namespace, training: bool):
     """The dataset's model windows, all of one (C_raw, L) shape, and the model config
-    for them: each architecture option from a flag, else the checkpoint's sidecar,
-    else the ModelConfig default.
-
-    Without a windowing flag, videos are rescaled to the sidecar's window length
-    (100 without a sidecar). A flag of the windowing mode not chosen, or one that
-    asks for another window length, tau1 or tau2 than the sidecar's, is a usage
-    error: a re-split tau still fits the head's (tau1 + tau2) * width input rows.
-    """
-    if args.window_size is None and args.stride is not None:
-        raise ConfigError("--stride needs --window-size; without it every video "
-                          "is rescaled to --rescale-length")
-    if args.window_size is not None and args.rescale_length is not None:
-        raise ConfigError("--rescale-length and --window-size choose different "
-                          "windowing modes; pass one of them")
-    if args.window_size is not None and args.window_size < 2:
-        raise ConfigError(f"--window-size {args.window_size} must be at least 2")
-    windowing = _given(args, "rescale_length", "stride")
-    if args.window_size is not None:
-        windowing["window_length"] = args.window_size
-        windowing.setdefault("stride", args.window_size // 2)
-    base, arch = _sidecar_model(args), _fields_given(args, ModelConfig)
-    if base is not None:
-        key, flag = (("window_length", "--window-size") if args.window_size is not None
-                     else ("rescale_length", "--rescale-length"))
-        windowing.setdefault(key, base.window_length)
-        for flag, value, name, trained in [
-                (flag, windowing[key], "window length", base.window_length),
-                ("--tau1", arch.get("tau1", base.tau1), "tau1", base.tau1),
-                ("--tau2", arch.get("tau2", base.tau2), "tau2", base.tau2)]:
-            if value != trained:
-                raise ConfigError(f"{flag} {value} differs from the {name} {trained} "
-                                  "that the checkpoint was trained at")
+    for them: the checkpoint's ``config.json`` in a checkpoint run, else the
+    ModelConfig defaults, with each model flag given on top. ``--stride`` cuts
+    strided windows of the config's window length; without it every video is
+    rescaled to that length."""
     sequences, annotations = load_dataset(args.manifest, args.annotations if training else None)
     if not sequences:
         raise DataError(f"{args.manifest}: dataset is empty")
+    given = _fields_given(args, ModelConfig)
+    checkpoint = getattr(args, "checkpoint", None)
+    model = replace(_checkpoint_model(checkpoint), **given) if checkpoint else ModelConfig(**given)
+    windowing = (dict(rescale_length=model.window_length) if args.stride is None
+                 else dict(window_length=model.window_length, stride=args.stride))
     windows = prepare_windows(sequences, annotations, training=training, **windowing)
     if not windows:
         raise DataError("no training windows contain an action")
-    c_raw, window_length = windows[0].features.shape
-    return windows, replace(base or ModelConfig(), c_raw=c_raw, window_length=window_length,
-                            **arch)
+    return windows, replace(model, c_raw=windows[0].features.shape[0])
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -278,7 +255,7 @@ def _check_labels(detections, annotations, args: argparse.Namespace) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if args.detections and (unread := _given(args, "raw_scores", *_NMS_KEYS)):
-        flags = ", ".join(f"--{key.replace('_', '-')}" for key in unread)
+        flags = ", ".join(map(_flag, unread))
         raise ConfigError(f"{flags}: eval scores --detections as written and reads "
                           "no raw scores or Soft-NMS options with them")
     if not (args.detections or args.raw_scores):
@@ -312,9 +289,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    if args.checkpoint and args.seed is not None:
-        raise ConfigError("--seed: export-graph draws no weights when it reads them "
-                          "from --checkpoint; pass one of them")
+    fixed = _given(args, "seed", "width", "blocks", "cardinality", "window_length")
+    if args.checkpoint and fixed:
+        raise ConfigError(f"{', '.join(map(_flag, fixed))}: export-graph reads the model "
+                          "and its weights from --checkpoint; pass one or the other")
     windows, model_config = _windows_and_model(args, training=False)
     video_id = args.video_id or windows[0].video_id
     matching = [w for w in windows if w.video_id == video_id]

@@ -9,29 +9,20 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Window
-from .errors import FormatError, NumericError, exact_cast, exact_name
-from .heads import first_nonfinite_layer
+from .errors import FormatError, exact_cast, exact_name
 from .model import Detector
 from .postprocess import WindowScores
 
 
 def score_windows(model: Detector, windows: list[Window]) -> list[WindowScores]:
-    """Score every anchor of every window; node branch is not evaluated.
-
-    A window with a non-finite score raises ``NumericError`` naming the window and
-    the checkpoint name of the first head layer whose output is not finite; numpy's
-    overflow and invalid-value warnings are silenced here, so that check reports them."""
+    """Score every anchor of every window; node branch is not evaluated. A
+    non-finite score raises ``NumericError`` naming the window and the head layer
+    (``Detector.forward_scores``)."""
     out = []
-    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+    with ad.no_grad():
         for window in windows:
             _, final, graph = model.forward_features(window.features)
-            edges = graph.semantic_layers[-1]
-            scores = model.forward_scores(final, edges)
-            if not np.isfinite(scores.data).all():
-                layer = first_nonfinite_layer(model.aligner(final, edges), model.loc_head)
-                raise NumericError(f"localization head layer 'loc.{layer}' gave a non-finite "
-                                   f"output in the window of video '{window.video_id}' "
-                                   f"at offset {window.offset}")
+            scores = model.forward_scores(final, graph.semantic_layers[-1], window=window)
             out.append(WindowScores(
                 video_id=window.video_id,
                 anchors=model.anchors,

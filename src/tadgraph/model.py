@@ -6,12 +6,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import autodiff as ad
 from .align import SubgraphAligner, enumerate_anchors
 from .autodiff import Tensor
 from .backbone import BackboneParams, backbone_forward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, FormatError, check_lows, is_integer
-from .heads import LocalizationParams, NodeParams, localization_forward
+from .errors import ConfigError, FormatError, NumericError, check_lows, is_integer
+from .heads import LocalizationParams, NodeParams, first_nonfinite_layer, localization_forward
 
 
 @dataclass
@@ -130,9 +131,22 @@ class Detector:
         return backbone_forward(Tensor(features), self.backbone, self.config.k_neighbors)
 
     def forward_scores(self, final: Tensor, edges: np.ndarray,
-                       subset: np.ndarray | None = None) -> Tensor:
-        """Anchor scores (rows follow the anchor set or the given subset).
+                       subset: np.ndarray | None = None, window=None) -> Tensor:
+        """Anchor scores (rows follow the anchor set or the given subset) of the
+        ``data.Window`` whose final features are ``final``.
 
-        The head aligns each of its row blocks as it reaches it."""
+        The head aligns each of its row blocks as it reaches it. A non-finite score
+        raises ``NumericError`` naming the window, if given, and the checkpoint name
+        of the first head layer whose output is not finite; numpy's overflow and
+        invalid-value warnings are silenced here, so that check reports them."""
         aligned = self.aligner(final, edges, subset)
-        return localization_forward(aligned, self.loc_head)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = localization_forward(aligned, self.loc_head)
+            if np.isfinite(scores.data).all():
+                return scores
+            with ad.no_grad():
+                layer = first_nonfinite_layer(aligned, self.loc_head)
+        where = (f" in the window of video '{window.video_id}' at offset {window.offset}"
+                 if window is not None else "")
+        raise NumericError(f"localization head layer 'loc.{layer}' gave a non-finite "
+                           f"output{where}")

@@ -165,7 +165,7 @@ def window_loss(model: Detector, example: WindowExample, config: TrainConfig,
     """Forward one window; returns (total, loss_g, loss_n) tensors. ``weight_term``
     is the batch's lambda2 * sum of squared parameters, a constant of the graph."""
     block1, final, graph = model.forward_features(example.window.features)
-    scores = model.forward_scores(final, graph.semantic_layers[-1], subset)
+    scores = model.forward_scores(final, graph.semantic_layers[-1], subset, example.window)
     labels = example.anchor_labels if subset is None else example.anchor_labels[subset]
     loss_g = subgraph_loss(scores[:, 0], scores[:, 1], labels, config.lambda1)
     node_probs = node_branch_forward(block1, model.node_head)

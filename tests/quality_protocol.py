@@ -18,9 +18,10 @@ as the infer_l256 benchmark times, so it meets zero padding and tail windows:
 
 It trains and scores through ``prepare_windows(window_length=..., stride=...)``
 with ``ModelConfig(window_length=...)``. ``--epochs 0`` scores the drawn weights
-untrained, the row a trained model must clear. The strided mode has no tier-1
-test: no size tried that runs in about 10 s separated trained from untrained on
-every seed (ROADMAP item 2 records the sizes and the table).
+untrained, the row a trained model must clear. In tier-1 the strided mode has
+a structure test (``test_learning.py::test_strided_protocol_scores_padded_windows``)
+and no quality floor: no size tried that runs in about 10 s separated trained
+from untrained on every seed (ROADMAP item 2 records the sizes and the table).
 """
 
 from __future__ import annotations

@@ -27,18 +27,17 @@ def commands(root: Path) -> list[list]:
     return [
         ["synth", "--out", data, "--num-videos", "4", "--length", "50", "--c-raw", "6"],
         ["train", "--manifest", manifest, "--annotations", annotations, "--out", run,
-         "--rescale-length", "100", "--width", "16", "--cardinality", "2",
+         "--window-length", "100", "--width", "16", "--cardinality", "2",
          "--k-neighbors", "2", "--tau1", "8", "--tau2", "2", "--max-duration", "32",
          "--epochs", "2", "--batch-size", "4", "--anchors-per-window", "64", "--quiet"],
-        ["infer", "--manifest", manifest, "--checkpoint", checkpoint,
-         "--rescale-length", "100", "--out", det, "--save-raw", raw],
+        ["infer", "--manifest", manifest, "--checkpoint", checkpoint, "--out", det,
+         "--save-raw", raw],
         ["export-graph", "--manifest", manifest, "--checkpoint", checkpoint,
          "--out", root / "graph.json", "--dot", root / "graph.dot"],
         ["eval", "--detections", det, "--annotations", annotations, "--class-agnostic"],
         ["eval", "--raw-scores", raw, "--annotations", annotations, "--class-agnostic"],
-        ["infer", "--manifest", manifest, "--checkpoint", checkpoint,
-         "--window-size", "100", "--stride", "50", "--out", root / "strided_det.json",
-         "--save-raw", root / "strided_raw.json"],
+        ["infer", "--manifest", manifest, "--checkpoint", checkpoint, "--stride", "50",
+         "--out", root / "strided_det.json", "--save-raw", root / "strided_raw.json"],
         ["eval", "--raw-scores", root / "strided_raw.json", "--annotations", annotations,
          "--class-agnostic"],
     ]

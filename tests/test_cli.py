@@ -43,7 +43,7 @@ def pipeline(tmp_path_factory):
                      "--seed", "5"]) == 0
     train_args = ["train", "--manifest", str(data / "manifest.json"),
                   "--annotations", str(data / "annotations.json"),
-                  "--out", str(run), "--rescale-length", "50",
+                  "--out", str(run), "--window-length", "50",
                   "--width", "16", "--cardinality", "2", "--k-neighbors", "2",
                   "--tau1", "8", "--tau2", "2", "--max-duration", "16",
                   "--epochs", "2", "--batch-size", "4",
@@ -53,7 +53,6 @@ def pipeline(tmp_path_factory):
     raw = root / "raw.json"
     assert dispatch(["infer", "--manifest", str(data / "manifest.json"),
                      "--checkpoint", str(run / "checkpoint.tgck"),
-                     "--rescale-length", "50",
                      "--out", str(detections), "--save-raw", str(raw)]) == 0
     return {"root": root, "data": data, "run": run,
             "detections": detections, "raw": raw}
@@ -97,11 +96,21 @@ class TestPipeline:
                          "--thresholds", "0.5"]) == 1
         assert "--class-agnostic" in capsys.readouterr().err
 
+    def _run_with_model(self, pipeline, tmp_path, **model):
+        """A copy of the trained run whose config.json has the given model fields."""
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        sidecar = json.loads((run / "config.json").read_text())
+        sidecar["model"].update(model)
+        (run / "config.json").write_text(json.dumps(sidecar))
+        return run
+
     def test_infer_with_fewer_blocks_than_checkpoint_is_data_error(self, pipeline, tmp_path,
                                                                     capsys):
+        # the model comes from config.json alone, so only it can disagree with the weights
+        run = self._run_with_model(pipeline, tmp_path, blocks=2)
         assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
-                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--blocks", "2",
+                         "--checkpoint", str(run / "checkpoint.tgck"),
                          "--out", str(tmp_path / "d.json")]) == 2
         assert "'block2." in capsys.readouterr().err
 
@@ -114,7 +123,7 @@ class TestPipeline:
         save_checkpoint(run / "checkpoint.tgck", params)
         return dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(run / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")])
+                         "--out", str(tmp_path / "d.json")])
 
     def test_infer_with_nan_weight_is_data_error(self, pipeline, tmp_path, capsys):
         def poison(w1):
@@ -182,14 +191,10 @@ class TestPipeline:
         assert not (tmp_path / "d.json").exists()
 
     def test_sidecar_with_impossible_model_is_data_error(self, pipeline, tmp_path, capsys):
-        run = tmp_path / "run"
-        shutil.copytree(pipeline["run"], run)
-        sidecar = json.loads((run / "config.json").read_text())
-        sidecar["model"]["blocks"] = 0
-        (run / "config.json").write_text(json.dumps(sidecar))
+        run = self._run_with_model(pipeline, tmp_path, blocks=0)
         assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(run / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 2
+                         "--out", str(tmp_path / "d.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'blocks'" in err
 
@@ -214,8 +219,7 @@ class TestPipeline:
         out = tmp_path / "d.json"
         if command == "infer":
             args = ["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
-                    "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                    "--rescale-length", "50", "--out", str(out)]
+                    "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"), "--out", str(out)]
         else:
             args = ["eval", "--raw-scores", str(pipeline["raw"]),
                     "--annotations", str(pipeline["data"] / "annotations.json"),
@@ -230,7 +234,7 @@ class TestPipeline:
         out = tmp_path / "d2.json"
         code = dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         first = json.loads(pipeline["detections"].read_text())
         second = json.loads(out.read_text())
@@ -253,36 +257,6 @@ class TestPipeline:
                          "--out", str(out)]) == 0
         assert json.loads(out.read_text())["L"] == 50
 
-    @pytest.mark.parametrize("flags", [["--rescale-length", "100"], ["--window-size", "20"]],
-                             ids=["rescale-length", "window-size"])
-    @pytest.mark.parametrize("command", ["infer", "export-graph"])
-    def test_window_length_other_than_the_trained_one_is_usage_error(self, pipeline, tmp_path,
-                                                                     capsys, command, flags):
-        out = tmp_path / "out.json"
-        assert dispatch([command, "--manifest", str(pipeline["data"] / "manifest.json"),
-                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--out", str(out), *flags]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and " ".join(flags) in err and "length 50" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("flags, named", [
-        (["--tau1", "6", "--tau2", "4"], "--tau1 6 differs from the tau1 8"),
-        (["--tau2", "3"], "--tau2 3 differs from the tau2 2"),
-    ], ids=["re-split", "tau2"])
-    @pytest.mark.parametrize("command", ["infer", "export-graph"])
-    def test_tau_other_than_the_trained_one_is_usage_error(self, pipeline, tmp_path, capsys,
-                                                           command, flags, named):
-        # the head's first layer has (tau1 + tau2) * width rows, so a re-split
-        # checkpoint would load and score every anchor from rows it was not trained on
-        out = tmp_path / "out.json"
-        assert dispatch([command, "--manifest", str(pipeline["data"] / "manifest.json"),
-                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--out", str(out), *flags]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and named in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("flags", [
         ["--nms-method", "gaussian"], ["--nms-threshold", "0.5"],
         ["--nms-sigma", "0.5"], ["--top-m", "5"], ["--raw-scores", "RAW"],
@@ -303,13 +277,24 @@ class TestPipeline:
         ("infer", ["--annotations", "ANN"]), ("export-graph", ["--annotations", "ANN"]),
         *((command, ["--config", "opts.json"])
           for command in ("synth", "train", "infer", "eval", "export-graph")),
+        *((command, [flag, "20"]) for command in ("train", "infer", "export-graph")
+          for flag in ("--rescale-length", "--window-size")),
+        *(("infer", [flag, "2"]) for flag in ("--width", "--blocks", "--cardinality",
+                                              "--tau1", "--tau2")),
+        *(("export-graph", [flag, "2"]) for flag in ("--tau1", "--tau2", "--max-duration")),
     ], ids=["eval-alpha", "eval-grid-alpha", "infer-annotations", "export-graph-annotations",
             "synth-config", "train-config", "infer-config", "eval-config",
-            "export-graph-config"])
+            "export-graph-config", "train-rescale-length", "train-window-size",
+            "infer-rescale-length", "infer-window-size", "export-graph-rescale-length",
+            "export-graph-window-size", "infer-width", "infer-blocks", "infer-cardinality",
+            "infer-tau1", "infer-tau2", "export-graph-tau1", "export-graph-tau2",
+            "export-graph-max-duration"])
     def test_removed_option_is_usage_error(self, pipeline, tmp_path, capsys, command, flag):
         # the sweep over --raw-scores sets the fusion exponent itself, and eval
         # has no --alpha; infer and export-graph read no annotations; options come
-        # from flags alone, not from a JSON file
+        # from flags alone, not from a JSON file; --window-length is the one window
+        # length flag; infer's model is its checkpoint's, and export-graph's graph
+        # reads no head
         annotations = str(pipeline["data"] / "annotations.json")
         inputs = {"synth": [],
                   "train": ["--manifest", str(pipeline["data"] / "manifest.json"),
@@ -355,8 +340,8 @@ def test_export_graph_layer_counts(tmp_path):
     out = tmp_path / "graph.json"
     dot = tmp_path / "graph.dot"
     code = dispatch(["export-graph", "--manifest", str(tmp_path / "manifest.json"),
-                     "--rescale-length", "10", "--k-neighbors", "2", "--blocks", "3",
-                     "--width", "16", "--cardinality", "2", "--max-duration", "4",
+                     "--window-length", "10", "--k-neighbors", "2", "--blocks", "3",
+                     "--width", "16", "--cardinality", "2",
                      "--out", str(out), "--dot", str(dot)])
     assert code == 0
     graph = json.loads(out.read_text())
@@ -409,7 +394,6 @@ class TestExitCodes:
         (tmp_path / "run").mkdir()
         (tmp_path / "run" / "config.json").write_text(sidecar)
         code = dispatch(["export-graph", "--manifest", str(tmp_path / "manifest.json"),
-                         "--rescale-length", "10",
                          "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
                          "--out", str(tmp_path / "g.json")])
         assert code == 2
@@ -419,13 +403,13 @@ class TestExitCodes:
 @pytest.mark.parametrize("flag, value, field", [
     ("--tau1", "0", "tau1"), ("--tau2", "-1", "tau2"), ("--cardinality", "0", "cardinality"),
     ("--blocks", "0", "blocks"), ("--max-duration", "1", "max_duration"),
-    ("--width", "0", "width"), ("--rescale-length", "0", "rescale_length"),
+    ("--width", "0", "width"), ("--window-length", "2", "window_length"),
 ])
 def test_impossible_model_flag_is_usage_error(small_synth, tmp_path, capsys, flag, value, field):
     out = tmp_path / "run"
     assert dispatch(["train", "--manifest", str(small_synth["manifest"]),
                      "--annotations", str(small_synth["annotations"]), "--out", str(out),
-                     "--rescale-length", "50", "--width", "16", "--cardinality", "2",
+                     "--window-length", "50", "--width", "16", "--cardinality", "2",
                      "--k-neighbors", "2", "--tau1", "8", "--tau2", "2",
                      "--max-duration", "16", "--epochs", "1", "--quiet", flag, value]) == 1
     err = capsys.readouterr().err
@@ -443,7 +427,7 @@ def test_impossible_training_flag_is_usage_error(small_synth, tmp_path, capsys, 
                                                  field):
     out = tmp_path / "run"
     assert dispatch(["train", *_data_args(small_synth), "--out", str(out),
-                     "--rescale-length", "50", "--quiet", flag, value]) == 1
+                     "--window-length", "50", "--quiet", flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"'{field}'" in err
     assert not out.exists()
@@ -464,30 +448,39 @@ def test_impossible_synth_flag_is_usage_error(tmp_path, capsys, flag, value, fie
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, named", [
-    (["--stride", "7"], ("--stride", "--window-size")),
-    (["--rescale-length", "50", "--window-size", "20"], ("--rescale-length", "--window-size")),
-], ids=["stride-alone", "both-modes"])
-@pytest.mark.parametrize("command", ["train", "export-graph"])
-def test_flag_of_the_other_windowing_mode_is_usage_error(small_synth, tmp_path, capsys,
-                                                         command, flags, named):
-    out = tmp_path / "out"
-    assert dispatch([command, *_data_args(small_synth, command), "--out", str(out),
-                     *flags]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and all(flag in err for flag in named)
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("size", ["0", "-4"])
 @pytest.mark.parametrize("command", ["train", "export-graph"])
 def test_window_size_below_two_is_usage_error(small_synth, tmp_path, capsys, command, size):
-    # prepare_windows reads a window length of 0 or less as rescale mode
+    # prepare_windows reads a window length of 0 or less as rescale mode, and the
+    # model refuses it first
     out = tmp_path / "out"
     assert dispatch([command, *_data_args(small_synth, command), "--out", str(out),
-                     "--window-size", size]) == 1
+                     "--window-length", size]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and f"--window-size {size}" in err
+    assert err.startswith("error:") and f"'window_length' is {size}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, named", [
+    ("train", ["--stride", "0"], "stride 0"),
+    ("export-graph", ["--window-length", "20", "--stride", "20"], "stride 20"),
+    ("infer", ["--stride", "0"], "stride 0"),
+], ids=["train-0", "export-graph-at-length", "infer-0"])
+def test_stride_outside_the_window_is_usage_error(small_synth, tmp_path, capsys, command,
+                                                  flags, named):
+    # strided windows need a stride in (0, L); the window length is checked with the model
+    inputs = _data_args(small_synth, command)
+    if command == "infer":
+        run = tmp_path / "run"
+        run.mkdir()
+        model = small_model_config()
+        Detector(model, np.random.default_rng(0)).save(run / "checkpoint.tgck")
+        (run / "config.json").write_text(json.dumps({"model": asdict(model)}))
+        inputs = [*inputs, "--checkpoint", str(run / "checkpoint.tgck")]
+    out = tmp_path / "out"
+    assert dispatch([command, *inputs, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert not out.exists()
 
 
@@ -510,7 +503,7 @@ def test_unusable_manifest_is_data_error_naming_the_video(tmp_path, capsys, shap
     out = tmp_path / "run"
     assert dispatch(["train", "--manifest", str(tmp_path / "manifest.json"),
                      "--annotations", str(tmp_path / "annotations.json"), "--out", str(out),
-                     "--rescale-length", "20", "--quiet"]) == 2
+                     "--window-length", "20", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not out.exists()
@@ -543,7 +536,7 @@ def test_manifest_sampling_rate_not_finite_and_positive_is_data_error(tmp_path, 
     out = tmp_path / "run"
     assert dispatch(["train", "--manifest", str(tmp_path / "manifest.json"),
                      "--annotations", str(tmp_path / "annotations.json"), "--out", str(out),
-                     "--window-size", "20", "--stride", "10", "--epochs", "1", "--quiet"]) == 2
+                     "--window-length", "20", "--stride", "10", "--epochs", "1", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'v0' has sampling_rate" in err
     assert not out.exists()
@@ -552,9 +545,23 @@ def test_manifest_sampling_rate_not_finite_and_positive_is_data_error(tmp_path, 
 def test_strided_windows_take_window_size_and_stride(small_synth, tmp_path):
     out = tmp_path / "graph.json"
     assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
-                     "--window-size", "20", "--stride", "10", "--max-duration", "8",
-                     "--out", str(out)]) == 0
+                     "--window-length", "20", "--stride", "10", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["L"] == 20
+
+
+def test_train_with_stride_cuts_windows_of_the_window_length(small_synth, tmp_path,
+                                                             monkeypatch):
+    def fake_train(model, windows, config, out_dir=None, log=print):
+        raise _Built(windows, config)
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    with pytest.raises(_Built) as built:
+        dispatch(["train", *_data_args(small_synth), "--out", str(tmp_path / "run"),
+                  "--window-length", "20", "--stride", "10"])
+    windows, config = built.value.args
+    assert {w.features.shape[1] for w in windows} == {20}
+    assert {w.offset % 10 for w in windows} == {0} and max(w.offset for w in windows) > 0
+    assert config.model.window_length == 20
 
 
 def test_console_script_help_runs():
@@ -567,18 +574,16 @@ def test_console_script_help_runs():
 # every option of each subcommand, --help aside, in the order --help lists them
 _OPTIONS = {
     "synth": "--seed --out --num-videos --length --c-raw --num-classes --noise",
-    "train": "--seed --manifest --rescale-length --window-size --stride --annotations "
-             "--width --blocks --cardinality --k-neighbors --tau1 --tau2 --max-duration "
+    "train": "--seed --manifest --stride --window-length --width --blocks --cardinality "
+             "--k-neighbors --tau1 --tau2 --max-duration --annotations "
              "--out --epochs --lr --lr2 --batch-size --lambda1 --lambda2 "
              "--anchors-per-window --quiet",
-    "infer": "--manifest --rescale-length --window-size --stride --width --blocks "
-             "--cardinality --k-neighbors --tau1 --tau2 --max-duration --alpha "
+    "infer": "--manifest --stride --k-neighbors --max-duration --alpha "
              "--nms-method --nms-threshold --nms-sigma --top-m --checkpoint --out --save-raw",
     "eval": "--nms-method --nms-threshold --nms-sigma --top-m --detections --annotations "
             "--out --thresholds --class-agnostic --raw-scores",
-    "export-graph": "--seed --manifest --rescale-length --window-size --stride --width "
-                    "--blocks --cardinality --k-neighbors --tau1 --tau2 --max-duration "
-                    "--checkpoint --video-id --out --dot",
+    "export-graph": "--seed --manifest --stride --window-length --width --blocks "
+                    "--cardinality --k-neighbors --checkpoint --video-id --out --dot",
 }
 
 
@@ -591,7 +596,7 @@ def test_each_subcommand_has_exactly_its_options():
                for name, sub in commands.items()}
     assert options == {name: spec.split() for name, spec in _OPTIONS.items()}
     assert {name: len(o) for name, o in options.items()} == {
-        "synth": 7, "train": 22, "infer": 19, "eval": 10, "export-graph": 16}
+        "synth": 7, "train": 21, "infer": 12, "eval": 10, "export-graph": 12}
 
 
 @pytest.mark.parametrize("command", ["infer", "eval"])
@@ -649,6 +654,7 @@ def test_overflowing_layer_is_numeric_error_naming_it(tmp_path, command, param, 
     model = Detector(ModelConfig(), np.random.default_rng(0))
     model.named_params()[param].data[:] = 1e308
     model.save(checkpoint)
+    (tmp_path / "config.json").write_text(json.dumps({"model": asdict(model.config)}))
     result = subprocess.run([sys.executable, "-m", "tadgraph", command, "--manifest",
                              str(data / "manifest.json"), "--checkpoint", str(checkpoint),
                              "--out", str(tmp_path / "out.json")],
@@ -691,7 +697,7 @@ _SYNTH_FLAGS = [("--seed", 3), ("--num-videos", 5), ("--length", 60), ("--c-raw"
 _TRAIN_FLAGS = [("--seed", 3), ("--epochs", 3), ("--batch-size", 5), ("--lambda1", 2.5),
                 ("--lambda2", 0.5), ("--anchors-per-window", 32)]
 _ARCH_FLAGS = [("--width", 16), ("--blocks", 2), ("--cardinality", 4), ("--k-neighbors", 3),
-               ("--tau1", 16), ("--tau2", 2), ("--max-duration", 32)]
+               ("--tau1", 16), ("--tau2", 2), ("--max-duration", 32), ("--window-length", 50)]
 
 
 class TestOptionResolution:
@@ -725,7 +731,7 @@ class TestOptionResolution:
         assert captured["train"] == TrainConfig(model=ModelConfig(c_raw=6, window_length=100))
         assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 0
+                         "--out", str(tmp_path / "d.json")]) == 0
         assert captured["finalize"] == {}
 
     def test_nms_flags_reach_finalize_detections(self, captured, pipeline, tmp_path):
@@ -733,8 +739,7 @@ class TestOptionResolution:
         for method, decay in [("linear", "threshold"), ("gaussian", "sigma")]:
             assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                              "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                             "--rescale-length", "50", "--out", str(tmp_path / "d.json"),
-                             "--alpha", "0.3", "--nms-method", method,
+                             "--out", str(tmp_path / "d.json"), "--alpha", "0.3", "--nms-method", method,
                              f"--nms-{decay}", "0.2", "--top-m", "5"]) == 0
             assert captured["finalize"] == {"alpha": 0.3, "method": method, decay: 0.2,
                                             "top_m": 5}
@@ -755,30 +760,31 @@ class TestOptionResolution:
         assert model.k_neighbors == 0 and model.width == sidecar["width"] == 16
 
     @pytest.mark.parametrize("flag, in_sidecar, expected", [
-        (None, None, ModelConfig().width),
+        (None, None, ModelConfig().max_duration),
         (None, 48, 48),
         (16, 48, 16),
     ], ids=["default", "sidecar", "flag"])
     def test_architecture_precedence(self, monkeypatch, small_synth, tmp_path,
                                      flag, in_sidecar, expected):
+        # a field that config.json leaves out takes the ModelConfig default
         def stop(config, path):
             raise _Built(config)
 
         monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
         (tmp_path / "run").mkdir()
-        if in_sidecar is not None:
-            (tmp_path / "run" / "config.json").write_text(
-                json.dumps({"model": {"width": in_sidecar, "blocks": 2}}))
+        sidecar = {"blocks": 2} if in_sidecar is None else {"max_duration": in_sidecar,
+                                                              "blocks": 2}
+        (tmp_path / "run" / "config.json").write_text(json.dumps({"model": sidecar}))
         args = ["infer", "--manifest", str(small_synth["manifest"]),
                 "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
                 "--out", str(tmp_path / "d.json")]
         if flag is not None:
-            args += ["--width", str(flag)]
+            args += ["--max-duration", str(flag)]
         with pytest.raises(_Built) as built:
             dispatch(args)
         model = built.value.args[0]
-        assert model.width == expected
-        assert model.blocks == (ModelConfig().blocks if in_sidecar is None else 2)
+        assert model.max_duration == expected
+        assert model.blocks == 2
         assert (model.c_raw, model.window_length) == (6, 100)
 
     def test_sidecar_fields_without_a_flag_are_kept(self, small_synth, tmp_path):
@@ -789,7 +795,7 @@ class TestOptionResolution:
         (run / "config.json").write_text(json.dumps(asdict(TrainConfig(model=config))))
         assert dispatch(["infer", "--manifest", str(small_synth["manifest"]),
                          "--checkpoint", str(run / "checkpoint.tgck"),
-                         "--rescale-length", "50", "--out", str(tmp_path / "d.json")]) == 0
+                         "--out", str(tmp_path / "d.json")]) == 0
 
     @pytest.mark.parametrize("args", [
         ["eval", "--annotations", "a.json"],
@@ -809,11 +815,36 @@ class TestOptionResolution:
         assert capsys.readouterr().err.startswith("error: --seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--width", "--blocks", "--cardinality", "--window-length"])
+    def test_export_graph_refuses_a_model_flag_with_a_checkpoint(self, pipeline, tmp_path,
+                                                                 capsys, flag):
+        # config.json fixes the model, as the checkpoint does the weights (the --seed
+        # test above); the graph's k is free
+        out = tmp_path / "graph.json"
+        assert dispatch(["export-graph", "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out), "--k-neighbors", "3", flag, "4"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: export-graph reads the model")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "export-graph"])
+    def test_checkpoint_without_config_json_is_data_error(self, pipeline, tmp_path, capsys,
+                                                          command):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run"], run)
+        (run / "config.json").unlink()
+        out = tmp_path / "out.json"
+        assert dispatch([command, "--manifest", str(pipeline["data"] / "manifest.json"),
+                         "--checkpoint", str(run / "checkpoint.tgck"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(run / "config.json") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         *(("synth", flag, value) for flag, value in _SYNTH_FLAGS),
         *(("train", flag, value) for flag, value in _TRAIN_FLAGS),
         *((command, flag, value) for command in ("train", "infer", "export-graph")
-          for flag, value in _ARCH_FLAGS),
+          for flag, value in _ARCH_FLAGS if flag in _OPTIONS[command].split()),
     ])
     def test_each_pass_through_flag_reaches_its_field(self, monkeypatch, small_synth, tmp_path,
                                                       command, flag, value):
@@ -823,6 +854,7 @@ class TestOptionResolution:
         monkeypatch.setattr(cli, "synth_dataset", stop)
         monkeypatch.setattr(cli, "init_params", stop)
         monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
+        (tmp_path / "config.json").write_text(json.dumps({"model": asdict(ModelConfig())}))
         inputs = {"synth": [], "train": _data_args(small_synth),
                   "infer": ["--manifest", str(small_synth["manifest"]),
                             "--checkpoint", str(tmp_path / "checkpoint.tgck")],

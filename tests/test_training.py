@@ -1,8 +1,12 @@
 """Optimization loop: initialization, reproducibility, convergence."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,30 @@ DEFAULT_CONFIG_JSON = """{
 
 # an anchor sample at least as large as every window's anchor set scores them all
 ALL_ANCHORS = 10**6
+
+# prints how many MB of resident memory release_free_heap returns once 16 MB of
+# 64 KB heap blocks are freed. 64 KB sits below glibc's smallest mmap threshold, so
+# the blocks come from the heap; the small array after each one keeps its hole from
+# merging. Freeing one 8 MB array first raises glibc's dynamic mmap threshold, and
+# the heap's trim threshold with it, as the earlier work of a longer-lived process
+# does. Without it, `del` alone handed the blocks back in some fresh interpreters,
+# and the trim then freed about 0.4 MB.
+HEAP_HOLES = """if True:
+    import numpy as np
+    from tadgraph import training
+
+    def resident_mb():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * 4096 / 2**20
+
+    np.ones(1 << 20)
+    pairs = [(np.ones(1 << 13), np.ones(300)) for _ in range(256)]
+    keep = [small for _, small in pairs]
+    del pairs
+    held = resident_mb()
+    training.release_free_heap()
+    print(held - resident_mb())
+"""
 
 
 def _config(**overrides) -> TrainConfig:
@@ -135,6 +163,22 @@ class TestTrainEpoch:
             train_epoch(model, examples, Adam(model.params()), config, 4e-3,
                         np.random.default_rng(0))
 
+    @pytest.mark.parametrize("param, failure", [
+        ("loc.w2", "localization head layer 'loc.w2' gave a non-finite output in the window "
+                   "of video '{video}' at offset 0"),
+        ("node.w", "non-finite loss nan on window 0 (video {video})"),
+    ], ids=["head", "node-branch"])
+    def test_non_finite_output_names_the_layer_or_the_loss(self, small_synth, param, failure):
+        # the head's check is the one inference runs, on the anchor subset scored
+        config = _config()
+        model = init_params(config)
+        model.named_params()[param].data[0, 0] = np.nan
+        window = small_synth["windows"][0]
+        with pytest.raises(NumericError) as raised:
+            train_epoch(model, build_examples(model, [window]), Adam(model.params()), config,
+                        4e-3, np.random.default_rng(0))
+        assert str(raised.value) == failure.format(video=window.video_id)
+
     def test_each_epoch_first_releases_the_free_heap(self, small_synth, monkeypatch):
         calls = []
         monkeypatch.setattr(training, "release_free_heap", lambda: calls.append("release"))
@@ -151,19 +195,13 @@ class TestTrainEpoch:
 
     @pytest.mark.skipif(training._malloc_trim() is None, reason="no malloc_trim in this C library")
     def test_released_heap_holes_leave_resident_memory(self):
-        def resident_mb():
-            with open("/proc/self/statm") as fh:
-                return int(fh.read().split()[1]) * 4096 / 2**20
-
-        # 64 KB blocks sit below glibc's smallest mmap threshold, so they come from
-        # the heap; the small array after each one keeps its hole from merging
-        pairs = [(np.ones(1 << 13), np.ones(300)) for _ in range(256)]
-        keep = [small for _, small in pairs]
-        del pairs
-        held = resident_mb()
-        training.release_free_heap()
-        assert held - resident_mb() > 8, "16 MB of freed blocks stayed resident"
-        del keep
+        # in a fresh interpreter, so what falls does not depend on the heap that earlier
+        # tests left: after some of them only 7.3 MB fell
+        src = Path(training.__file__).resolve().parents[1]
+        result = subprocess.run([sys.executable, "-c", HEAP_HOLES], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) > 8, "16 MB of freed blocks stayed resident"
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_config_error(self, batch_size):
