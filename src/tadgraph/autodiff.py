@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ContractError
 
 _grad_enabled = True
 
@@ -418,9 +418,9 @@ def grouped_conv1d(x: Tensor, w: Tensor, groups: int = 1) -> Tensor:
     c_in, length = x.shape
     k, c_in_g, c_out = w.shape
     if k % 2 != 1:
-        raise ConfigError(f"grouped_conv1d: kernel size {k} must be odd")
+        raise ContractError(f"grouped_conv1d: kernel size {k} must be odd")
     if c_in % groups != 0 or c_out % groups != 0:
-        raise ConfigError(f"grouped_conv1d: channels ({c_in} in, {c_out} out) not divisible by {groups} groups")
+        raise ContractError(f"grouped_conv1d: channels ({c_in} in, {c_out} out) not divisible by {groups} groups")
     if c_in // groups != c_in_g:
         raise ContractError(f"grouped_conv1d: weight expects {c_in_g} channels/group, input provides {c_in // groups}")
     pad = (k - 1) // 2

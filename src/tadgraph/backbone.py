@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, new_param
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ContractError, NumericError
 from .video_graph import VideoGraph, gather_edges, temporal_adjacency
 from .video_graph import semantic_adjacency  # noqa: F401  (bench/spans.py patches this name)
 
@@ -68,7 +68,7 @@ class BlockParams:
 def gcnext_forward(x: Tensor, graph: VideoGraph, params: BlockParams) -> Tensor:
     """One block: recompute semantic edges from ``x``, aggregate, add residual."""
     if params.t_in.shape[1] != x.shape[0]:
-        raise ConfigError(f"block built for width {params.t_in.shape[1]}, features have {x.shape[0]}")
+        raise ContractError(f"block built for width {params.t_in.shape[1]}, features have {x.shape[0]}")
     edges = graph.add_semantic_layer(x.data)
 
     z = ad.matmul(params.t_in, x)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, new_param
-from .errors import ConfigError, ContractError
+from .errors import ContractError, NumericError
 
 PROB_EPS = 1e-7
 DEFAULT_LAMBDA1 = 10.0
@@ -72,42 +72,28 @@ def localization_forward(subgraph_features, params: LocalizationParams) -> Tenso
     ``shape`` and row slices. The layers run over the ``autodiff.row_blocks``
     of ``LOC_BLOCK_ROWS`` rows, so neither the aligned rows of ``AlignedRows``
     nor the hidden activations exist for all J anchors at once.
+
+    A block whose scores are not all finite raises ``NumericError`` naming the first
+    of its layers whose output is not finite: ``loc.w1``, ``loc.w2``, else ``loc.w3``.
+    The sigmoid saturates an infinite logit, so a block can overflow and score finite.
     """
     if subgraph_features.shape[1] != params.w1.shape[0]:
-        raise ConfigError(
+        raise ContractError(
             f"localization head expects width {params.w1.shape[0]}, got {subgraph_features.shape[1]}")
     return ad.concat([_localization_rows(subgraph_features[lo:hi], params)
                       for lo, hi in ad.row_blocks(subgraph_features.shape[0], LOC_BLOCK_ROWS)])
 
 
-# the head's layers in order: layer i has the weight w{i + 1}
-_LOC_LAYERS = (lambda x, p: ad.affine_relu(x, p.w1, p.b1),
-               lambda x, p: ad.affine_relu(x, p.w2, p.b2),
-               lambda x, p: ad.sigmoid(ad.affine(x, p.w3, p.b3)))
-
-
 def _localization_rows(x: Tensor, params: LocalizationParams) -> Tensor:
-    # each layer rebinds x, so without a graph to keep it the block's aligned rows
-    # are freed once the first layer has read them
-    for layer in _LOC_LAYERS:
-        x = layer(x, params)
-    return x
-
-
-def first_nonfinite_layer(subgraph_features, params: LocalizationParams) -> str:
-    """The weight name (``w1``, ``w2`` or ``w3``) of the first head layer whose
-    output is not finite in some row block. It re-runs the head layer by layer, to
-    report a ``localization_forward`` that gave a non-finite score; so when no
-    earlier layer is at fault, the last one is."""
-    first = len(_LOC_LAYERS) - 1
-    for lo, hi in ad.row_blocks(subgraph_features.shape[0], LOC_BLOCK_ROWS):
-        x = subgraph_features[lo:hi]
-        for i, layer in enumerate(_LOC_LAYERS[:first]):
-            x = layer(x, params)
-            if not np.isfinite(x.data).all():
-                first = i
-                break
-    return f"w{first + 1}"
+    h1 = ad.affine_relu(x, params.w1, params.b1)
+    del x     # without a graph to keep them, the block's aligned rows are freed here
+    h2 = ad.affine_relu(h1, params.w2, params.b2)
+    scores = ad.sigmoid(ad.affine(h2, params.w3, params.b3))
+    if not np.isfinite(scores.data).all():
+        layer = next((name for name, out in (("w1", h1), ("w2", h2))
+                      if not np.isfinite(out.data).all()), "w3")
+        raise NumericError(f"localization head layer 'loc.{layer}' gave a non-finite output")
+    return scores
 
 
 def node_branch_forward(block1_features: Tensor, params: NodeParams) -> Tensor:

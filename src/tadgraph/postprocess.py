@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, exact_cast, exact_name
+from .errors import ContractError, DataError, FormatError, exact_cast, exact_name
 from .heads import interval_iou
 
 OUTPUT_VERSION = "tadgraph-detections-1"
@@ -56,10 +56,10 @@ def soft_nms(segments: np.ndarray, scores: np.ndarray, method: str = "linear",
     run's, bit for bit.
     """
     if method not in ("linear", "gaussian"):
-        raise DataError(f"soft_nms: unknown method '{method}'")
+        raise ContractError(f"soft_nms: unknown method '{method}'")
     if method == "gaussian" and not sigma > 0:
         # a decay factor above 1 would void the early exit below
-        raise DataError(f"soft_nms: Gaussian sigma must be above 0, got {sigma}")
+        raise ContractError(f"soft_nms: Gaussian sigma must be above 0, got {sigma}")
     segments = np.asarray(segments, dtype=np.float64).reshape(-1, 2)
     # in start order, argmax's first maximum is the earliest start
     by_start = np.argsort(segments[:, 0], kind="stable")

@@ -7,18 +7,6 @@ list with ``autodiff.gather_sum``, in the order ``gather_edges`` sorts it. The
 dense adjacencies are test oracles: ``A[i, j] = 1`` for edge ``(i, j)``, so
 ``X @ A`` gathers neighbor features per column, ``(X @ A_fwd)[:, j] = x_{j+1}``
 and ``A_fwd == A_bwd.T``.
-
-The k-NN screens each node's candidates with a Gram-matrix form
-``|a|^2 + |b|^2 - 2 a.b`` whose rounding slack is bounded, then ranks only the
-candidates by the exact distance summed channel by channel. So its edges are
-those of the dense channel-order form, exact ties included, at a fraction of
-its cost. Columns that tie keep one another as candidates: on a zero-padded
-tail window the padding columns are all equally near one another, and a real
-column's nearest is often the origin, so each column keeps every padding
-column. At L=256 and k=4 one call's candidates rise from 1,024 on a full
-window to as many as 25,981. So the re-rank takes them in chunks of
-``KNN_CHUNK`` distance terms: its per-channel working arrays stay one chunk
-wide, however many candidates the screen keeps.
 """
 
 from __future__ import annotations
@@ -27,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ContractError, DataError
 
 # float64 distance terms per chunk of the k-NN's exact re-rank (0.5 MB): each
 # chunk takes KNN_CHUNK // C candidates of C channels
@@ -65,7 +53,7 @@ def knn_semantic_edges(features: np.ndarray, k: int) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     channels, length = features.shape
     if k < 0 or k >= length:
-        raise ConfigError(f"knn_semantic_edges: k={k} invalid for {length} nodes")
+        raise ContractError(f"knn_semantic_edges: k={k} invalid for {length} nodes")
     if not np.all(np.isfinite(features)):
         raise DataError("knn_semantic_edges: features contain non-finite values")
     if k == 0:

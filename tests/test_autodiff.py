@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tadgraph import autodiff as ad
 from tadgraph.autodiff import Tensor
 from tadgraph.data import SynthConfig, load_dataset, prepare_windows, synth_dataset
-from tadgraph.errors import ConfigError, ContractError
+from tadgraph.errors import ContractError
 from tadgraph.training import Adam, TrainConfig, build_examples, init_params, train_epoch
 
 
@@ -328,11 +328,11 @@ class TestGroupedConv1d:
                 np.testing.assert_array_equal(got, want)
 
     def test_indivisible_channels_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             ad.grouped_conv1d(Tensor(np.zeros((5, 4))), Tensor(np.zeros((3, 2, 4))), groups=2)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             ad.grouped_conv1d(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 2, 2))), groups=1)
 
 

@@ -11,7 +11,7 @@ from tadgraph.autodiff import Tensor
 from tadgraph.backbone import (BackboneParams, BlockParams, backbone_forward,
                                edge_aggregate, gcnext_forward,
                                temporal_stream_equivalence)
-from tadgraph.errors import ConfigError
+from tadgraph.errors import ContractError
 from tadgraph.video_graph import VideoGraph, semantic_adjacency
 
 
@@ -61,7 +61,7 @@ class TestGCNextForward:
 
     def test_width_mismatch_rejected(self):
         x = Tensor(np.zeros((6, 10)))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             gcnext_forward(x, VideoGraph.build(10, 2), _random_block(8, 2, 0))
 
     def test_cardinality_one_equals_block_diagonal_groups(self):

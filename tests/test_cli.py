@@ -229,19 +229,9 @@ class TestPipeline:
         assert err.startswith("error:") and flags[0] in err
         assert not out.exists()
 
-    def test_infer_reads_arch_from_sidecar(self, pipeline, tmp_path):
-        # no architecture flags: sidecar config.json must reconstruct the model
-        out = tmp_path / "d2.json"
-        code = dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
-                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--out", str(out)])
-        assert code == 0
-        first = json.loads(pipeline["detections"].read_text())
-        second = json.loads(out.read_text())
-        assert first["results"] == second["results"]
-
     def test_infer_without_windowing_flag_rescales_to_the_trained_length(self, pipeline,
                                                                          tmp_path):
+        # no model flag: the checkpoint's config.json supplies the model
         out = tmp_path / "d.json"
         assert dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),

@@ -7,7 +7,7 @@ from helpers import relu_margin
 from tadgraph import autodiff as ad
 from tadgraph import heads
 from tadgraph.autodiff import Tensor
-from tadgraph.errors import ConfigError, ContractError
+from tadgraph.errors import ContractError, NumericError
 from tadgraph.heads import (LocalizationParams, NodeParams, assign_anchor_labels,
                             assign_node_labels, localization_forward,
                             node_branch_forward, node_loss, subgraph_loss,
@@ -37,7 +37,7 @@ class TestLocalizationForward:
         assert out.shape == (20, 2)
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             localization_forward(Tensor(np.zeros((3, 9))), _loc_params(in_width=6))
 
     def test_all_layers_pass_grad_check(self):
@@ -86,12 +86,28 @@ class TestLocalizationBlocks:
         seen = []
         score_rows = heads._localization_rows
         monkeypatch.setattr(heads, "_localization_rows",
-                            lambda x, params: seen.append(x.shape[0]) or score_rows(x, params))
+                            lambda x, *rest: seen.append(x.shape[0]) or score_rows(x, *rest))
         count = 2 * block_rows + 1
         x = np.random.default_rng(block_rows).normal(size=(count, 6))
         out = localization_forward(Tensor(x), _loc_params(seed=block_rows)).data
         assert seen == [block_rows, block_rows + 1]
         assert out.shape == (count, 2)
+
+    def test_non_finite_score_names_the_layer_of_its_own_block(self, monkeypatch):
+        # block 0's first layer overflows, but its scores saturate to 1; block 1's
+        # second layer overflows and its scores are NaN, so that layer is named
+        monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)
+        params = _loc_params(in_width=2, hidden=(2, 2))
+        for b in (params.b1, params.b2, params.b3):
+            b.data[...] = 0.0
+        params.w1.data = np.array([[1e308, 0.0], [0.0, 1.0]])
+        params.w2.data = np.array([[1.0, -1.0], [1.0, 3.0]])
+        params.w3.data = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        x = np.array([[2.0, 0.0]] * 3 + [[1.0, 1e308]] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError) as raised:
+                localization_forward(Tensor(x), params)
+        assert str(raised.value) == "localization head layer 'loc.w2' gave a non-finite output"
 
     def test_grad_check_across_block_boundary(self, monkeypatch):
         monkeypatch.setattr(heads, "LOC_BLOCK_ROWS", 3)

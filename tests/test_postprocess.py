@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tadgraph import postprocess
-from tadgraph.errors import DataError
+from tadgraph.errors import ContractError, DataError
 from tadgraph.postprocess import (Detection, WindowScores, _soft_nms_select,
                                   finalize_detections, fuse_scores, read_detections,
                                   soft_nms, write_detections)
@@ -196,11 +196,11 @@ class TestSoftNMS:
 
     @pytest.mark.parametrize("sigma", [0.0, -0.4])
     def test_gaussian_sigma_not_above_zero_is_refused(self, sigma):
-        with pytest.raises(DataError, match="sigma"):
+        with pytest.raises(ContractError, match="sigma"):
             soft_nms(np.array([[0.0, 1.0]]), np.array([0.5]), method="gaussian", sigma=sigma)
 
     def test_unknown_method_is_refused(self):
-        with pytest.raises(DataError, match="unknown method 'bogus'"):
+        with pytest.raises(ContractError, match="unknown method 'bogus'"):
             soft_nms(np.array([[0.0, 1.0]]), np.array([0.5]), method="bogus")
 
     def test_tie_at_top_m_cut_keeps_earlier_start(self):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from tadgraph import autodiff as ad
 from tadgraph.autodiff import Tensor
-from tadgraph.errors import ConfigError, ContractError, DataError
+from tadgraph.errors import ContractError, DataError
 from tadgraph.video_graph import (VideoGraph, gather_edges, knn_semantic_edges,
                                   semantic_adjacency, temporal_adjacency)
 
@@ -154,7 +154,7 @@ class TestKnnSemanticEdges:
             assert not np.any(edges[:, 0] == edges[:, 1])
 
     def test_k_too_large_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ContractError):
             knn_semantic_edges(np.zeros((2, 4)), 4)
 
     def test_nonfinite_features_rejected(self):
