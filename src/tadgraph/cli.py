@@ -5,11 +5,12 @@ Options come from flags alone, and a flag feeds the config field of its name:
 or ``TrainConfig`` seed, ``--window-length`` ``ModelConfig.window_length``; an
 option without a flag keeps its field's default. A run with ``--checkpoint`` takes
 its whole model, window length included, from the ``config.json`` that ``train``
-writes beside the checkpoint. ``--stride`` selects strided windows of the window
-length; without it every video is rescaled to that length. ``--lr``/``--lr2`` and
-the fusion and Soft-NMS options are read by hand, because they feed functions or
-fields of other names. Exit codes: 0 success, 1 usage, 2 data/format error,
-3 numeric failure.
+writes beside the checkpoint, so a model flag or ``--seed`` beside it is a usage
+error. ``--stride`` selects strided windows of the window length; without it
+every video is rescaled to that length. ``--lr``/``--lr2``, export-graph's
+``--seed`` and the fusion and Soft-NMS options are read by hand, because they
+feed functions or fields of other names. Exit codes: 0 success, 1 usage,
+2 data/format error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .backbone import BackboneParams, backbone_forward
 from .data import SynthConfig, load_annotations, load_dataset, prepare_windows, synth_dataset
 from .errors import ConfigError, DataError, FormatError, NumericError
 from .evaluation import DEFAULT_THRESHOLDS, map_suite, write_report
@@ -49,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_data(p, *model_fields):
-        # infer has no --window-length: its checkpoint's config.json gives the length
-        length = ("--window-length" if "window_length" in model_fields
-                  else "the checkpoint's length")
+        # infer has no model flag: its checkpoint's config.json gives the model
+        length = "--window-length" if model_fields else "the checkpoint's length"
         p.add_argument("--manifest", required=True)
         p.add_argument("--stride", type=int, help=f"cut windows of {length} at this stride; "
                        "without it every video is rescaled to that length")
@@ -89,13 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors-per-window", type=int)
     p.add_argument("--quiet", action="store_true")
 
+    checkpoint_help = ("checkpoint file; the model, window length included, comes from "
+                       "the config.json beside it, and no model flag or --seed may go with it")
     p = command("infer", _cmd_infer, help="score a dataset with a checkpoint")
-    add_data(p, "k_neighbors", "max_duration")
+    add_data(p)
     p.add_argument("--alpha", type=float)
     add_nms(p)
-    p.add_argument("--checkpoint", required=True,
-                   help="checkpoint file; its model, window length included, comes from "
-                   "the config.json beside it")
+    p.add_argument("--checkpoint", required=True, help=checkpoint_help)
     p.add_argument("--out", required=True, help="detection JSON path")
     p.add_argument("--save-raw", help="also write raw anchor scores here")
 
@@ -114,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="write per-layer semantic edges of one video")
     p.add_argument("--seed", type=int)
     add_data(p, "window_length", "width", "blocks", "cardinality", "k_neighbors")
-    p.add_argument("--checkpoint", help="read the weights, and the model from the "
-                   "config.json beside them, instead of drawing them; excludes --seed, "
-                   "--width, --blocks, --cardinality and --window-length")
+    p.add_argument("--checkpoint", help=checkpoint_help)
     p.add_argument("--video-id")
     p.add_argument("--out", required=True)
     p.add_argument("--dot", help="also write a DOT rendering here")
@@ -135,15 +134,6 @@ def _fields_given(args: argparse.Namespace, config_type) -> dict:
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
-
-
-def _checkpoint_model(checkpoint) -> ModelConfig:
-    """The model config in the ``config.json`` beside a checkpoint."""
-    sidecar_path = Path(checkpoint).parent / "config.json"
-    try:
-        return ModelConfig(**json.loads(sidecar_path.read_text())["model"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{sidecar_path}: not a training config: {exc}") from exc
 
 
 def _nms_options(args: argparse.Namespace) -> dict:
@@ -196,17 +186,26 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _windows_and_model(args: argparse.Namespace, training: bool):
-    """The dataset's model windows, all of one (C_raw, L) shape, and the model config
-    for them: the checkpoint's ``config.json`` in a checkpoint run, else the
-    ModelConfig defaults, with each model flag given on top. ``--stride`` cuts
-    strided windows of the config's window length; without it every video is
-    rescaled to that length."""
+    """The dataset's model windows, all of one (C_raw, L) shape, and their model,
+    resolved here alone: ``config.json``'s in a checkpoint run, else the model
+    flags' (C_raw comes from the data). ``--stride`` cuts strided windows of the
+    model's window length; without it every video is rescaled to that length."""
+    given = _fields_given(args, ModelConfig)
+    checkpoint = getattr(args, "checkpoint", None)
+    if checkpoint and (fixed := _given(args, "seed", *given)):
+        raise ConfigError(f"{', '.join(map(_flag, fixed))}: --checkpoint gives the model "
+                          "(from its config.json) and its weights")
     sequences, annotations = load_dataset(args.manifest, args.annotations if training else None)
     if not sequences:
         raise DataError(f"{args.manifest}: dataset is empty")
-    given = _fields_given(args, ModelConfig)
-    checkpoint = getattr(args, "checkpoint", None)
-    model = replace(_checkpoint_model(checkpoint), **given) if checkpoint else ModelConfig(**given)
+    if checkpoint:
+        sidecar = Path(checkpoint).parent / "config.json"
+        try:
+            model = ModelConfig(**json.loads(sidecar.read_text())["model"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{sidecar}: not a training config: {exc}") from exc
+    else:
+        model = ModelConfig(**given)
     windowing = (dict(rescale_length=model.window_length) if args.stride is None
                  else dict(window_length=model.window_length, stride=args.stride))
     windows = prepare_windows(sequences, annotations, training=training, **windowing)
@@ -217,9 +216,7 @@ def _windows_and_model(args: argparse.Namespace, training: bool):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     windows, model_config = _windows_and_model(args, training=True)
-    schedule = {}
-    if args.lr is not None:
-        schedule.update(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
+    schedule = {} if args.lr is None else dict(lr_phase1=args.lr, lr_phase2=args.lr / 10.0)
     if args.lr2 is not None:
         schedule["lr_phase2"] = args.lr2
     config = TrainConfig(model=model_config, **schedule, **_fields_given(args, TrainConfig))
@@ -289,22 +286,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_graph(args: argparse.Namespace) -> int:
-    fixed = _given(args, "seed", "width", "blocks", "cardinality", "window_length")
-    if args.checkpoint and fixed:
-        raise ConfigError(f"{', '.join(map(_flag, fixed))}: export-graph reads the model "
-                          "and its weights from --checkpoint; pass one or the other")
-    windows, model_config = _windows_and_model(args, training=False)
+    windows, config = _windows_and_model(args, training=False)
     video_id = args.video_id or windows[0].video_id
     matching = [w for w in windows if w.video_id == video_id]
     if not matching:
         raise DataError(f"video '{video_id}' not found in the manifest")
     if args.checkpoint:
-        model = Detector.from_checkpoint(model_config, args.checkpoint)
+        backbone = Detector.from_checkpoint(config, args.checkpoint).backbone
     else:
-        model = init_params(TrainConfig(model=model_config, **_fields_given(args, TrainConfig)))
-
+        # the backbone that a training run of this seed (default 0) draws first
+        if (seed := args.seed or 0) < 0:
+            raise ConfigError(f"--seed {seed} must be at least 0")
+        backbone = BackboneParams.create(config.c_raw, config.width, config.blocks,
+                                         config.cardinality, config.bottleneck_ratio,
+                                         np.random.default_rng(seed))
     with ad.no_grad():
-        _, _, graph = model.forward_features(matching[0].features)
+        _, _, graph = backbone_forward(ad.Tensor(matching[0].features), backbone,
+                                       config.k_neighbors)
     Path(args.out).write_text(json.dumps(graph.to_json_dict(), indent=1))
     if args.dot:
         Path(args.dot).write_text(graph.to_dot())

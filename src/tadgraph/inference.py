@@ -79,10 +79,11 @@ def _read_window(where: str, w: dict) -> WindowScores:
     """One window of a raw score file, checked; ``where`` names it in an error."""
     try:
         times = np.asarray(w["anchors"], dtype=object)
+        if set(map(type, times.flat)) != {int}:     # cast each, naming a bool or a fraction
+            times.flat = [exact_cast(t, int, "anchors") for t in times.flat]
         ws = WindowScores(
             video_id=exact_name(w["video_id"], "video_id"),
-            anchors=np.array([exact_cast(t, int, "anchors") for t in times.flat],
-                             dtype=np.int64).reshape(times.shape),
+            anchors=times.astype(np.int64),
             p_cls=_scores(w, "p_cls"),
             p_reg=_scores(w, "p_reg"),
             offset=exact_cast(w["offset"], int, "offset"),

@@ -4,12 +4,13 @@
 
 runs each command as ``LAUNCHER... <command> <args>`` (``tadgraph``, or
 ``python -m tadgraph``) and writes every file under ``DIR``. After a tiny
-synth and train it infers with the raw scores saved, exports a graph, scores
-the detections, sweeps the fusion exponent over the raw scores, then infers
-again in strided windows of 100 that zero-pad the 50-snippet videos and
-sweeps those. Each command's stdout is passed on. The run fails (exit 1) on
-the first command that exits non-zero or writes to stderr, and when the
-graph is not L = 100 or its DOT is empty. With ``PYTHONWARNINGS=error`` in
+synth and train it infers with the raw scores saved, exports the checkpoint's
+graph and that of a backbone drawn without one, scores the detections, sweeps
+the fusion exponent over the raw scores, then infers again in strided windows
+of 100 that zero-pad the 50-snippet videos and sweeps those. Each command's
+stdout is passed on. The run fails (exit 1) on the first command that exits
+non-zero or writes to stderr, and when either graph is not L = 100 or its DOT
+is empty. With ``PYTHONWARNINGS=error`` in
 the environment, any warning in a command, such as a numpy overflow, fails
 it.
 """
@@ -34,6 +35,8 @@ def commands(root: Path) -> list[list]:
          "--save-raw", raw],
         ["export-graph", "--manifest", manifest, "--checkpoint", checkpoint,
          "--out", root / "graph.json", "--dot", root / "graph.dot"],
+        ["export-graph", "--manifest", manifest, "--out", root / "drawn_graph.json",
+         "--dot", root / "drawn_graph.dot"],
         ["eval", "--detections", det, "--annotations", annotations, "--class-agnostic"],
         ["eval", "--raw-scores", raw, "--annotations", annotations, "--class-agnostic"],
         ["infer", "--manifest", manifest, "--checkpoint", checkpoint, "--stride", "50",
@@ -55,10 +58,11 @@ def main(argv: list[str]) -> int:
         if result.returncode != 0 or result.stderr:
             print(f"{args[0]} exited {result.returncode}:\n{result.stderr}", file=sys.stderr)
             return 1
-    if json.loads((root / "graph.json").read_text())["L"] != 100 \
-            or not (root / "graph.dot").read_text().strip():
-        print("export-graph wrote no L = 100 graph and DOT", file=sys.stderr)
-        return 1
+    for graph in ("graph", "drawn_graph"):
+        if json.loads((root / f"{graph}.json").read_text())["L"] != 100 \
+                or not (root / f"{graph}.dot").read_text().strip():
+            print(f"export-graph wrote no L = 100 {graph}.json and DOT", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -15,9 +15,11 @@ import pytest
 
 from conftest import small_model_config
 from tadgraph import cli
+from tadgraph.autodiff import no_grad, uniform_param
 from tadgraph.checkpoint import load_checkpoint, save_checkpoint
 from tadgraph.cli import dispatch
-from tadgraph.data import SynthConfig, load_annotations, write_feature_file
+from tadgraph.data import (SynthConfig, load_annotations, load_dataset, prepare_windows,
+                           write_feature_file)
 from tadgraph.inference import RAW_VERSION, read_raw_scores
 from tadgraph.model import Detector, ModelConfig
 from tadgraph.training import TrainConfig
@@ -161,13 +163,14 @@ class TestPipeline:
         (lambda w: w.update(offset=3.7), "3.7 would be read as 3"),
         (lambda w: w.update(valid_length=True), "true would be read as 1"),
         (lambda w: w["anchors"].__setitem__(0, [1.5, 4.2]), "1.5 would be read as 1"),
+        (lambda w: w["anchors"][2].__setitem__(1, True), "anchors: true would be read as 1"),
         (lambda w: w.update(video_id=None), "video_id: null is not a name"),
         (lambda w: w.update(scale=True), "scale: true would be read as 1.0"),
         (lambda w: w["p_cls"].__setitem__(0, True), "p_cls: a boolean is not a score"),
         (lambda w: w["p_reg"].__setitem__(0, False), "p_reg: a boolean is not a score"),
     ], ids=["negative-offset", "empty-window", "end-before-start", "negative-start",
-            "real-offset", "bool-valid-length", "real-anchor", "null-video-id", "bool-scale",
-            "bool-p-cls", "bool-p-reg"])
+            "real-offset", "bool-valid-length", "real-anchor", "bool-anchor", "null-video-id",
+            "bool-scale", "bool-p-cls", "bool-p-reg"])
     def test_raw_scores_outside_the_window_are_data_error(self, pipeline, tmp_path, capsys,
                                                           edit, message):
         payload = json.loads(pipeline["raw"].read_text())
@@ -270,21 +273,22 @@ class TestPipeline:
         *((command, [flag, "20"]) for command in ("train", "infer", "export-graph")
           for flag in ("--rescale-length", "--window-size")),
         *(("infer", [flag, "2"]) for flag in ("--width", "--blocks", "--cardinality",
-                                              "--tau1", "--tau2")),
+                                              "--k-neighbors", "--tau1", "--tau2",
+                                              "--max-duration")),
         *(("export-graph", [flag, "2"]) for flag in ("--tau1", "--tau2", "--max-duration")),
     ], ids=["eval-alpha", "eval-grid-alpha", "infer-annotations", "export-graph-annotations",
             "synth-config", "train-config", "infer-config", "eval-config",
             "export-graph-config", "train-rescale-length", "train-window-size",
             "infer-rescale-length", "infer-window-size", "export-graph-rescale-length",
             "export-graph-window-size", "infer-width", "infer-blocks", "infer-cardinality",
-            "infer-tau1", "infer-tau2", "export-graph-tau1", "export-graph-tau2",
-            "export-graph-max-duration"])
+            "infer-k-neighbors", "infer-tau1", "infer-tau2", "infer-max-duration",
+            "export-graph-tau1", "export-graph-tau2", "export-graph-max-duration"])
     def test_removed_option_is_usage_error(self, pipeline, tmp_path, capsys, command, flag):
         # the sweep over --raw-scores sets the fusion exponent itself, and eval
         # has no --alpha; infer and export-graph read no annotations; options come
         # from flags alone, not from a JSON file; --window-length is the one window
-        # length flag; infer's model is its checkpoint's, and export-graph's graph
-        # reads no head
+        # length flag; infer's model is its checkpoint's, k and D included, and
+        # export-graph's graph reads no head
         annotations = str(pipeline["data"] / "annotations.json")
         inputs = {"synth": [],
                   "train": ["--manifest", str(pipeline["data"] / "manifest.json"),
@@ -339,6 +343,52 @@ def test_export_graph_layer_counts(tmp_path):
     assert len(graph["layers"]) == 3
     assert all(len(layer) == 20 for layer in graph["layers"])
     assert dot.read_text().startswith("digraph")
+
+
+@pytest.mark.parametrize("seed_flag, seed", [([], 0), (["--seed", "3"], 3)], ids=["default", "3"])
+def test_export_graph_draws_the_backbone_a_seeded_detector_draws_first(small_synth, tmp_path,
+                                                                      seed_flag, seed):
+    # the same graph, byte for byte, as that of a whole detector drawn from the seed
+    out, dot = tmp_path / "graph.json", tmp_path / "graph.dot"
+    assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                     "--window-length", "50", "--width", "16", "--cardinality", "2",
+                     "--k-neighbors", "3", *seed_flag, "--out", str(out), "--dot", str(dot)]) == 0
+    window = prepare_windows(*load_dataset(small_synth["manifest"], None), training=False,
+                             rescale_length=50)[0]
+    config = ModelConfig(c_raw=6, window_length=50, width=16, cardinality=2, k_neighbors=3)
+    with no_grad():
+        _, _, graph = Detector(config, np.random.default_rng(seed)).forward_features(
+            window.features)
+    assert out.read_text() == json.dumps(graph.to_json_dict(), indent=1)
+    assert dot.read_text() == graph.to_dot()
+
+
+def test_export_graph_draws_the_backbone_alone(small_synth, tmp_path, monkeypatch):
+    # at the default model and C_raw 6 the backbone holds 6,816 of the detector's
+    # 663,140 values; the head is neither drawn nor built
+    def refuse(*args, **kwargs):
+        raise AssertionError("export-graph built a head")
+
+    def counted(rng, shape, fan_in):
+        drawn.append(int(np.prod(shape)))
+        return uniform_param(rng, shape, fan_in)
+
+    drawn = []
+    monkeypatch.setattr("tadgraph.autodiff.uniform_param", counted)
+    monkeypatch.setattr("tadgraph.model.LocalizationParams.create", refuse)
+    monkeypatch.setattr("tadgraph.model.SubgraphAligner", refuse)
+    assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                     "--out", str(tmp_path / "graph.json")]) == 0
+    assert sum(drawn) == 6816
+
+
+def test_export_graph_negative_seed_is_usage_error(small_synth, tmp_path, capsys):
+    out = tmp_path / "graph.json"
+    assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                     "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+    assert not out.exists()
 
 
 class TestExitCodes:
@@ -568,7 +618,7 @@ _OPTIONS = {
              "--k-neighbors --tau1 --tau2 --max-duration --annotations "
              "--out --epochs --lr --lr2 --batch-size --lambda1 --lambda2 "
              "--anchors-per-window --quiet",
-    "infer": "--manifest --stride --k-neighbors --max-duration --alpha "
+    "infer": "--manifest --stride --alpha "
              "--nms-method --nms-threshold --nms-sigma --top-m --checkpoint --out --save-raw",
     "eval": "--nms-method --nms-threshold --nms-sigma --top-m --detections --annotations "
             "--out --thresholds --class-agnostic --raw-scores",
@@ -586,7 +636,7 @@ def test_each_subcommand_has_exactly_its_options():
                for name, sub in commands.items()}
     assert options == {name: spec.split() for name, spec in _OPTIONS.items()}
     assert {name: len(o) for name, o in options.items()} == {
-        "synth": 7, "train": 21, "infer": 12, "eval": 10, "export-graph": 12}
+        "synth": 7, "train": 21, "infer": 10, "eval": 10, "export-graph": 12}
 
 
 @pytest.mark.parametrize("command", ["infer", "eval"])
@@ -734,28 +784,20 @@ class TestOptionResolution:
             assert captured["finalize"] == {"alpha": 0.3, "method": method, decay: 0.2,
                                             "top_m": 5}
 
-    def test_explicit_zero_flag_beats_the_sidecar(self, monkeypatch, pipeline, tmp_path):
-        # a flag of value 0 counts as given, so the sidecar's k does not replace it
-        def stop(config, path):
-            raise _Built(config)
+    def test_explicit_zero_flag_counts_as_given(self, small_synth, tmp_path):
+        # a flag of value 0 is given, so the default k does not replace it
+        out = tmp_path / "graph.json"
+        assert ModelConfig().k_neighbors > 0
+        assert dispatch(["export-graph", "--manifest", str(small_synth["manifest"]),
+                         "--window-length", "20", "--k-neighbors", "0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["K"] == 0
 
-        monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
-        sidecar = json.loads((pipeline["run"] / "config.json").read_text())["model"]
-        assert sidecar["k_neighbors"] == 2
-        with pytest.raises(_Built) as built:
-            dispatch(["infer", "--manifest", str(pipeline["data"] / "manifest.json"),
-                      "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                      "--out", str(tmp_path / "d.json"), "--k-neighbors", "0"])
-        model = built.value.args[0]
-        assert model.k_neighbors == 0 and model.width == sidecar["width"] == 16
-
-    @pytest.mark.parametrize("flag, in_sidecar, expected", [
-        (None, None, ModelConfig().max_duration),
-        (None, 48, 48),
-        (16, 48, 16),
-    ], ids=["default", "sidecar", "flag"])
+    @pytest.mark.parametrize("in_sidecar, expected", [
+        (None, ModelConfig().max_duration),
+        (48, 48),
+    ], ids=["default", "sidecar"])
     def test_architecture_precedence(self, monkeypatch, small_synth, tmp_path,
-                                     flag, in_sidecar, expected):
+                                     in_sidecar, expected):
         # a field that config.json leaves out takes the ModelConfig default
         def stop(config, path):
             raise _Built(config)
@@ -768,8 +810,6 @@ class TestOptionResolution:
         args = ["infer", "--manifest", str(small_synth["manifest"]),
                 "--checkpoint", str(tmp_path / "run" / "checkpoint.tgck"),
                 "--out", str(tmp_path / "d.json")]
-        if flag is not None:
-            args += ["--max-duration", str(flag)]
         with pytest.raises(_Built) as built:
             dispatch(args)
         model = built.value.args[0]
@@ -805,16 +845,26 @@ class TestOptionResolution:
         assert capsys.readouterr().err.startswith("error: --seed")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--width", "--blocks", "--cardinality", "--window-length"])
+    @pytest.mark.parametrize("flag", ["--width", "--blocks", "--cardinality", "--k-neighbors",
+                                      "--window-length"])
     def test_export_graph_refuses_a_model_flag_with_a_checkpoint(self, pipeline, tmp_path,
                                                                  capsys, flag):
-        # config.json fixes the model, as the checkpoint does the weights (the --seed
-        # test above); the graph's k is free
+        # config.json fixes the model, k included, as the checkpoint does the weights
+        # (the --seed test above); the refusal comes before the manifest, here
+        # missing, is read
+        out = tmp_path / "graph.json"
+        assert dispatch(["export-graph", "--manifest", str(tmp_path / "missing.json"),
+                         "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
+                         "--out", str(out), flag, "3"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}: --checkpoint gives the model")
+        assert not out.exists()
+
+    def test_checkpoint_refusal_names_every_flag_given(self, pipeline, tmp_path, capsys):
         out = tmp_path / "graph.json"
         assert dispatch(["export-graph", "--manifest", str(pipeline["data"] / "manifest.json"),
                          "--checkpoint", str(pipeline["run"] / "checkpoint.tgck"),
-                         "--out", str(out), "--k-neighbors", "3", flag, "4"]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {flag}: export-graph reads the model")
+                         "--out", str(out), "--k-neighbors", "0", "--seed", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: --seed, --k-neighbors: --checkpoint")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["infer", "export-graph"])
@@ -833,7 +883,7 @@ class TestOptionResolution:
     @pytest.mark.parametrize("command, flag, value", [
         *(("synth", flag, value) for flag, value in _SYNTH_FLAGS),
         *(("train", flag, value) for flag, value in _TRAIN_FLAGS),
-        *((command, flag, value) for command in ("train", "infer", "export-graph")
+        *((command, flag, value) for command in ("train", "export-graph")
           for flag, value in _ARCH_FLAGS if flag in _OPTIONS[command].split()),
     ])
     def test_each_pass_through_flag_reaches_its_field(self, monkeypatch, small_synth, tmp_path,
@@ -841,13 +891,16 @@ class TestOptionResolution:
         def stop(config, *args):
             raise _Built(config)
 
+        def resolved(args, training):
+            # export-graph builds no config of its own: take the model it resolves
+            raise _Built(windows_and_model(args, training)[1])
+
+        windows_and_model = cli._windows_and_model
         monkeypatch.setattr(cli, "synth_dataset", stop)
         monkeypatch.setattr(cli, "init_params", stop)
-        monkeypatch.setattr(cli.Detector, "from_checkpoint", staticmethod(stop))
-        (tmp_path / "config.json").write_text(json.dumps({"model": asdict(ModelConfig())}))
+        if command == "export-graph":
+            monkeypatch.setattr(cli, "_windows_and_model", resolved)
         inputs = {"synth": [], "train": _data_args(small_synth),
-                  "infer": ["--manifest", str(small_synth["manifest"]),
-                            "--checkpoint", str(tmp_path / "checkpoint.tgck")],
                   "export-graph": ["--manifest", str(small_synth["manifest"])]}
         with pytest.raises(_Built) as built:
             dispatch([command, *inputs[command], "--out", str(tmp_path / "out"),
